@@ -346,14 +346,7 @@ def lie_derivative(model: LieAlgebroid, sigma: Section, omega: PForm, x) -> np.n
     if p == 0:
         return term1
 
-    iso = contraction(sigma, omega)
-
-    def iso_coeffs(z):
-        return np.tensordot(sigma.at(z), omega.at(z), axes=([0], [0]))
-
-    iso_form = PForm(degree=p - 1, coeffs=iso_coeffs, derivative=iso.derivative,
-                     fd_step=omega.fd_step)
-    term2 = exterior_differential(model, iso_form, x)
+    term2 = exterior_differential(model, contraction(sigma, omega), x)
     return term1 + term2
 
 

@@ -2,11 +2,18 @@
 
 ``algfield run <config> <outdir>`` executes every check listed in the
 config and writes ``report.json`` (deterministic for a fixed config and
-seed: wall time goes to ``timing.json``), plus CSV dumps of the primary
+seed: wall time goes to ``timing.json``), plus a CSV dump of the primary
 field or trajectory.  The exit code is 0 exactly when all checks pass;
-distinct nonzero codes identify check failures, schema violations,
-unknown scenario kinds and I/O errors (see EXIT_* constants, documented
-in the README).
+distinct nonzero codes identify check failures, schema violations
+(including check kinds the scenario does not define), unknown scenario
+kinds and I/O errors (see EXIT_* constants, documented in the README).
+
+Each scenario kind is one ``Scenario`` entry of ``SCENARIOS``: a set-up
+function that builds the pair, the Lagrangian and any gauge into a
+``CheckContext``, one check function per check kind, and the CSV writer.
+``run``, ``check-config`` and ``list`` all take their check kinds from
+that table, so a config naming an unknown kind is rejected before any
+work is done.
 """
 
 from __future__ import annotations
@@ -16,8 +23,9 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import jsonschema
 import numpy as np
@@ -25,9 +33,8 @@ import numpy as np
 from . import scenarios as sc
 from .algebroid import structure_residual_max
 from .fibred import ProjectableSection
-from .fields import DiscretizedSection, GridSpec, residual_report
-from .scenarios import MechanicsState
-from .smoothfields import trig_polynomial, trig_vector
+from .fields import DiscretizedSection, GridSpec, grid_derivative, residual_report
+from .smoothfields import TrigPolynomial, trig_polynomial, trig_vector
 from .variational import (
     el_residual,
     el_residual_field,
@@ -79,10 +86,18 @@ class UnknownScenarioError(ValueError):
 
 
 class CheckContext:
-    """Shared lazily computed state for one scenario run."""
+    """State of one scenario run, shared by its checks and its CSV writer.
 
-    def __init__(self, params: dict, rng: np.random.Generator):
-        self.params = params
+    Holds the config's params and seed, the run's random generator, the
+    objects the scenario's set-up adds as attributes (``pair``, ``lag``,
+    ...) and lazily computed results.  Nothing stored here may refer back
+    to the context, so a run's fields are freed as soon as ``run_command``
+    returns instead of at the next garbage collection.
+    """
+
+    def __init__(self, config: dict, rng: np.random.Generator):
+        self.params = config.get("params", {})
+        self.seed = int(config.get("seed", 0))
         self.rng = rng
         self._cache: dict = {}
 
@@ -103,16 +118,9 @@ class CheckResult:
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "kind": self.kind,
-            "max_norm": self.max_norm,
-            "l2_norm": self.l2_norm,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-        if self.extra:
-            out["extra"] = self.extra
+        out = asdict(self)
+        if not self.extra:
+            del out["extra"]
         return out
 
 
@@ -149,164 +157,191 @@ class RunReport:
         return {"wall_time_seconds": self.wall_time_seconds}
 
 
-def _norm_result(name, kind, values, tol, extra=None) -> CheckResult:
+@dataclass(frozen=True)
+class Scenario:
+    """One scenario kind: what ``list`` prints and what ``run`` executes.
+
+    ``setup(ctx)`` adds the scenario's objects to the context; ``checks``
+    maps each check kind to ``check(chk, ctx) -> CheckResult``, called in
+    config order; ``write(ctx, outdir)`` writes the CSV dump and returns
+    the names of the files it wrote.  The run's RNG is drawn from in that
+    order (gauges at set-up, structure points per check, the seeded field
+    at its first use), which keeps a report fixed for a given seed.
+    """
+
+    summary: str
+    params: tuple
+    setup: Callable
+    checks: dict
+    write: Callable
+
+
+# ---------------------------------------------------------------------------
+# check results
+# ---------------------------------------------------------------------------
+
+def _norm_result(chk, values, default_tol, extra=None) -> CheckResult:
+    tol = chk.get("tol", default_tol)
     values = np.atleast_1d(np.asarray(values, dtype=float))
     max_norm = float(np.max(np.abs(values))) if values.size else 0.0
     l2_norm = float(np.sqrt(np.mean(values ** 2))) if values.size else 0.0
-    return CheckResult(name=name, kind=kind, max_norm=max_norm, l2_norm=l2_norm,
-                       tolerance=float(tol), passed=bool(max_norm <= tol),
-                       extra=extra or {})
+    return CheckResult(name=chk["name"], kind=chk["kind"], max_norm=max_norm,
+                       l2_norm=l2_norm, tolerance=float(tol),
+                       passed=bool(max_norm <= tol), extra=extra or {})
 
 
-def _ratio_result(name, kind, coarse, fine, ratio_min, ratio_max) -> CheckResult:
+def _ratio_result(chk, coarse, fine, default_min, default_max) -> CheckResult:
+    """Coarse/fine error ratio; passes inside ``[ratio_min, ratio_max]``."""
+    ratio_min = chk.get("ratio_min", default_min)
+    ratio_max = chk.get("ratio_max", default_max)
     ratio = float(coarse / fine) if fine > 0 else float("inf")
-    passed = bool(ratio_min <= ratio <= ratio_max)
     return CheckResult(
-        name=name, kind=kind, max_norm=float(coarse), l2_norm=float(fine),
-        tolerance=float(ratio_max), passed=passed,
+        name=chk["name"], kind=chk["kind"], max_norm=float(coarse), l2_norm=float(fine),
+        tolerance=float(ratio_max), passed=bool(ratio_min <= ratio <= ratio_max),
         extra={"ratio": ratio, "ratio_min": ratio_min, "ratio_max": ratio_max,
                "coarse": float(coarse), "fine": float(fine)})
 
 
-def _structure_check(chk, ctx, pair, box=1.0) -> CheckResult:
-    total = pair.total_algebroid()
+# ---------------------------------------------------------------------------
+# checks shared by several scenarios
+# ---------------------------------------------------------------------------
+
+def _structure_check(chk, ctx) -> CheckResult:
+    total = ctx.pair.total_algebroid()
     n_points = int(chk.get("points", 100))
-    pts = ctx.rng.uniform(-box, box, size=(n_points, total.base_dim))
+    pts = ctx.rng.uniform(-1.0, 1.0, size=(n_points, total.base_dim))
     worst = structure_residual_max(total, pts)
-    return _norm_result(chk["name"], chk["kind"], worst, chk.get("tol", 1e-8),
-                        extra={"points": n_points})
+    return _norm_result(chk, worst, 1e-8, extra={"points": n_points})
+
+
+def _seeded_sigma(rng, dim, pair) -> ProjectableSection:
+    """Seeded vertical section that depends on the base point alone.
+
+    When every component draws only zero wave vectors the section is
+    constant, both first-variation defects are rounding noise and their
+    ratio means nothing, so such a draw is replaced by the next one (a
+    pair without kernel directions has no components to redraw).
+    """
+    mu, mk = pair.fibre_dim, pair.kernel_rank
+    comps = trig_vector(rng, dim, mk)
+    while comps and not any(np.any(c.waves) for c in comps):
+        comps = trig_vector(rng, dim, mk)
+    return ProjectableSection(
+        vertical_coeffs=lambda x, u: np.array([c(x) for c in comps]),
+        d_vertical_x=lambda x, u: np.stack([c.gradient(x) for c in comps]),
+        d_vertical_u=lambda x, u: np.zeros((mk, mu)),
+    )
+
+
+def _morphism_convergence(report):
+    """Check kind: ratio of the max flatness residual of ``report(ctx, nn)``
+    between lattices ``n`` and ``2n``."""
+    def check(chk, ctx):
+        coarse, fine = (report(ctx, nn).morphism_max for nn in (ctx.n, 2 * ctx.n))
+        return _ratio_result(chk, coarse, fine, 3.5, 4.5)
+    return check
 
 
 # ---------------------------------------------------------------------------
 # mechanics scenarios
 # ---------------------------------------------------------------------------
 
-def _mechanics_drifts(pair, lag, state0, t_end, dt, conserved):
-    traj = sc.integrate_mechanics(pair, lag, state0, t_end=t_end, dt=dt)
-    drifts = {}
-    for name, fn in conserved.items():
-        series = fn(traj, lag)
-        scale = max(abs(series[0]), 1e-30)
-        drifts[name] = float(np.max(np.abs(series - series[0])) / scale)
-    return traj, drifts
-
-
-def _energy_series(traj, lag):
-    return traj.energy_series(lag)
-
-
-def _run_rigid_body(config: dict, rng: np.random.Generator, outdir: Path):
-    params = config.get("params", {})
-    inertia = np.asarray(params.get("inertia", [1.0, 2.0, 3.0]), dtype=float)
-    y0 = np.asarray(params.get("y0", [1.0, 1.0, 1.0]), dtype=float)
-    dt = float(params.get("dt", 1e-3))
-    t_end = float(params.get("t_end", 10.0))
-    ctx = CheckContext(params, rng)
-    pair = sc.rigid_body_pair()
-    lag = sc.rigid_body_lagrangian(inertia)
-    state0 = MechanicsState(0.0, np.zeros(0), y0)
-
-    conserved = {
-        "energy": _energy_series,
+def _rigid_body_setup(ctx):
+    p = ctx.params
+    inertia = np.asarray(p.get("inertia", [1.0, 2.0, 3.0]), dtype=float)
+    y0 = np.asarray(p.get("y0", [1.0, 1.0, 1.0]), dtype=float)
+    ctx.dt = float(p.get("dt", 1e-3))
+    ctx.t_end = float(p.get("t_end", 10.0))
+    ctx.pair = sc.rigid_body_pair()
+    ctx.lag = sc.rigid_body_lagrangian(inertia)
+    ctx.state0 = sc.MechanicsState(0.0, np.zeros(0), y0)
+    ctx.conserved = {
+        "energy": sc.MechanicsTrajectory.energy_series,
         "casimir": lambda tr, lg: np.sum((inertia * tr.y) ** 2, axis=1),
     }
 
-    def base_run():
-        return _mechanics_drifts(pair, lag, state0, t_end, dt, conserved)
 
-    results = []
-    for chk in config["checks"]:
-        kind = chk["kind"]
-        if kind == "structure_equations":
-            results.append(_structure_check(chk, ctx, pair))
-        elif kind == "energy_drift":
-            _, drifts = ctx.cached("base", base_run)
-            results.append(_norm_result(chk["name"], kind, drifts["energy"],
-                                        chk.get("tol", 1e-8)))
-        elif kind == "casimir_drift":
-            _, drifts = ctx.cached("base", base_run)
-            results.append(_norm_result(chk["name"], kind, drifts["casimir"],
-                                        chk.get("tol", 1e-8)))
-        elif kind == "drift_convergence":
-            _, coarse = ctx.cached("base", base_run)
-            _, fine = ctx.cached("half", lambda: _mechanics_drifts(
-                pair, lag, state0, t_end, dt / 2, conserved))
-            results.append(_ratio_result(chk["name"], kind, coarse["energy"],
-                                         fine["energy"],
-                                         chk.get("ratio_min", 10.0),
-                                         chk.get("ratio_max", 24.0)))
-        elif kind == "el_residual_trajectory":
-            traj, _ = ctx.cached("base", base_run)
-            series = traj.el_residual_series(pair, lag)
-            results.append(_norm_result(chk["name"], kind,
-                                        np.max(np.abs(series[1:-1])),
-                                        chk.get("tol", 50 * dt ** 2 * 10)))
-        else:
-            raise ConfigError(f"unknown check kind {kind!r} for scenario rigid_body")
-
-    traj, _ = ctx.cached("base", base_run)
-    _write_trajectory_csv(outdir / "trajectory.csv", traj, lag, conserved)
-    return results, ["trajectory.csv"]
-
-
-def _run_heavy_top(config: dict, rng: np.random.Generator, outdir: Path):
-    params = config.get("params", {})
-    inertia = np.asarray(params.get("inertia", [2.0, 2.0, 1.0]), dtype=float)
-    mgl = float(params.get("mgl", 1.0))
-    chi = np.asarray(params.get("chi", [0.0, 0.0, 1.0]), dtype=float)
-    u0 = np.asarray(params.get("u0", [0.2, 0.0, 0.9797958971132712]), dtype=float)
-    y0 = np.asarray(params.get("y0", [0.1, -0.2, 5.0]), dtype=float)
-    dt = float(params.get("dt", 1e-3))
-    t_end = float(params.get("t_end", 10.0))
-    ctx = CheckContext(params, rng)
-    pair = sc.heavy_top_pair()
-    lag = sc.heavy_top_lagrangian(inertia, mgl=mgl, chi=chi)
-    state0 = MechanicsState(0.0, u0, y0)
-
-    conserved = {
-        "energy": _energy_series,
+def _heavy_top_setup(ctx):
+    p = ctx.params
+    inertia = np.asarray(p.get("inertia", [2.0, 2.0, 1.0]), dtype=float)
+    mgl = float(p.get("mgl", 1.0))
+    chi = np.asarray(p.get("chi", [0.0, 0.0, 1.0]), dtype=float)
+    u0 = np.asarray(p.get("u0", [0.2, 0.0, 0.9797958971132712]), dtype=float)
+    y0 = np.asarray(p.get("y0", [0.1, -0.2, 5.0]), dtype=float)
+    ctx.dt = float(p.get("dt", 1e-3))
+    ctx.t_end = float(p.get("t_end", 10.0))
+    ctx.pair = sc.heavy_top_pair()
+    ctx.lag = sc.heavy_top_lagrangian(inertia, mgl=mgl, chi=chi)
+    ctx.state0 = sc.MechanicsState(0.0, u0, y0)
+    ctx.conserved = {
+        "energy": sc.MechanicsTrajectory.energy_series,
         "sphere": lambda tr, lg: np.sum(tr.u ** 2, axis=1),
         "casimir": lambda tr, lg: np.sum(tr.momentum_series(lg) * tr.u, axis=1),
         "axis_current": lambda tr, lg: tr.momentum_series(lg)[:, 2],
     }
 
-    def base_run():
-        return _mechanics_drifts(pair, lag, state0, t_end, dt, conserved)
 
-    results = []
-    for chk in config["checks"]:
-        kind = chk["kind"]
-        if kind == "structure_equations":
-            results.append(_structure_check(chk, ctx, pair))
-        elif kind in ("energy_drift", "sphere_drift", "casimir_drift",
-                      "noether_axis_drift"):
-            key = {"energy_drift": "energy", "sphere_drift": "sphere",
-                   "casimir_drift": "casimir", "noether_axis_drift": "axis_current"}[kind]
-            _, drifts = ctx.cached("base", base_run)
-            results.append(_norm_result(chk["name"], kind, drifts[key],
-                                        chk.get("tol", 1e-6)))
-        elif kind == "first_variation_convergence":
-            results.append(_mechanics_first_variation(chk, ctx, pair, lag))
-        else:
-            raise ConfigError(f"unknown check kind {kind!r} for scenario heavy_top")
-
-    traj, _ = ctx.cached("base", base_run)
-    _write_trajectory_csv(outdir / "trajectory.csv", traj, lag, conserved)
-    return results, ["trajectory.csv"]
+def _free_particle_setup(ctx):
+    p = ctx.params
+    dim = int(p.get("dim", 2))
+    u0 = np.asarray(p.get("u0", [0.0] * dim), dtype=float)
+    y0 = np.asarray(p.get("y0", [1.0] * dim), dtype=float)
+    ctx.dt = float(p.get("dt", 1e-2))
+    ctx.t_end = float(p.get("t_end", 5.0))
+    ctx.pair = sc.free_particle_pair(dim)
+    ctx.lag = sc.quadratic_kinetic_lagrangian(np.ones(dim))
+    ctx.state0 = sc.MechanicsState(0.0, u0, y0)
+    ctx.conserved = {"energy": sc.MechanicsTrajectory.energy_series}
 
 
-def _mechanics_first_variation(chk, ctx, pair, lag) -> CheckResult:
+def _trajectory(ctx, dt):
+    """Trajectory at step ``dt`` and the relative drift of each conserved quantity."""
+    def build():
+        traj = sc.integrate_mechanics(ctx.pair, ctx.lag, ctx.state0,
+                                      t_end=ctx.t_end, dt=dt)
+        drifts = {}
+        for name, fn in ctx.conserved.items():
+            series = fn(traj, ctx.lag)
+            scale = max(abs(series[0]), 1e-30)
+            drifts[name] = float(np.max(np.abs(series - series[0])) / scale)
+        return traj, drifts
+    return ctx.cached(("trajectory", dt), build)
+
+
+def _drift(quantity, default_tol):
+    """Check kind: relative drift of one conserved quantity along the trajectory."""
+    def check(chk, ctx):
+        _, drifts = _trajectory(ctx, ctx.dt)
+        return _norm_result(chk, drifts[quantity], default_tol)
+    return check
+
+
+def _drift_convergence(chk, ctx) -> CheckResult:
+    _, coarse = _trajectory(ctx, ctx.dt)
+    _, fine = _trajectory(ctx, ctx.dt / 2)
+    return _ratio_result(chk, coarse["energy"], fine["energy"], 10.0, 24.0)
+
+
+def _el_residual_trajectory(chk, ctx) -> CheckResult:
+    traj, _ = _trajectory(ctx, ctx.dt)
+    series = traj.el_residual_series(ctx.pair, ctx.lag)
+    return _norm_result(chk, np.max(np.abs(series[1:-1])), 50 * ctx.dt ** 2 * 10)
+
+
+def _exact_solution(chk, ctx) -> CheckResult:
+    traj, _ = _trajectory(ctx, ctx.dt)
+    u0, y0 = ctx.state0.u, ctx.state0.y
+    expected_u = u0[None, :] + traj.times[:, None] * y0[None, :]
+    err = max(np.max(np.abs(traj.u - expected_u)), np.max(np.abs(traj.y - y0[None, :])))
+    return _norm_result(chk, err, 1e-10)
+
+
+def _mechanics_first_variation(chk, ctx) -> CheckResult:
     # off-shell identity on seeded smooth non-solution data over time grids
-    rng = ctx.rng
+    pair, rng = ctx.pair, ctx.rng
     uc = trig_vector(rng, 1, pair.fibre_dim)
     yc = trig_vector(rng, 1, pair.kernel_rank)
-    scomp = trig_vector(rng, 1, pair.kernel_rank)
-    sigma = ProjectableSection(
-        vertical_coeffs=lambda x, u: np.array([c(x) for c in scomp]),
-        d_vertical_x=lambda x, u: np.stack([c.gradient(x) for c in scomp]),
-        d_vertical_u=lambda x, u: np.zeros((pair.kernel_rank, pair.fibre_dim)),
-    )
-
+    sigma = _seeded_sigma(rng, 1, pair)
     defects = []
     for scale, n in ((1, 101), (2, 201)):
         ts = np.linspace(0.0, 2.0, n)
@@ -314,53 +349,27 @@ def _mechanics_first_variation(chk, ctx, pair, lag) -> CheckResult:
         u = np.array([[c(np.array([t])) for c in uc] for t in ts])
         y = np.array([[c(np.array([t])) for c in yc] for t in ts])[:, :, None]
         sec = DiscretizedSection(grid=grid, u=u, y=y)
-        defects.append(max(first_variation_identity_defect(pair, lag, sigma, sec,
+        defects.append(max(first_variation_identity_defect(pair, ctx.lag, sigma, sec,
                                                            (scale * i,))
                            for i in (0, 10, 50, 100)))
-    return _ratio_result(chk["name"], chk["kind"], defects[0], defects[1],
-                         chk.get("ratio_min", 3.5), chk.get("ratio_max", 4.5))
-
-
-def _run_free_particle(config: dict, rng: np.random.Generator, outdir: Path):
-    params = config.get("params", {})
-    dim = int(params.get("dim", 2))
-    u0 = np.asarray(params.get("u0", [0.0] * dim), dtype=float)
-    y0 = np.asarray(params.get("y0", [1.0] * dim), dtype=float)
-    dt = float(params.get("dt", 1e-2))
-    t_end = float(params.get("t_end", 5.0))
-    ctx = CheckContext(params, rng)
-    pair = sc.free_particle_pair(dim)
-    lag = sc.quadratic_kinetic_lagrangian(np.ones(dim))
-
-    def base_run():
-        return sc.integrate_mechanics(pair, lag, MechanicsState(0.0, u0, y0),
-                                      t_end=t_end, dt=dt)
-
-    results = []
-    for chk in config["checks"]:
-        kind = chk["kind"]
-        if kind == "structure_equations":
-            results.append(_structure_check(chk, ctx, pair))
-        elif kind == "exact_solution":
-            traj = ctx.cached("traj", base_run)
-            expected_u = u0[None, :] + traj.times[:, None] * y0[None, :]
-            err = max(np.max(np.abs(traj.u - expected_u)),
-                      np.max(np.abs(traj.y - y0[None, :])))
-            results.append(_norm_result(chk["name"], kind, err, chk.get("tol", 1e-10)))
-        else:
-            raise ConfigError(f"unknown check kind {kind!r} for scenario free_particle")
-
-    traj = ctx.cached("traj", base_run)
-    _write_trajectory_csv(outdir / "trajectory.csv", traj, lag,
-                          {"energy": _energy_series})
-    return results, ["trajectory.csv"]
+    return _ratio_result(chk, defects[0], defects[1], 3.5, 4.5)
 
 
 # ---------------------------------------------------------------------------
-# field scenarios
+# lattice field scenarios
 # ---------------------------------------------------------------------------
 
-def _standard_connection(params, rng):
+def _field(ctx, nn) -> DiscretizedSection:
+    """The scenario's field on the ``nn`` lattice, drawn by ``ctx.sample_field``."""
+    return ctx.cached(("field", nn), lambda: ctx.sample_field(nn))
+
+
+def _field_report(ctx, nn):
+    return ctx.cached(("report", nn),
+                      lambda: residual_report(ctx.pair, _field(ctx, nn), tol=1.0)[0])
+
+
+def _standard_connection(params):
     kind = params.get("connection", "zero")
     fibre_dim = int(params.get("fibre_dim", 1))
     r = int(params.get("base_dim", 2))
@@ -374,103 +383,70 @@ def _standard_connection(params, rng):
         data = sc.StandardCaseData(gamma=lambda x, u: np.outer(coeffs, u))
     else:
         raise ConfigError(f"unknown connection kind {kind!r}")
-    return sc.builder_standard(data, base_dim=r, fibre_dim=fibre_dim), data
+    return sc.builder_standard(data, base_dim=r, fibre_dim=fibre_dim)
 
 
-def _seeded_scalar_section(rng, grid, pair, max_freq=1):
-    f = trig_polynomial(rng, grid.dim, n_modes=3, max_freq=max_freq, amplitude=0.6)
-
-    def u_fn(x):
-        return np.array([f(x)])
-
-    def y_fn(x):
-        du = f.gradient(x)
-        gam = pair.rho_base_u_at(x, u_fn(x))[:, 0]
-        return (du - gam)[None, :]
-
-    return DiscretizedSection.from_functions(grid, 1, 1, u_fn=u_fn, y_fn=y_fn)
+def _scalar_section(pair, grid, f) -> DiscretizedSection:
+    """Scalar field ``u = f`` with ``y_a = d_a f - Gamma_a(x, u)`` (admissible)."""
+    return DiscretizedSection.from_functions(
+        grid, 1, 1,
+        u_fn=lambda x: np.array([f(x)]),
+        y_fn=lambda x: (f.gradient(x)
+                        - pair.rho_base_u_at(x, np.array([f(x)]))[:, 0])[None, :])
 
 
-def _run_standard_field(config: dict, rng: np.random.Generator, outdir: Path):
-    params = config.get("params", {})
-    n = int(params.get("lattice", 12))
-    mass = float(params.get("mass", 0.0))
-    ctx = CheckContext(params, rng)
-    pair, _ = _standard_connection(params, rng)
-    lag = sc.scalar_field_lagrangian(mass=mass)
-
-    results = []
-    outputs = []
-    for chk in config["checks"]:
-        kind = chk["kind"]
-        if kind == "structure_equations":
-            results.append(_structure_check(chk, ctx, pair))
-        elif kind == "el_vs_classical":
-            if params.get("connection", "zero") != "zero":
-                raise ConfigError("el_vs_classical requires the zero connection")
-            grid = GridSpec.periodic_box((n, n))
-            sec = ctx.cached("field", lambda: _seeded_scalar_section(ctx.rng, grid, pair))
-            from .fields import grid_derivative
-            div = sum(grid_derivative(sec.y[..., 0, a], grid, a) for a in range(2))
-            worst = 0.0
-            for idx in [(0, 0), (n // 3, 1), (n - 1, n // 2)]:
-                oracle = div[idx] + mass ** 2 * sec.u[idx][0]
-                got = el_residual(pair, lag, sec, idx)[0]
-                worst = max(worst, abs(got - oracle))
-            results.append(_norm_result(chk["name"], kind, worst, chk.get("tol", 1e-10)))
-        elif kind == "admissibility_sweep":
-            grid = GridSpec.periodic_box((n, n))
-            sec = ctx.cached("field", lambda: _seeded_scalar_section(ctx.rng, grid, pair))
-            report, _ = residual_report(pair, sec, tol=chk.get("tol", 1e-3))
-            results.append(_norm_result(chk["name"], kind, report.admissibility_max,
-                                        chk.get("tol", 1e-3)))
-        elif kind == "morphism_convergence":
-            # the sampled-gradient curl cancels exactly on a uniform grid for
-            # modes with |w_1| = |w_2|, so fix asymmetric wave vectors and
-            # seed only amplitudes and phases
-            from .smoothfields import TrigPolynomial
-            rng_local = np.random.default_rng(config.get("seed", 0) + 11)
-            f = TrigPolynomial(
-                waves=np.array([[2.0, 1.0], [1.0, 0.0], [1.0, 2.0]]),
-                amplitudes=0.6 * rng_local.uniform(0.3, 1.0, size=3),
-                phases=rng_local.uniform(0, 2 * np.pi, size=3))
-            errs = []
-            for nn in (n, 2 * n):
-                grid = GridSpec.periodic_box((nn, nn))
-                sec = DiscretizedSection.from_functions(
-                    grid, 1, 1,
-                    u_fn=lambda x: np.array([f(x)]),
-                    y_fn=lambda x: (f.gradient(x)
-                                    - pair.rho_base_u_at(x, np.array([f(x)]))[:, 0])[None, :])
-                report, _ = residual_report(pair, sec, tol=1.0)
-                errs.append(report.morphism_max)
-            results.append(_ratio_result(chk["name"], kind, errs[0], errs[1],
-                                         chk.get("ratio_min", 3.5),
-                                         chk.get("ratio_max", 4.5)))
-        elif kind == "first_variation_convergence":
-            results.append(_field_first_variation(chk, ctx, pair, lag, n,
-                                                  config.get("seed", 0)))
-        else:
-            raise ConfigError(f"unknown check kind {kind!r} for scenario standard_field")
-
-    grid = GridSpec.periodic_box((n, n))
-    sec = ctx.cached("field", lambda: _seeded_scalar_section(ctx.rng, grid, pair))
-    _write_residual_csv(outdir / "residuals.csv", pair, sec)
-    outputs.append("residuals.csv")
-    return results, outputs
+def _standard_field_setup(ctx):
+    p = ctx.params
+    ctx.n = int(p.get("lattice", 12))
+    ctx.mass = float(p.get("mass", 0.0))
+    ctx.pair = pair = _standard_connection(p)
+    ctx.lag = sc.scalar_field_lagrangian(mass=ctx.mass)
+    rng = ctx.rng
+    # drawn from the run's RNG when a check (or the CSV) first needs it;
+    # closes over rng and pair only, never over ctx
+    ctx.sample_field = lambda nn: _scalar_section(
+        pair, GridSpec.periodic_box((nn, nn)),
+        trig_polynomial(rng, 2, n_modes=3, max_freq=1, amplitude=0.6))
 
 
-def _field_first_variation(chk, ctx, pair, lag, n, seed) -> CheckResult:
-    rng = np.random.default_rng(seed + 23)
+def _el_vs_classical(chk, ctx) -> CheckResult:
+    if ctx.params.get("connection", "zero") != "zero":
+        raise ConfigError("el_vs_classical requires the zero connection")
+    n = ctx.n
+    sec = _field(ctx, n)
+    div = sum(grid_derivative(sec.y[..., 0, a], sec.grid, a) for a in range(2))
+    worst = 0.0
+    for idx in [(0, 0), (n // 3, 1), (n - 1, n // 2)]:
+        oracle = div[idx] + ctx.mass ** 2 * sec.u[idx][0]
+        got = el_residual(ctx.pair, ctx.lag, sec, idx)[0]
+        worst = max(worst, abs(got - oracle))
+    return _norm_result(chk, worst, 1e-10)
+
+
+def _admissibility_sweep(chk, ctx) -> CheckResult:
+    return _norm_result(chk, _field_report(ctx, ctx.n).admissibility_max, 1e-3)
+
+
+def _fixed_wave_report(ctx, nn):
+    # the sampled-gradient curl cancels exactly on a uniform grid for
+    # modes with |w_1| = |w_2|, so fix asymmetric wave vectors and
+    # seed only amplitudes and phases
+    rng = np.random.default_rng(ctx.seed + 11)
+    f = TrigPolynomial(
+        waves=np.array([[2.0, 1.0], [1.0, 0.0], [1.0, 2.0]]),
+        amplitudes=0.6 * rng.uniform(0.3, 1.0, size=3),
+        phases=rng.uniform(0, 2 * np.pi, size=3))
+    sec = _scalar_section(ctx.pair, GridSpec.periodic_box((nn, nn)), f)
+    return residual_report(ctx.pair, sec, tol=1.0)[0]
+
+
+def _field_first_variation(chk, ctx) -> CheckResult:
+    rng = np.random.default_rng(ctx.seed + 23)
+    pair, n = ctx.pair, ctx.n
     mu, mk = pair.fibre_dim, pair.kernel_rank
     fu = trig_vector(rng, 2, mu)
     fy = trig_vector(rng, 2, mk * 2)
-    scomp = trig_vector(rng, 2, mk)
-    sigma = ProjectableSection(
-        vertical_coeffs=lambda x, u: np.array([c(x) for c in scomp]),
-        d_vertical_x=lambda x, u: np.stack([c.gradient(x) for c in scomp]),
-        d_vertical_u=lambda x, u: np.zeros((mk, mu)),
-    )
+    sigma = _seeded_sigma(rng, 2, pair)
     nodes = [(0, 0), (3, 5), (n - 2, 1), (n // 2, n // 2)]
     defects = []
     for scale, nn in ((1, n), (2, 2 * n)):
@@ -480,14 +456,11 @@ def _field_first_variation(chk, ctx, pair, lag, n, seed) -> CheckResult:
             u_fn=lambda x: np.array([c(x) for c in fu]),
             y_fn=lambda x: np.array([c(x) for c in fy]).reshape(mk, 2))
         defects.append(max(first_variation_identity_defect(
-            pair, lag, sigma, sec, (scale * i, scale * j)) for i, j in nodes))
-    return _ratio_result(chk["name"], chk["kind"], defects[0], defects[1],
-                         chk.get("ratio_min", 3.0), chk.get("ratio_max", 5.0))
+            pair, ctx.lag, sigma, sec, (scale * i, scale * j)) for i, j in nodes))
+    return _ratio_result(chk, defects[0], defects[1], 3.0, 5.0)
 
 
-def _gauge_function(params, rng, dim=3):
-    kind = params.get("gauge", "random_su2")
-    amplitude = float(params.get("gauge_amplitude", 0.5))
+def _gauge_function(kind, amplitude, rng, dim):
     if kind == "identity":
         return lambda x: np.eye(2, dtype=complex)
     if kind == "single_generator":
@@ -499,178 +472,187 @@ def _gauge_function(params, rng, dim=3):
     raise ConfigError(f"unknown gauge function {kind!r}")
 
 
-def _run_chern_simons(config: dict, rng: np.random.Generator, outdir: Path):
-    params = config.get("params", {})
-    n = int(params.get("lattice", 12))
-    ctx = CheckContext(params, rng)
-    data = sc.ChernSimonsData.su2()
-    gauge = _gauge_function(params, ctx.rng)
-
-    def field_cached(nn):
-        def build():
-            grid = GridSpec.periodic_box((nn, nn, nn))
-            return grid, sc.flat_connection_generator(gauge, grid, sc.su2_basis())
-        return ctx.cached(("field", nn), build)
-
-    def report_cached(nn):
-        def build():
-            grid, sec = field_cached(nn)
-            pair, _ = sc.builder_chern_simons(data, grid)
-            return residual_report(pair, sec, tol=1.0)[0]
-        return ctx.cached(("report", nn), build)
-
-    results = []
-    for chk in config["checks"]:
-        kind = chk["kind"]
-        if kind == "structure_equations":
-            grid = GridSpec.periodic_box((n, n, n))
-            pair, _ = sc.builder_chern_simons(data, grid)
-            results.append(_structure_check(chk, ctx, pair))
-        elif kind == "morphism_sweep":
-            report = report_cached(n)
-            tol = float(chk.get("tol", 1e-1))
-            results.append(CheckResult(
-                name=chk["name"], kind=kind, max_norm=report.morphism_max,
-                l2_norm=report.morphism_l2, tolerance=tol,
-                passed=bool(report.max_norm <= tol)))
-        elif kind == "morphism_convergence":
-            errs = [report_cached(nn).morphism_max for nn in (n, 2 * n)]
-            results.append(_ratio_result(chk["name"], kind, errs[0], errs[1],
-                                         chk.get("ratio_min", 3.5),
-                                         chk.get("ratio_max", 4.5)))
-        elif kind == "el_vs_morphism_bound":
-            grid, sec = field_cached(n)
-            pair, lag = sc.builder_chern_simons(data, grid)
-            report = report_cached(n)
-            el = el_residual_field(pair, lag, sec)
-            kappa = 3.0 * np.max(np.abs(sec.y)) * np.max(
-                np.sum(np.abs(data.lowered), axis=(1, 2)))
-            bound = kappa * report.morphism_max
-            results.append(CheckResult(
-                name=chk["name"], kind=kind, max_norm=float(np.max(np.abs(el))),
-                l2_norm=float(np.sqrt(np.mean(el ** 2))), tolerance=float(bound),
-                passed=bool(np.max(np.abs(el)) <= bound),
-                extra={"kappa": float(kappa),
-                       "morphism_max": float(report.morphism_max)}))
-        elif kind == "cs_identity_defect":
-            grid, sec = field_cached(n)
-            worst = max(sc.chern_simons_lagrangian_difference(data, sec, idx)
-                        for idx in [(0, 0, 0), (1, 2, 3), (n - 1, n // 2, 1),
-                                    (n // 2, n // 2, n // 2)])
-            results.append(_norm_result(chk["name"], kind, worst,
-                                        chk.get("tol", 1e-10)))
-        else:
-            raise ConfigError(f"unknown check kind {kind!r} for scenario chern_simons")
-
-    grid, sec = field_cached(n)
-    pair, _ = sc.builder_chern_simons(data, grid)
-    _write_residual_csv(outdir / "residuals.csv", pair, sec)
-    return results, ["residuals.csv"]
+def _chern_simons_setup(ctx):
+    p = ctx.params
+    ctx.n = int(p.get("lattice", 12))
+    ctx.data = sc.ChernSimonsData.su2()
+    gauge = _gauge_function(p.get("gauge", "random_su2"),
+                            float(p.get("gauge_amplitude", 0.5)), ctx.rng, 3)
+    ctx.sample_field = lambda nn: sc.flat_connection_generator(
+        gauge, GridSpec.periodic_box((nn, nn, nn)), sc.su2_basis())
+    ctx.pair, ctx.lag = sc.builder_chern_simons(ctx.data,
+                                                GridSpec.periodic_box((ctx.n,) * 3))
 
 
-def _run_atiyah(config: dict, rng: np.random.Generator, outdir: Path):
-    params = config.get("params", {})
-    n = int(params.get("lattice", 12))
-    base_dim = int(params.get("base_dim", 2))
-    ctx = CheckContext(params, rng)
-    pair = sc.builder_atiyah(sc.AtiyahData(constants=sc.EPSILON3), base_dim=base_dim)
-    lag = sc.quadratic_kinetic_lagrangian(np.ones(3))
-    gauge = _gauge_function({"gauge": "random_su2",
-                             "gauge_amplitude": params.get("gauge_amplitude", 0.5)},
-                            ctx.rng, dim=base_dim)
-
-    def field_at(nn):
-        grid = GridSpec.periodic_box((nn,) * base_dim)
-        return grid, sc.flat_connection_generator(gauge, grid, sc.su2_basis())
-
-    results = []
-    for chk in config["checks"]:
-        kind = chk["kind"]
-        if kind == "structure_equations":
-            results.append(_structure_check(chk, ctx, pair))
-        elif kind == "morphism_convergence":
-            errs = []
-            for nn in (n, 2 * n):
-                grid, sec = ctx.cached(("field", nn), lambda nn=nn: field_at(nn))
-                report, _ = residual_report(pair, sec, tol=1.0)
-                errs.append(report.morphism_max)
-            results.append(_ratio_result(chk["name"], kind, errs[0], errs[1],
-                                         chk.get("ratio_min", 3.5),
-                                         chk.get("ratio_max", 4.5)))
-        elif kind == "rigid_body_crosscheck":
-            red = sc.builder_atiyah(sc.AtiyahData(constants=sc.EPSILON3), base_dim=1)
-            rb = sc.rigid_body_pair()
-            lag3 = sc.rigid_body_lagrangian(params.get("inertia", [1.0, 2.0, 3.0]))
-            s0 = MechanicsState(0.0, np.zeros(0), np.array([0.7, -0.1, 0.4]))
-            t1 = sc.integrate_mechanics(red, lag3, s0, t_end=1.0, dt=1e-2)
-            t2 = sc.integrate_mechanics(rb, lag3, s0, t_end=1.0, dt=1e-2)
-            diff = float(np.max(np.abs(t1.y - t2.y)))
-            results.append(_norm_result(chk["name"], kind, diff, chk.get("tol", 1e-12)))
-        elif kind == "first_variation_convergence":
-            results.append(_field_first_variation(chk, ctx, pair, lag, n,
-                                                  config.get("seed", 0)))
-        else:
-            raise ConfigError(f"unknown check kind {kind!r} for scenario "
-                              "atiyah_euler_poincare")
-
-    grid, sec = ctx.cached(("field", n), lambda: field_at(n))
-    _write_residual_csv(outdir / "residuals.csv", pair, sec)
-    return results, ["residuals.csv"]
+def _atiyah_setup(ctx):
+    p = ctx.params
+    ctx.n = int(p.get("lattice", 12))
+    dim = int(p.get("base_dim", 2))
+    ctx.pair = sc.builder_atiyah(sc.AtiyahData(constants=sc.EPSILON3), base_dim=dim)
+    ctx.lag = sc.quadratic_kinetic_lagrangian(np.ones(3))
+    gauge = _gauge_function("random_su2", float(p.get("gauge_amplitude", 0.5)),
+                            ctx.rng, dim)
+    ctx.sample_field = lambda nn: sc.flat_connection_generator(
+        gauge, GridSpec.periodic_box((nn,) * dim), sc.su2_basis())
 
 
-SCENARIOS = {
-    "rigid_body": _run_rigid_body,
-    "heavy_top": _run_heavy_top,
-    "free_particle": _run_free_particle,
-    "standard_field": _run_standard_field,
-    "chern_simons": _run_chern_simons,
-    "atiyah_euler_poincare": _run_atiyah,
-}
+def _morphism_sweep(chk, ctx) -> CheckResult:
+    report = _field_report(ctx, ctx.n)
+    tol = float(chk.get("tol", 1e-1))
+    return CheckResult(name=chk["name"], kind=chk["kind"], max_norm=report.morphism_max,
+                       l2_norm=report.morphism_l2, tolerance=tol,
+                       passed=bool(report.max_norm <= tol))
+
+
+def _el_vs_morphism_bound(chk, ctx) -> CheckResult:
+    sec = _field(ctx, ctx.n)
+    report = _field_report(ctx, ctx.n)
+    el = el_residual_field(ctx.pair, ctx.lag, sec)
+    kappa = 3.0 * np.max(np.abs(sec.y)) * np.max(
+        np.sum(np.abs(ctx.data.lowered), axis=(1, 2)))
+    bound = kappa * report.morphism_max
+    return CheckResult(
+        name=chk["name"], kind=chk["kind"], max_norm=float(np.max(np.abs(el))),
+        l2_norm=float(np.sqrt(np.mean(el ** 2))), tolerance=float(bound),
+        passed=bool(np.max(np.abs(el)) <= bound),
+        extra={"kappa": float(kappa), "morphism_max": float(report.morphism_max)})
+
+
+def _cs_identity_defect(chk, ctx) -> CheckResult:
+    n = ctx.n
+    sec = _field(ctx, n)
+    worst = max(sc.chern_simons_lagrangian_difference(ctx.data, sec, idx)
+                for idx in [(0, 0, 0), (1, 2, 3), (n - 1, n // 2, 1),
+                            (n // 2, n // 2, n // 2)])
+    return _norm_result(chk, worst, 1e-10)
+
+
+def _rigid_body_crosscheck(chk, ctx) -> CheckResult:
+    red = sc.builder_atiyah(sc.AtiyahData(constants=sc.EPSILON3), base_dim=1)
+    rb = sc.rigid_body_pair()
+    lag3 = sc.rigid_body_lagrangian(ctx.params.get("inertia", [1.0, 2.0, 3.0]))
+    s0 = sc.MechanicsState(0.0, np.zeros(0), np.array([0.7, -0.1, 0.4]))
+    t1 = sc.integrate_mechanics(red, lag3, s0, t_end=1.0, dt=1e-2)
+    t2 = sc.integrate_mechanics(rb, lag3, s0, t_end=1.0, dt=1e-2)
+    return _norm_result(chk, float(np.max(np.abs(t1.y - t2.y))), 1e-12)
 
 
 # ---------------------------------------------------------------------------
 # CSV writers (columns frozen per schema version, documented in the README)
 # ---------------------------------------------------------------------------
 
-def _write_trajectory_csv(path: Path, traj, lag, conserved) -> None:
-    mu = traj.u.shape[1]
-    mk = traj.y.shape[1]
-    names = sorted(conserved)
-    header = (["t"] + [f"u_{i}" for i in range(mu)] + [f"y_{i}" for i in range(mk)]
-              + names)
-    series = {name: conserved[name](traj, lag) for name in names}
-    with open(path, "w", newline="") as fh:
+def _write_trajectory_csv(ctx, outdir: Path) -> list:
+    traj, _ = _trajectory(ctx, ctx.dt)
+    names = sorted(ctx.conserved)
+    header = (["t"] + [f"u_{i}" for i in range(traj.u.shape[1])]
+              + [f"y_{i}" for i in range(traj.y.shape[1])] + names)
+    series = np.stack([ctx.conserved[name](traj, ctx.lag) for name in names], axis=1)
+    with open(outdir / "trajectory.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i, t in enumerate(traj.times):
-            row = ([repr(float(t))] + [repr(float(v)) for v in traj.u[i]]
-                   + [repr(float(v)) for v in traj.y[i]]
-                   + [repr(float(series[name][i])) for name in names])
-            writer.writerow(row)
+            row = np.concatenate([[t], traj.u[i], traj.y[i], series[i]])
+            writer.writerow([repr(float(v)) for v in row])
+    return ["trajectory.csv"]
 
 
-def _write_residual_csv(path: Path, pair, section) -> None:
-    from .fields import admissibility_residual, morphism_residual
-
-    grid = section.grid
+def _write_residual_csv(ctx, outdir: Path) -> list:
+    """One row per node of the residuals already computed for the field at ``n``."""
+    grid = _field(ctx, ctx.n).grid
+    report = _field_report(ctx, ctx.n)
     r = grid.dim
-    mu, mk = section.fibre_dim, section.kernel_rank
+    mu, mk = report.admissibility.shape[-2], report.morphism.shape[-3]
+    upper = np.triu_indices(r, 1)
     header = ([f"x_{i}" for i in range(r)]
               + [f"adm_{a}_{i}" for a in range(mu) for i in range(r)]
               + [f"mor_{k}_{a}_{b}" for k in range(mk)
                  for a in range(r) for b in range(a + 1, r)])
-    with open(path, "w", newline="") as fh:
+    with open(outdir / "residuals.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for idx in grid.nodes():
-            x = grid.coords(idx)
-            adm = admissibility_residual(pair, section, idx)
-            mor = morphism_residual(pair, section, idx)
-            row = [repr(float(v)) for v in x]
-            row += [repr(float(adm[a, i])) for a in range(mu) for i in range(r)]
-            row += [repr(float(mor[k, a, b])) for k in range(mk)
-                    for a in range(r) for b in range(a + 1, r)]
-            writer.writerow(row)
+            row = np.concatenate([grid.coords(idx), report.admissibility[idx].ravel(),
+                                  report.morphism[idx][:, upper[0], upper[1]].ravel()])
+            writer.writerow([repr(float(v)) for v in row])
+    return ["residuals.csv"]
+
+
+# ---------------------------------------------------------------------------
+# the scenario table
+# ---------------------------------------------------------------------------
+
+SCENARIOS = {
+    "rigid_body": Scenario(
+        summary="free rotational dynamics",
+        params=("inertia", "y0", "dt", "t_end"),
+        setup=_rigid_body_setup,
+        checks={
+            "structure_equations": _structure_check,
+            "energy_drift": _drift("energy", 1e-8),
+            "casimir_drift": _drift("casimir", 1e-8),
+            "drift_convergence": _drift_convergence,
+            "el_residual_trajectory": _el_residual_trajectory,
+        },
+        write=_write_trajectory_csv),
+    "heavy_top": Scenario(
+        summary="advected-vector top",
+        params=("inertia", "mgl", "chi", "u0", "y0", "dt", "t_end"),
+        setup=_heavy_top_setup,
+        checks={
+            "structure_equations": _structure_check,
+            "energy_drift": _drift("energy", 1e-6),
+            "sphere_drift": _drift("sphere", 1e-6),
+            "casimir_drift": _drift("casimir", 1e-6),
+            "noether_axis_drift": _drift("axis_current", 1e-6),
+            "first_variation_convergence": _mechanics_first_variation,
+        },
+        write=_write_trajectory_csv),
+    "free_particle": Scenario(
+        summary="abelian kernel",
+        params=("dim", "u0", "y0", "dt", "t_end"),
+        setup=_free_particle_setup,
+        checks={
+            "structure_equations": _structure_check,
+            "exact_solution": _exact_solution,
+        },
+        write=_write_trajectory_csv),
+    "standard_field": Scenario(
+        summary="scalar field in a connection frame (connection: zero | linear_u)",
+        params=("base_dim", "fibre_dim", "lattice", "mass", "connection",
+                "connection_coeffs"),
+        setup=_standard_field_setup,
+        checks={
+            "structure_equations": _structure_check,
+            "el_vs_classical": _el_vs_classical,
+            "admissibility_sweep": _admissibility_sweep,
+            "morphism_convergence": _morphism_convergence(_fixed_wave_report),
+            "first_variation_convergence": _field_first_variation,
+        },
+        write=_write_residual_csv),
+    "chern_simons": Scenario(
+        summary="su(2) lattice gauge field",
+        params=("lattice", "gauge", "gauge_amplitude"),
+        setup=_chern_simons_setup,
+        checks={
+            "structure_equations": _structure_check,
+            "morphism_sweep": _morphism_sweep,
+            "morphism_convergence": _morphism_convergence(_field_report),
+            "el_vs_morphism_bound": _el_vs_morphism_bound,
+            "cs_identity_defect": _cs_identity_defect,
+        },
+        write=_write_residual_csv),
+    "atiyah_euler_poincare": Scenario(
+        summary="reduced symmetry bundle (flat reference)",
+        params=("lattice", "base_dim", "gauge_amplitude", "inertia"),
+        setup=_atiyah_setup,
+        checks={
+            "structure_equations": _structure_check,
+            "morphism_convergence": _morphism_convergence(_field_report),
+            "rigid_body_crosscheck": _rigid_body_crosscheck,
+            "first_variation_convergence": _field_first_variation,
+        },
+        write=_write_residual_csv),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +682,8 @@ def load_config(path_or_name: str) -> dict:
     return config
 
 
-def validate_config(config: dict) -> None:
+def validate_config(config: dict) -> Scenario:
+    """Check a config against the schema and the scenario table; return its entry."""
     try:
         jsonschema.validate(config, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -708,6 +691,16 @@ def validate_config(config: dict) -> None:
     names = [chk["name"] for chk in config["checks"]]
     if len(names) != len(set(names)):
         raise ConfigError("check names must be unique")
+    scenario = SCENARIOS.get(config["scenario"])
+    if scenario is None:
+        raise UnknownScenarioError(f"unknown scenario kind {config['scenario']!r}; "
+                                   f"known kinds: {', '.join(sorted(SCENARIOS))}")
+    for chk in config["checks"]:
+        if chk["kind"] not in scenario.checks:
+            raise ConfigError(f"unknown check kind {chk['kind']!r} for scenario "
+                              f"{config['scenario']}; known kinds: "
+                              f"{', '.join(scenario.checks)}")
+    return scenario
 
 
 def apply_overrides(config: dict, overrides) -> dict:
@@ -739,20 +732,16 @@ def run_command(config_path: str, outdir: str, seed=None, overrides=None) -> int
         config = apply_overrides(config, overrides)
         if seed is not None:
             config["seed"] = int(seed)
-        validate_config(config)
+        scenario = validate_config(config)
+    except UnknownScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN_SCENARIO
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA_VIOLATION
     except IOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-
-    scenario = config["scenario"]
-    runner = SCENARIOS.get(scenario)
-    if runner is None:
-        print(f"error: unknown scenario kind {scenario!r}; "
-              f"known kinds: {', '.join(sorted(SCENARIOS))}", file=sys.stderr)
-        return EXIT_UNKNOWN_SCENARIO
 
     out = Path(outdir)
     try:
@@ -761,17 +750,19 @@ def run_command(config_path: str, outdir: str, seed=None, overrides=None) -> int
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
 
-    rng = np.random.default_rng(int(config.get("seed", 0)))
+    ctx = CheckContext(config, np.random.default_rng(int(config.get("seed", 0))))
     start = time.perf_counter()
     try:
-        results, outputs = runner(config, rng, out)
+        scenario.setup(ctx)
+        results = [scenario.checks[chk["kind"]](chk, ctx) for chk in config["checks"]]
+        outputs = scenario.write(ctx, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA_VIOLATION
     except OSError as exc:
         print(f"error: I/O failure during run: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    report = RunReport(scenario=scenario, seed=int(config.get("seed", 0)),
+    report = RunReport(scenario=config["scenario"], seed=ctx.seed,
                        checks=results, outputs=outputs,
                        wall_time_seconds=time.perf_counter() - start)
     try:
@@ -791,33 +782,9 @@ def run_command(config_path: str, outdir: str, seed=None, overrides=None) -> int
 
 def list_command() -> int:
     print("scenario kinds:")
-    descriptions = {
-        "rigid_body": "free rotational dynamics; checks: structure_equations, "
-                      "energy_drift, casimir_drift, drift_convergence, "
-                      "el_residual_trajectory; params: inertia, y0, dt, t_end",
-        "heavy_top": "advected-vector top; checks: structure_equations, "
-                     "energy_drift, sphere_drift, casimir_drift, "
-                     "noether_axis_drift, first_variation_convergence; "
-                     "params: inertia, mgl, chi, u0, y0, dt, t_end",
-        "free_particle": "abelian kernel; checks: structure_equations, "
-                         "exact_solution; params: dim, u0, y0, dt, t_end",
-        "standard_field": "scalar field in a connection frame; checks: "
-                          "structure_equations, el_vs_classical, "
-                          "admissibility_sweep, morphism_convergence, "
-                          "first_variation_convergence; params: lattice, mass, "
-                          "connection (zero | linear_u), connection_coeffs",
-        "chern_simons": "su(2) lattice gauge field; checks: structure_equations, "
-                        "morphism_sweep, morphism_convergence, "
-                        "el_vs_morphism_bound, cs_identity_defect; params: "
-                        "lattice, gauge, gauge_amplitude",
-        "atiyah_euler_poincare": "reduced symmetry bundle (flat reference); "
-                                 "checks: structure_equations, "
-                                 "morphism_convergence, rigid_body_crosscheck, "
-                                 "first_variation_convergence; params: lattice, "
-                                 "base_dim, gauge_amplitude, inertia",
-    }
-    for name in sorted(SCENARIOS):
-        print(f"  {name}: {descriptions[name]}")
+    for name, scenario in sorted(SCENARIOS.items()):
+        print(f"  {name}: {scenario.summary}; checks: {', '.join(scenario.checks)}; "
+              f"params: {', '.join(scenario.params)}")
     print()
     print("lagrangian catalog:")
     print("  free_quadratic(weights) - kinetic form with per-direction weights")
@@ -839,16 +806,16 @@ def list_command() -> int:
 
 def check_config_command(config_path: str) -> int:
     try:
-        config = load_config(config_path)
+        load_config(config_path)
+    except UnknownScenarioError as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN_SCENARIO
     except ConfigError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_SCHEMA_VIOLATION
     except IOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    if config["scenario"] not in SCENARIOS:
-        print(f"invalid: unknown scenario kind {config['scenario']!r}", file=sys.stderr)
-        return EXIT_UNKNOWN_SCENARIO
     print("config ok")
     return EXIT_OK
 
@@ -872,7 +839,8 @@ def main(argv=None) -> int:
 
     sub.add_parser("list", help="list scenario kinds and catalogs")
 
-    p_chk = sub.add_parser("check-config", help="validate a config against the schema")
+    p_chk = sub.add_parser("check-config",
+                          help="validate a config against the schema and its check kinds")
     p_chk.add_argument("config", help="config path or shipped config name")
 
     args = parser.parse_args(argv)

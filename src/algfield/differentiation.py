@@ -38,15 +38,6 @@ def gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def directional_derivative(f: Callable, x: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
-    """Central difference of ``f`` along the direction ``v``."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    fp = np.asarray(f(x + h * v), dtype=float)
-    fm = np.asarray(f(x - h * v), dtype=float)
-    return (fp - fm) / (2.0 * h)
-
-
 def partial_derivative_two_slot(
     f: Callable, x: np.ndarray, u: np.ndarray, slot: int, axis: int, h: float
 ) -> np.ndarray:
@@ -54,13 +45,5 @@ def partial_derivative_two_slot(
     a = np.array(x, dtype=float)
     b = np.array(u, dtype=float)
     if slot == 0:
-        ap = a.copy()
-        am = a.copy()
-        ap[axis] += h
-        am[axis] -= h
-        return (np.asarray(f(ap, b), dtype=float) - np.asarray(f(am, b), dtype=float)) / (2.0 * h)
-    bp = b.copy()
-    bm = b.copy()
-    bp[axis] += h
-    bm[axis] -= h
-    return (np.asarray(f(a, bp), dtype=float) - np.asarray(f(a, bm), dtype=float)) / (2.0 * h)
+        return partial_derivative(lambda z: f(z, b), a, axis, h)
+    return partial_derivative(lambda z: f(a, z), b, axis, h)

@@ -160,17 +160,6 @@ class FibredAlgebroidPair:
             fd_step=self.fd_step,
         )
 
-    def base_algebroid(self) -> LieAlgebroid:
-        """The base algebroid over the ``x`` chart."""
-        r = self.base_dim
-        return LieAlgebroid(
-            base_dim=r,
-            rank=r,
-            anchor=lambda x: self.rho_f_at(x),
-            bracket_coeffs=lambda x: self.c_f_at(x),
-            fd_step=self.fd_step,
-        )
-
 
 @dataclass(frozen=True)
 class JetPoint:

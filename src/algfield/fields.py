@@ -91,24 +91,34 @@ class GridSpec:
         return GridSpec(extents=extents, spacing=spacing, boundary="periodic")
 
 
-def node_derivative(values: np.ndarray, grid: GridSpec, axis: int, idx) -> np.ndarray:
-    """Second-order difference of a nodal array along one grid axis at one node."""
+def node_stencil(at, grid: GridSpec, axis: int, idx):
+    """Second-order difference along one grid axis at node ``idx``.
+
+    ``at(jj)`` returns the value at node index tuple ``jj``; it is called
+    only at the two or three nodes the stencil needs, so per-node
+    quantities that no array holds can be differentiated in place.
+    """
     n = grid.extents[axis]
     h = grid.spacing[axis]
     i = idx[axis]
 
-    def at(j):
+    def shifted(j):
         jj = list(idx)
         jj[axis] = j
-        return values[tuple(jj)]
+        return at(tuple(jj))
 
     if grid.boundary == "periodic":
-        return (at((i + 1) % n) - at((i - 1) % n)) / (2.0 * h)
+        return (shifted((i + 1) % n) - shifted((i - 1) % n)) / (2.0 * h)
     if 0 < i < n - 1:
-        return (at(i + 1) - at(i - 1)) / (2.0 * h)
+        return (shifted(i + 1) - shifted(i - 1)) / (2.0 * h)
     if i == 0:
-        return (-3.0 * at(0) + 4.0 * at(1) - at(2)) / (2.0 * h)
-    return (3.0 * at(n - 1) - 4.0 * at(n - 2) + at(n - 3)) / (2.0 * h)
+        return (-3.0 * shifted(0) + 4.0 * shifted(1) - shifted(2)) / (2.0 * h)
+    return (3.0 * shifted(n - 1) - 4.0 * shifted(n - 2) + shifted(n - 3)) / (2.0 * h)
+
+
+def node_derivative(values: np.ndarray, grid: GridSpec, axis: int, idx) -> np.ndarray:
+    """Second-order difference of a nodal array along one grid axis at one node."""
+    return node_stencil(lambda jj: values[jj], grid, axis, idx)
 
 
 def grid_derivative(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
@@ -128,26 +138,6 @@ def grid_derivative(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray
     out[sl(0)] = (-3.0 * values[sl(0)] + 4.0 * values[sl(1)] - values[sl(2)]) / (2.0 * h)
     out[sl(n - 1)] = (3.0 * values[sl(n - 1)] - 4.0 * values[sl(n - 2)] + values[sl(n - 3)]) / (2.0 * h)
     return out
-
-
-def nodal_function_derivative(fn: Callable, grid: GridSpec, axis: int, idx) -> np.ndarray:
-    """Stencil derivative of a per-node function (evaluated only where needed)."""
-    n = grid.extents[axis]
-    h = grid.spacing[axis]
-    i = idx[axis]
-
-    def at(j):
-        jj = list(idx)
-        jj[axis] = j
-        return np.asarray(fn(tuple(jj)), dtype=float)
-
-    if grid.boundary == "periodic":
-        return (at((i + 1) % n) - at((i - 1) % n)) / (2.0 * h)
-    if 0 < i < n - 1:
-        return (at(i + 1) - at(i - 1)) / (2.0 * h)
-    if i == 0:
-        return (-3.0 * at(0) + 4.0 * at(1) - at(2)) / (2.0 * h)
-    return (3.0 * at(n - 1) - 4.0 * at(n - 2) + at(n - 3)) / (2.0 * h)
 
 
 @dataclass(frozen=True)

@@ -203,9 +203,6 @@ class MechanicsTrajectory:
     u: np.ndarray    # (n_steps + 1, fibre_dim)
     y: np.ndarray    # (n_steps + 1, kernel_rank)
 
-    def state(self, i: int) -> MechanicsState:
-        return MechanicsState(t=float(self.times[i]), u=self.u[i], y=self.y[i])
-
     def to_section(self) -> DiscretizedSection:
         dt = float(self.times[1] - self.times[0])
         grid = GridSpec(extents=(self.times.size,), spacing=(dt,),

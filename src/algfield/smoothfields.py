@@ -46,15 +46,3 @@ def trig_vector(rng: np.random.Generator, dim: int, n_components: int,
     return [trig_polynomial(rng, dim, n_modes, max_freq, amplitude)
             for _ in range(n_components)]
 
-
-def vector_function(components):
-    """Bundle scalar components into a single vector-valued callable with gradient."""
-    comps = list(components)
-
-    def value(x):
-        return np.array([c(x) for c in comps])
-
-    def jacobian(x):
-        return np.stack([c.gradient(x) for c in comps])
-
-    return value, jacobian

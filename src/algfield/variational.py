@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fibred import FibredAlgebroidPair, JetPoint, ProjectableSection, complete_lift, z_functions
-from .fields import DiscretizedSection, GridSpec, nodal_function_derivative
+from .fields import DiscretizedSection, GridSpec, node_derivative, node_stencil
 
 
 @dataclass(frozen=True)
@@ -117,12 +117,6 @@ def _require_vertical(sigma: ProjectableSection) -> None:
         raise ValueError("this operation requires a vertical section")
 
 
-def momentum_at(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
-                section: DiscretizedSection, idx) -> np.ndarray:
-    """Momentum components ``dL/dy[alpha, a]`` at one node."""
-    return lagrangian.partial_y(section.jet_point(idx))
-
-
 def el_residual(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
                 section: DiscretizedSection, idx) -> np.ndarray:
     """Euler-Lagrange residual ``dL_alpha`` at one node (shape ``(kernel_rank,)``).
@@ -136,7 +130,7 @@ def el_residual(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
 
     div = np.zeros(section.kernel_rank)
     for a in range(r):
-        div += nodal_function_derivative(
+        div += node_stencil(
             lambda jj, a=a: lagrangian.partial_y(section.jet_point(jj))[:, a],
             section.grid, a, idx)
 
@@ -187,8 +181,7 @@ def current_divergence(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
         return float(np.einsum("k,k->", s, lagrangian.partial_y(p)[:, a]))
 
     return float(sum(
-        nodal_function_derivative(lambda jj, a=a: current_component(jj, a),
-                                  section.grid, a, idx)
+        node_stencil(lambda jj, a=a: current_component(jj, a), section.grid, a, idx)
         for a in range(section.grid.dim)))
 
 
@@ -235,8 +228,6 @@ class NoetherCurrent:
             raise ValueError("non-finite current components")
 
     def divergence(self, idx) -> float:
-        from .fields import node_derivative
-
         return float(sum(node_derivative(self.values[..., a], self.grid, a, idx)
                          for a in range(self.grid.dim)))
 

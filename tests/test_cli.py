@@ -1,11 +1,13 @@
 """CLI front end: config validation, reports, exit codes, determinism."""
 
+import gc
 import json
 import subprocess
 import sys
 
 import pytest
 
+from algfield import scenarios
 from algfield.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_IO_ERROR,
@@ -13,6 +15,7 @@ from algfield.cli import (
     EXIT_SCHEMA_VIOLATION,
     EXIT_UNKNOWN_SCENARIO,
     SCENARIOS,
+    CheckContext,
     builtin_config_path,
     main,
 )
@@ -28,6 +31,16 @@ FAST_CONFIG = {
          "points": 20},
         {"name": "exact", "kind": "exact_solution", "tol": 1e-10},
     ],
+}
+
+# every check kind of the pure-gauge lattice scenario, on the smallest lattice
+SMALL_GAUGE_CONFIG = {
+    "schema": 1,
+    "scenario": "chern_simons",
+    "seed": 3,
+    "params": {"lattice": 4, "gauge": "random_su2", "gauge_amplitude": 0.5},
+    "checks": [{"name": kind, "kind": kind, "points": 5}
+               for kind in SCENARIOS["chern_simons"].checks],
 }
 
 
@@ -88,7 +101,52 @@ class TestRun:
         config = json.loads(json.dumps(FAST_CONFIG))
         config["checks"][0]["kind"] = "horoscope"
         cfg = write_config(tmp_path, config)
+        assert main(["check-config", str(cfg)]) == EXIT_SCHEMA_VIOLATION
         assert main(["run", str(cfg), str(tmp_path / "o")]) == EXIT_SCHEMA_VIOLATION
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_last_check_kind_rejected_before_integration(self, tmp_path,
+                                                                 monkeypatch):
+        config = json.loads(builtin_config_path("rigid_body").read_text())
+        config["checks"][-1]["kind"] = "horoscope"
+        cfg = write_config(tmp_path, config)
+
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated a config with an unknown check kind")
+
+        monkeypatch.setattr(scenarios, "integrate_mechanics", no_integration)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), str(out)]) == EXIT_SCHEMA_VIOLATION
+        assert not out.exists()  # so no report.json either
+
+    @pytest.mark.parametrize("config", [FAST_CONFIG, SMALL_GAUGE_CONFIG],
+                             ids=["free_particle", "chern_simons"])
+    def test_run_state_freed_on_return(self, tmp_path, config):
+        # cached fields must not keep their run context alive in a reference
+        # cycle: only the cycle collector would free them, so each run would
+        # hold the previous run's lattices until it ran
+        cfg = write_config(tmp_path, config)
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(["run", str(cfg), str(tmp_path / "out")]) in (
+                EXIT_OK, EXIT_CHECK_FAILURE)
+            alive = [o for o in gc.get_objects() if isinstance(o, CheckContext)]
+        finally:
+            gc.enable()
+        assert alive == []
+
+    def test_standard_field_first_variation_seed_131(self, tmp_path):
+        # the first section drawn at seed 131 is constant: its two defects
+        # are rounding noise with a ratio near 1, so the check redraws it
+        config = json.loads(builtin_config_path("standard_field").read_text())
+        config["checks"] = [c for c in config["checks"]
+                            if c["kind"] == "first_variation_convergence"]
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), str(out), "--seed", "131"]) == EXIT_OK
+        check, = json.loads((out / "report.json").read_text())["checks"]
+        assert 3.0 <= check["extra"]["ratio"] <= 5.0
 
     def test_missing_config_io_error(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json"),
@@ -135,6 +193,14 @@ class TestList:
         assert "chern_simons" in out
         assert "rigid_body" in out
         assert len(SCENARIOS) >= 4
+
+    def test_scenarios_listed_from_table(self, capsys):
+        assert main(["list"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        for name, scenario in SCENARIOS.items():
+            assert (f"  {name}: {scenario.summary}; checks: {', '.join(scenario.checks)}; "
+                    f"params: {', '.join(scenario.params)}") in lines
+        assert {"base_dim", "fibre_dim"} <= set(SCENARIOS["standard_field"].params)
 
     def test_module_entry_point(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)
