@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .differentiation import DEFAULT_FD_STEP, gradient
+from .differentiation import STEP, gradient
 
 
 class FlowBlowupError(RuntimeError):
@@ -81,7 +81,7 @@ class LieAlgebroid:
         axes on every access, so only the antisymmetric part matters.
     anchor_derivative : optional map ``x -> (k, n, n)`` array,
         ``[alpha, i, j] = d rho_alpha^i / d x^j``.  Central differences
-        with step ``fd_step`` otherwise.
+        otherwise.
     bracket_derivative : optional map ``x -> (k, k, k, n)`` array,
         ``[alpha, beta, gamma, j] = d C_ab^g / d x^j``.
     """
@@ -92,7 +92,6 @@ class LieAlgebroid:
     bracket_coeffs: Callable[[np.ndarray], np.ndarray]
     anchor_derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
     bracket_derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = DEFAULT_FD_STEP
 
     def anchor_at(self, x) -> np.ndarray:
         rho = np.asarray(self.anchor(np.asarray(x, dtype=float)), dtype=float)
@@ -113,17 +112,17 @@ class LieAlgebroid:
         """``[alpha, i, j] = d rho_alpha^i / d x^j``, analytic or central-difference."""
         if self.anchor_derivative is not None:
             return np.asarray(self.anchor_derivative(np.asarray(x, dtype=float)), dtype=float)
-        return gradient(self.anchor_at, np.asarray(x, dtype=float), self.fd_step)
+        return gradient(self.anchor_at, x, STEP)
 
     def bracket_jacobian(self, x) -> np.ndarray:
         """``[alpha, beta, gamma, j] = d C_ab^g / d x^j``."""
         if self.bracket_derivative is not None:
             d = np.asarray(self.bracket_derivative(np.asarray(x, dtype=float)), dtype=float)
             return 0.5 * (d - np.swapaxes(d, 0, 1))
-        return gradient(self.bracket_at, np.asarray(x, dtype=float), self.fd_step)
+        return gradient(self.bracket_at, x, STEP)
 
     @staticmethod
-    def standard_tangent(n: int, fd_step: float = DEFAULT_FD_STEP) -> "LieAlgebroid":
+    def standard_tangent(n: int) -> "LieAlgebroid":
         """The tangent algebroid of an n-dimensional chart in coordinate frame."""
         eye = np.eye(n)
         zero = np.zeros((n, n, n))
@@ -134,13 +133,10 @@ class LieAlgebroid:
             bracket_coeffs=lambda x: zero,
             anchor_derivative=lambda x: np.zeros((n, n, n)),
             bracket_derivative=lambda x: np.zeros((n, n, n, n)),
-            fd_step=fd_step,
         )
 
     @staticmethod
-    def from_lie_algebra(
-        constants: np.ndarray, base_dim: int = 1, fd_step: float = DEFAULT_FD_STEP
-    ) -> "LieAlgebroid":
+    def from_lie_algebra(constants: np.ndarray, base_dim: int = 1) -> "LieAlgebroid":
         """A Lie algebra as an algebroid with zero anchor over a dummy chart."""
         c = np.asarray(constants, dtype=float)
         k = c.shape[0]
@@ -154,7 +150,6 @@ class LieAlgebroid:
             bracket_coeffs=lambda x: c,
             anchor_derivative=lambda x: np.zeros((k, base_dim, base_dim)),
             bracket_derivative=lambda x: np.zeros((k, k, k, base_dim)),
-            fd_step=fd_step,
         )
 
 
@@ -164,7 +159,6 @@ class Section:
 
     coeffs: Callable[[np.ndarray], np.ndarray]
     derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = DEFAULT_FD_STEP
 
     def at(self, x) -> np.ndarray:
         return np.asarray(self.coeffs(np.asarray(x, dtype=float)), dtype=float)
@@ -173,7 +167,7 @@ class Section:
         """``[gamma, i] = d sigma^gamma / d x^i``."""
         if self.derivative is not None:
             return np.asarray(self.derivative(np.asarray(x, dtype=float)), dtype=float)
-        return gradient(self.at, np.asarray(x, dtype=float), self.fd_step)
+        return gradient(self.at, x, STEP)
 
     @staticmethod
     def constant(values) -> "Section":
@@ -197,7 +191,6 @@ class PForm:
     degree: int
     coeffs: Callable[[np.ndarray], np.ndarray]
     derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = DEFAULT_FD_STEP
 
     def at(self, x) -> np.ndarray:
         w = np.asarray(self.coeffs(np.asarray(x, dtype=float)), dtype=float)
@@ -212,7 +205,7 @@ class PForm:
             if self.degree <= 1:
                 return d
             return antisymmetrize(d, naxes=self.degree)
-        return gradient(self.at, np.asarray(x, dtype=float), self.fd_step)
+        return gradient(self.at, x, STEP)
 
     @staticmethod
     def constant(degree: int, values) -> "PForm":
@@ -224,10 +217,9 @@ class PForm:
         )
 
     @staticmethod
-    def function(f: Callable, derivative: Optional[Callable] = None,
-                 fd_step: float = DEFAULT_FD_STEP) -> "PForm":
+    def function(f: Callable, derivative: Optional[Callable] = None) -> "PForm":
         """Wrap a scalar function as a 0-form."""
-        return PForm(degree=0, coeffs=f, derivative=derivative, fd_step=fd_step)
+        return PForm(degree=0, coeffs=f, derivative=derivative)
 
     @staticmethod
     def basis_covector(rank: int, index: int) -> "PForm":
@@ -324,8 +316,7 @@ def contraction(sigma: Section, omega: PForm) -> PForm:
             term2 = np.tensordot(sigma.at(x), omega.coeff_jacobian(x), axes=([0], [0]))
             return term1 + term2
 
-    return PForm(degree=omega.degree - 1, coeffs=coeffs, derivative=derivative,
-                 fd_step=omega.fd_step)
+    return PForm(degree=omega.degree - 1, coeffs=coeffs, derivative=derivative)
 
 
 def lie_derivative(model: LieAlgebroid, sigma: Section, omega: PForm, x) -> np.ndarray:
@@ -449,7 +440,7 @@ def flow_pullback_form(model: LieAlgebroid, sigma: Section, s: float, x0,
 
 
 def flow_morphism_defect(model: LieAlgebroid, sigma: Section, s: float, x0,
-                         steps: int = 100, fd_step: float = 1e-4):
+                         steps: int = 100):
     """Defect of the morphism property of the flow map at parameter ``s``.
 
     The flow is a bundle map over its base flow; pullback commuting with
@@ -461,7 +452,7 @@ def flow_morphism_defect(model: LieAlgebroid, sigma: Section, s: float, x0,
                          + C'_ts^b M^t_a M^s_d - M^b_g C_ad^g = 0``
 
     Spatial derivatives of the flow are taken by central differences over
-    the initial point with step ``fd_step``.  Returns a pair of arrays
+    the initial point.  Returns a pair of arrays
     ``(admissibility_defect (k, n), morphism_defect (k, k, k))`` with the
     morphism defect indexed ``[a, d, b]``.
     """
@@ -469,17 +460,13 @@ def flow_morphism_defect(model: LieAlgebroid, sigma: Section, s: float, x0,
     x0 = np.asarray(x0, dtype=float)
     xs, m = flow_of_section(model, sigma, s, x0, steps=steps)
 
-    dphi = np.zeros((n, n))  # [i, j] = d phi^i / d x^j
-    dm = np.zeros((k, k, n))  # [b, g, j] = d M^b_g / d x^j
-    for j in range(n):
-        xp = x0.copy()
-        xm_ = x0.copy()
-        xp[j] += fd_step
-        xm_[j] -= fd_step
-        xsp, mp = flow_of_section(model, sigma, s, xp, steps=steps)
-        xsm, mm = flow_of_section(model, sigma, s, xm_, steps=steps)
-        dphi[:, j] = (xsp - xsm) / (2 * fd_step)
-        dm[:, :, j] = (mp - mm) / (2 * fd_step)
+    def flow_values(z):
+        zs, mz = flow_of_section(model, sigma, s, z, steps=steps)
+        return np.concatenate([zs, mz.ravel()])
+
+    d = gradient(flow_values, x0, STEP)
+    dphi = d[:n]  # [i, j] = d phi^i / d x^j
+    dm = d[n:].reshape(k, k, n)  # [b, g, j] = d M^b_g / d x^j
 
     rho0 = model.anchor_at(x0)
     rhos = model.anchor_at(xs)

@@ -202,6 +202,36 @@ def _ratio_result(chk, coarse, fine, default_min, default_max) -> CheckResult:
                "coarse": float(coarse), "fine": float(fine)})
 
 
+def _param(ctx, key, default, convert=float, valid=lambda v: True, need="a number"):
+    """``params[key]`` (or ``default``) through ``convert``; ConfigError unless
+    the result is finite and ``valid``."""
+    raw = ctx.params.get(key, default)
+    try:
+        value = convert(raw)
+        ok = bool(np.all(np.isfinite(value))) and valid(value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"params.{key} must be {need}, got {raw!r}")
+    return value
+
+
+def _vector(ctx, key, default):
+    n = len(default)
+    return _param(ctx, key, default, lambda v: np.asarray(v, dtype=float),
+                  lambda v: v.shape == (n,), f"a list of {n} numbers")
+
+
+def _lattice(ctx):
+    return _param(ctx, "lattice", 12, int, lambda v: v >= 3, "an integer >= 3")
+
+
+def _time_grid(ctx, dt, t_end):
+    ctx.dt = _param(ctx, "dt", dt, valid=lambda v: v > 0, need="a positive number")
+    ctx.t_end = _param(ctx, "t_end", t_end, valid=lambda v: v >= ctx.dt,
+                       need=f"a number >= dt = {ctx.dt!r}")
+
+
 # ---------------------------------------------------------------------------
 # checks shared by several scenarios
 # ---------------------------------------------------------------------------
@@ -247,11 +277,9 @@ def _morphism_convergence(report):
 # ---------------------------------------------------------------------------
 
 def _rigid_body_setup(ctx):
-    p = ctx.params
-    inertia = np.asarray(p.get("inertia", [1.0, 2.0, 3.0]), dtype=float)
-    y0 = np.asarray(p.get("y0", [1.0, 1.0, 1.0]), dtype=float)
-    ctx.dt = float(p.get("dt", 1e-3))
-    ctx.t_end = float(p.get("t_end", 10.0))
+    inertia = _vector(ctx, "inertia", [1.0, 2.0, 3.0])
+    y0 = _vector(ctx, "y0", [1.0, 1.0, 1.0])
+    _time_grid(ctx, 1e-3, 10.0)
     ctx.pair = sc.rigid_body_pair()
     ctx.lag = sc.rigid_body_lagrangian(inertia)
     ctx.state0 = sc.MechanicsState(0.0, np.zeros(0), y0)
@@ -262,14 +290,12 @@ def _rigid_body_setup(ctx):
 
 
 def _heavy_top_setup(ctx):
-    p = ctx.params
-    inertia = np.asarray(p.get("inertia", [2.0, 2.0, 1.0]), dtype=float)
-    mgl = float(p.get("mgl", 1.0))
-    chi = np.asarray(p.get("chi", [0.0, 0.0, 1.0]), dtype=float)
-    u0 = np.asarray(p.get("u0", [0.2, 0.0, 0.9797958971132712]), dtype=float)
-    y0 = np.asarray(p.get("y0", [0.1, -0.2, 5.0]), dtype=float)
-    ctx.dt = float(p.get("dt", 1e-3))
-    ctx.t_end = float(p.get("t_end", 10.0))
+    inertia = _vector(ctx, "inertia", [2.0, 2.0, 1.0])
+    mgl = _param(ctx, "mgl", 1.0)
+    chi = _vector(ctx, "chi", [0.0, 0.0, 1.0])
+    u0 = _vector(ctx, "u0", [0.2, 0.0, 0.9797958971132712])
+    y0 = _vector(ctx, "y0", [0.1, -0.2, 5.0])
+    _time_grid(ctx, 1e-3, 10.0)
     ctx.pair = sc.heavy_top_pair()
     ctx.lag = sc.heavy_top_lagrangian(inertia, mgl=mgl, chi=chi)
     ctx.state0 = sc.MechanicsState(0.0, u0, y0)
@@ -282,12 +308,10 @@ def _heavy_top_setup(ctx):
 
 
 def _free_particle_setup(ctx):
-    p = ctx.params
-    dim = int(p.get("dim", 2))
-    u0 = np.asarray(p.get("u0", [0.0] * dim), dtype=float)
-    y0 = np.asarray(p.get("y0", [1.0] * dim), dtype=float)
-    ctx.dt = float(p.get("dt", 1e-2))
-    ctx.t_end = float(p.get("t_end", 5.0))
+    dim = _param(ctx, "dim", 2, int, lambda v: v >= 1, "an integer >= 1")
+    u0 = _vector(ctx, "u0", [0.0] * dim)
+    y0 = _vector(ctx, "y0", [1.0] * dim)
+    _time_grid(ctx, 1e-2, 5.0)
     ctx.pair = sc.free_particle_pair(dim)
     ctx.lag = sc.quadratic_kinetic_lagrangian(np.ones(dim))
     ctx.state0 = sc.MechanicsState(0.0, u0, y0)
@@ -369,17 +393,16 @@ def _field_report(ctx, nn):
                       lambda: residual_report(ctx.pair, _field(ctx, nn), tol=1.0)[0])
 
 
-def _standard_connection(params):
-    kind = params.get("connection", "zero")
-    fibre_dim = int(params.get("fibre_dim", 1))
-    r = int(params.get("base_dim", 2))
+def _standard_connection(ctx):
+    # the scalar field and its first-variation data are drawn on a 2d base
+    # for a single fibre coordinate
+    r = _param(ctx, "base_dim", 2, int, lambda v: v == 2, "2")
+    fibre_dim = _param(ctx, "fibre_dim", 1, int, lambda v: v == 1, "1")
+    kind = ctx.params.get("connection", "zero")
     if kind == "zero":
         data = sc.StandardCaseData(gamma=lambda x, u: np.zeros((r, fibre_dim)))
     elif kind == "linear_u":
-        coeffs = np.asarray(params.get("connection_coeffs", [0.4, -0.7]), dtype=float)
-        if fibre_dim != 1 or coeffs.size != r:
-            raise ConfigError("linear_u connection needs fibre_dim 1 and one "
-                              "coefficient per base axis")
+        coeffs = _vector(ctx, "connection_coeffs", [0.4, -0.7])
         data = sc.StandardCaseData(gamma=lambda x, u: np.outer(coeffs, u))
     else:
         raise ConfigError(f"unknown connection kind {kind!r}")
@@ -396,10 +419,9 @@ def _scalar_section(pair, grid, f) -> DiscretizedSection:
 
 
 def _standard_field_setup(ctx):
-    p = ctx.params
-    ctx.n = int(p.get("lattice", 12))
-    ctx.mass = float(p.get("mass", 0.0))
-    ctx.pair = pair = _standard_connection(p)
+    ctx.n = _lattice(ctx)
+    ctx.mass = _param(ctx, "mass", 0.0)
+    ctx.pair = pair = _standard_connection(ctx)
     ctx.lag = sc.scalar_field_lagrangian(mass=ctx.mass)
     rng = ctx.rng
     # drawn from the run's RNG when a check (or the CSV) first needs it;
@@ -441,8 +463,10 @@ def _fixed_wave_report(ctx, nn):
 
 
 def _field_first_variation(chk, ctx) -> CheckResult:
-    rng = np.random.default_rng(ctx.seed + 23)
     pair, n = ctx.pair, ctx.n
+    if pair.base_dim != 2 or n < 6:
+        raise ConfigError(f"{chk['kind']} needs base_dim 2 and lattice >= 6")
+    rng = np.random.default_rng(ctx.seed + 23)
     mu, mk = pair.fibre_dim, pair.kernel_rank
     fu = trig_vector(rng, 2, mu)
     fy = trig_vector(rng, 2, mk * 2)
@@ -473,11 +497,10 @@ def _gauge_function(kind, amplitude, rng, dim):
 
 
 def _chern_simons_setup(ctx):
-    p = ctx.params
-    ctx.n = int(p.get("lattice", 12))
+    ctx.n = _lattice(ctx)
     ctx.data = sc.ChernSimonsData.su2()
-    gauge = _gauge_function(p.get("gauge", "random_su2"),
-                            float(p.get("gauge_amplitude", 0.5)), ctx.rng, 3)
+    gauge = _gauge_function(ctx.params.get("gauge", "random_su2"),
+                            _param(ctx, "gauge_amplitude", 0.5), ctx.rng, 3)
     ctx.sample_field = lambda nn: sc.flat_connection_generator(
         gauge, GridSpec.periodic_box((nn, nn, nn)), sc.su2_basis())
     ctx.pair, ctx.lag = sc.builder_chern_simons(ctx.data,
@@ -485,12 +508,12 @@ def _chern_simons_setup(ctx):
 
 
 def _atiyah_setup(ctx):
-    p = ctx.params
-    ctx.n = int(p.get("lattice", 12))
-    dim = int(p.get("base_dim", 2))
+    ctx.n = _lattice(ctx)
+    dim = _param(ctx, "base_dim", 2, int, lambda v: v >= 1, "an integer >= 1")
+    ctx.inertia = _vector(ctx, "inertia", [1.0, 2.0, 3.0])
     ctx.pair = sc.builder_atiyah(sc.AtiyahData(constants=sc.EPSILON3), base_dim=dim)
     ctx.lag = sc.quadratic_kinetic_lagrangian(np.ones(3))
-    gauge = _gauge_function("random_su2", float(p.get("gauge_amplitude", 0.5)),
+    gauge = _gauge_function("random_su2", _param(ctx, "gauge_amplitude", 0.5),
                             ctx.rng, dim)
     ctx.sample_field = lambda nn: sc.flat_connection_generator(
         gauge, GridSpec.periodic_box((nn,) * dim), sc.su2_basis())
@@ -520,6 +543,8 @@ def _el_vs_morphism_bound(chk, ctx) -> CheckResult:
 
 def _cs_identity_defect(chk, ctx) -> CheckResult:
     n = ctx.n
+    if n < 4:
+        raise ConfigError(f"{chk['kind']} needs lattice >= 4")
     sec = _field(ctx, n)
     worst = max(sc.chern_simons_lagrangian_difference(ctx.data, sec, idx)
                 for idx in [(0, 0, 0), (1, 2, 3), (n - 1, n // 2, 1),
@@ -530,7 +555,7 @@ def _cs_identity_defect(chk, ctx) -> CheckResult:
 def _rigid_body_crosscheck(chk, ctx) -> CheckResult:
     red = sc.builder_atiyah(sc.AtiyahData(constants=sc.EPSILON3), base_dim=1)
     rb = sc.rigid_body_pair()
-    lag3 = sc.rigid_body_lagrangian(ctx.params.get("inertia", [1.0, 2.0, 3.0]))
+    lag3 = sc.rigid_body_lagrangian(ctx.inertia)
     s0 = sc.MechanicsState(0.0, np.zeros(0), np.array([0.7, -0.1, 0.4]))
     t1 = sc.integrate_mechanics(red, lag3, s0, t_end=1.0, dt=1e-2)
     t2 = sc.integrate_mechanics(rb, lag3, s0, t_end=1.0, dt=1e-2)
@@ -733,6 +758,9 @@ def run_command(config_path: str, outdir: str, seed=None, overrides=None) -> int
         if seed is not None:
             config["seed"] = int(seed)
         scenario = validate_config(config)
+        ctx = CheckContext(config, np.random.default_rng(int(config.get("seed", 0))))
+        start = time.perf_counter()
+        scenario.setup(ctx)
     except UnknownScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_SCENARIO
@@ -750,10 +778,7 @@ def run_command(config_path: str, outdir: str, seed=None, overrides=None) -> int
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
 
-    ctx = CheckContext(config, np.random.default_rng(int(config.get("seed", 0))))
-    start = time.perf_counter()
     try:
-        scenario.setup(ctx)
         results = [scenario.checks[chk["kind"]](chk, ctx) for chk in config["checks"]]
         outputs = scenario.write(ctx, out)
     except ConfigError as exc:
@@ -806,7 +831,8 @@ def list_command() -> int:
 
 def check_config_command(config_path: str) -> int:
     try:
-        load_config(config_path)
+        config = load_config(config_path)
+        SCENARIOS[config["scenario"]].setup(CheckContext(config, np.random.default_rng(0)))
     except UnknownScenarioError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_SCENARIO

@@ -3,47 +3,60 @@
 All structure functions, section coefficients and Lagrangians in this
 package accept optional analytic derivative callbacks.  When a callback is
 missing, the operations fall back to the second-order central differences
-implemented here.  The default step is ``DEFAULT_FD_STEP``; every model
-object carries its own (configurable) step.
+implemented here, and this is the only module that forms them (the grid
+stencils of :mod:`algfield.fields` difference nodal arrays, not
+callables).  The steps are fixed per kind of quantity; no model object
+carries its own:
+
+* ``STEP`` for structure functions, sections and connection coefficients;
+* ``FINE_STEP`` for Lagrangian partials, the gauge derivative of a
+  pure-gauge connection and the explicit time derivative of the momentum;
+* ``HESSIAN_STEP`` for the velocity Hessian, a difference of momenta.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 import numpy as np
 
-DEFAULT_FD_STEP = 1e-4
+STEP = 1e-4
+FINE_STEP = 1e-6
+HESSIAN_STEP = 1e-5
 
 
-def partial_derivative(f: Callable, x: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Central difference of ``f`` (scalar or array valued) along one coordinate."""
+def partial_derivative(f: Callable, x: np.ndarray, axis, h: float) -> np.ndarray:
+    """Central difference of ``f`` along coordinate ``axis`` (an index into ``x``).
+
+    ``f`` may be scalar or array valued, real or complex; the result keeps
+    the dtype of its values.
+    """
     xp = np.array(x, dtype=float)
-    xm = np.array(x, dtype=float)
+    xm = xp.copy()
     xp[axis] += h
     xm[axis] -= h
-    return (np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h)
+    return (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
 
 
 def gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     """All partial derivatives of ``f`` at ``x``.
 
-    For array-valued ``f`` of shape ``S`` the result has shape ``S + (len(x),)``,
-    with the differentiation index last.
+    For ``f`` with values of shape ``S`` and ``x`` of any shape ``X`` the
+    result has shape ``S + X``: the differentiation axes come last.
     """
     x = np.asarray(x, dtype=float)
-    cols = [partial_derivative(f, x, i, h) for i in range(x.size)]
-    if cols and np.ndim(cols[0]) == 0:
-        return np.array(cols, dtype=float)
-    return np.stack(cols, axis=-1)
+    cols = [partial_derivative(f, x, i, h) for i in itertools.product(*map(range, x.shape))]
+    if not cols:
+        return np.zeros(np.shape(f(x)) + x.shape)
+    return np.stack(cols, axis=-1).reshape(np.shape(cols[0]) + x.shape)
 
 
-def partial_derivative_two_slot(
-    f: Callable, x: np.ndarray, u: np.ndarray, slot: int, axis: int, h: float
-) -> np.ndarray:
-    """Central difference of ``f(x, u)`` in coordinate ``axis`` of argument ``slot`` (0 or 1)."""
+def partial_derivative_two_slot(f: Callable, x: np.ndarray, u: np.ndarray, slot: int,
+                                h: float) -> np.ndarray:
+    """Partial derivatives of ``f(x, u)`` in argument ``slot`` (0 or 1), axes last."""
     a = np.array(x, dtype=float)
     b = np.array(u, dtype=float)
     if slot == 0:
-        return partial_derivative(lambda z: f(z, b), a, axis, h)
-    return partial_derivative(lambda z: f(a, z), b, axis, h)
+        return gradient(lambda z: f(z, b), a, h)
+    return gradient(lambda z: f(a, z), b, h)

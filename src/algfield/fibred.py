@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebroid import LieAlgebroid, PForm, Section, lie_derivative
-from .differentiation import DEFAULT_FD_STEP, gradient, partial_derivative_two_slot
+from .differentiation import STEP, gradient, partial_derivative_two_slot
 
 
 def _antisym01(c: np.ndarray) -> np.ndarray:
@@ -66,7 +66,6 @@ class FibredAlgebroidPair:
     c_base_kernel: Optional[Callable] = None
     c_mixed: Optional[Callable] = None
     c_kernel: Optional[Callable] = None
-    fd_step: float = DEFAULT_FD_STEP
 
     @property
     def is_coordinate_base(self) -> bool:
@@ -157,7 +156,6 @@ class FibredAlgebroidPair:
             rank=r + mk,
             anchor=anchor,
             bracket_coeffs=coeffs,
-            fd_step=self.fd_step,
         )
 
 
@@ -223,7 +221,6 @@ class ProjectableSection:
     d_base: Optional[Callable] = None
     d_vertical_x: Optional[Callable] = None
     d_vertical_u: Optional[Callable] = None
-    fd_step: float = DEFAULT_FD_STEP
 
     @property
     def is_vertical(self) -> bool:
@@ -244,28 +241,21 @@ class ProjectableSection:
             return np.zeros((base_dim, np.asarray(x).size))
         if self.d_base is not None:
             return np.asarray(self.d_base(np.asarray(x, dtype=float)), dtype=float)
-        return gradient(lambda z: self.base_at(z, base_dim), np.asarray(x, dtype=float),
-                        self.fd_step)
+        return gradient(lambda z: self.base_at(z, base_dim), x, STEP)
 
     def vertical_jacobian_x(self, x, u, kernel_rank: int) -> np.ndarray:
         if self.vertical_coeffs is None:
             return np.zeros((kernel_rank, np.asarray(x).size))
         if self.d_vertical_x is not None:
             return np.asarray(self.d_vertical_x(x, u), dtype=float)
-        x = np.asarray(x, dtype=float)
-        cols = [partial_derivative_two_slot(self.vertical_coeffs, x, u, 0, i, self.fd_step)
-                for i in range(x.size)]
-        return np.stack(cols, axis=-1)
+        return partial_derivative_two_slot(self.vertical_coeffs, x, u, 0, STEP)
 
     def vertical_jacobian_u(self, x, u, kernel_rank: int) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.vertical_coeffs is None or u.size == 0:
-            return np.zeros((kernel_rank, u.size))
+        if self.vertical_coeffs is None:
+            return np.zeros((kernel_rank, np.asarray(u).size))
         if self.d_vertical_u is not None:
             return np.asarray(self.d_vertical_u(x, u), dtype=float)
-        cols = [partial_derivative_two_slot(self.vertical_coeffs, x, u, 1, i, self.fd_step)
-                for i in range(u.size)]
-        return np.stack(cols, axis=-1)
+        return partial_derivative_two_slot(self.vertical_coeffs, x, u, 1, STEP)
 
     @staticmethod
     def vertical_constant(values) -> "ProjectableSection":
@@ -290,8 +280,7 @@ def affine_eval(theta: AffineDualSection, p: JetPoint) -> float:
 
 def total_derivative(pair: FibredAlgebroidPair, f: Callable, p: JetPoint,
                      a: Optional[int] = None, grad_x: Optional[Callable] = None,
-                     grad_u: Optional[Callable] = None,
-                     fd_step: Optional[float] = None) -> np.ndarray:
+                     grad_u: Optional[Callable] = None) -> np.ndarray:
     """Total derivative of ``f(x, u)`` at the jet point.
 
     ``f_{|a} = rho_a^i d_i f + (rho_a^A + rho_alpha^A y^alpha_a) d_A f``;
@@ -299,19 +288,15 @@ def total_derivative(pair: FibredAlgebroidPair, f: Callable, p: JetPoint,
     this jet would impose on ``u``.  Returns the full ``(r,)`` vector, or
     the single component when ``a`` is given.
     """
-    h = pair.fd_step if fd_step is None else fd_step
     x, u = p.x, p.u
     if grad_x is not None:
         fx = np.asarray(grad_x(x, u), dtype=float)
     else:
-        fx = np.array([partial_derivative_two_slot(f, x, u, 0, i, h) for i in range(x.size)])
-    if u.size:
-        if grad_u is not None:
-            fu = np.asarray(grad_u(x, u), dtype=float)
-        else:
-            fu = np.array([partial_derivative_two_slot(f, x, u, 1, i, h) for i in range(u.size)])
+        fx = partial_derivative_two_slot(f, x, u, 0, STEP)
+    if grad_u is not None:
+        fu = np.asarray(grad_u(x, u), dtype=float)
     else:
-        fu = np.zeros(0)
+        fu = partial_derivative_two_slot(f, x, u, 1, STEP)
 
     rho_f = pair.rho_f_at(x)
     vel = pair.rho_base_u_at(x, u) + np.einsum("kA,ka->aA", pair.rho_kernel_u_at(x, u), p.y)
@@ -400,13 +385,13 @@ def lie_derivative_affine_dual(pair: FibredAlgebroidPair, sigma: ProjectableSect
         x, u = z[:r], z[r:]
         return np.concatenate([sigma.base_at(x, r), sigma.vertical_at(x, u, mk)])
 
-    sig = Section(coeffs=sigma_total, fd_step=pair.fd_step)
+    sig = Section(coeffs=sigma_total)
 
     def row_form(a):
         def coeffs(z):
             x, u = z[:r], z[r:]
             return np.concatenate([theta.base_at(x, u)[a], theta.kernel_at(x, u)[a]])
-        return PForm(degree=1, coeffs=coeffs, fd_step=pair.fd_step)
+        return PForm(degree=1, coeffs=coeffs)
 
     def derived_rows(x, u):
         z = np.concatenate([np.asarray(x, dtype=float), np.asarray(u, dtype=float)])

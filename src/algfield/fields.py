@@ -328,6 +328,8 @@ def load_section(path) -> DiscretizedSection:
     header = json.loads(header_line.decode("utf-8"))
     if header.get("format") != _FORMAT_NAME or header.get("version") != _FORMAT_VERSION:
         raise ValueError("not a recognized section file")
+    if header.get("dtype") != "<f8" or header.get("order") != "C":
+        raise ValueError("section payload must be little-endian float64 in C order")
     ext = tuple(header["extents"])
     mu = header["fibre_dim"]
     mk = header["kernel_rank"]
@@ -337,7 +339,10 @@ def load_section(path) -> DiscretizedSection:
     n_nodes = int(np.prod(ext))
     u_count = n_nodes * mu
     y_count = n_nodes * mk * r
-    data = np.frombuffer(payload, dtype="<f8", count=u_count + y_count)
+    if len(payload) != 8 * (u_count + y_count):
+        raise ValueError(f"section payload has {len(payload)} bytes, the header "
+                         f"describes {8 * (u_count + y_count)}")
+    data = np.frombuffer(payload, dtype="<f8")
     u = data[:u_count].reshape(ext + (mu,))
     y = data[u_count:].reshape(ext + (mk, r))
     return DiscretizedSection(grid=grid, u=u, y=y)

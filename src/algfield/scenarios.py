@@ -28,10 +28,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .differentiation import DEFAULT_FD_STEP, partial_derivative_two_slot
+from .differentiation import (
+    FINE_STEP, HESSIAN_STEP, STEP, gradient, partial_derivative, partial_derivative_two_slot)
 from .fibred import FibredAlgebroidPair
 from .fields import DiscretizedSection, GridSpec, node_derivative
-from .variational import Lagrangian, el_residual
+from .variational import Lagrangian, el_residual_field
 
 EPSILON3 = np.zeros((3, 3, 3))
 for _i, _j, _k, _s in [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
@@ -69,7 +70,6 @@ class StandardCaseData:
     gamma: Callable
     vertical_derivative: Optional[Callable] = None
     base_derivative: Optional[Callable] = None
-    fd_step: float = DEFAULT_FD_STEP
 
     def gamma_at(self, x, u) -> np.ndarray:
         return np.asarray(self.gamma(x, u), dtype=float)
@@ -77,20 +77,12 @@ class StandardCaseData:
     def vertical_derivative_at(self, x, u) -> np.ndarray:
         if self.vertical_derivative is not None:
             return np.asarray(self.vertical_derivative(x, u), dtype=float)
-        u = np.asarray(u, dtype=float)
-        cols = [partial_derivative_two_slot(self.gamma, np.asarray(x, float), u, 1, b,
-                                            self.fd_step)
-                for b in range(u.size)]
-        return np.stack(cols, axis=-1)
+        return partial_derivative_two_slot(self.gamma, x, u, 1, STEP)
 
     def base_derivative_at(self, x, u) -> np.ndarray:
         if self.base_derivative is not None:
             return np.asarray(self.base_derivative(x, u), dtype=float)
-        x = np.asarray(x, dtype=float)
-        cols = [partial_derivative_two_slot(self.gamma, x, np.asarray(u, float), 0, j,
-                                            self.fd_step)
-                for j in range(x.size)]
-        return np.stack(cols, axis=-1)
+        return partial_derivative_two_slot(self.gamma, x, u, 0, STEP)
 
     def frame_bracket(self, x, u) -> np.ndarray:
         """``[e_i, e_j]`` components ``C[i, j, A]`` of the adapted frame."""
@@ -231,38 +223,21 @@ class MechanicsTrajectory:
         Dominated by the second-order time stencil (the integrator error
         is of higher order), so it shrinks like the square of the step.
         """
-        section = self.to_section()
-        out = np.zeros((self.times.size, self.y.shape[1]))
-        for i in range(self.times.size):
-            out[i] = el_residual(pair, lagrangian, section, (i,))
-        return out
+        return el_residual_field(pair, lagrangian, self.to_section())
 
 
-def _mechanics_hessians(lagrangian: Lagrangian, x, u, y, h: float = 1e-5):
-    mk = y.shape[0]
-    mu = u.size
+def _mechanics_hessians(lagrangian: Lagrangian, x, u, y):
     if lagrangian.hess_yy is not None:
         hyy = np.asarray(lagrangian.hess_yy(x, u, y), dtype=float)
     else:
-        hyy = np.zeros((mk, mk))
-        for b in range(mk):
-            yp, ym = y.copy(), y.copy()
-            yp[b, 0] += h
-            ym[b, 0] -= h
-            hyy[:, b] = (lagrangian.partial_y_arrays(x, u, yp)
-                         - lagrangian.partial_y_arrays(x, u, ym))[:, 0] / (2 * h)
-    if mu == 0:
-        return hyy, np.zeros((mk, 0))
+        hyy = gradient(lambda v: lagrangian.partial_y_arrays(x, u, v[:, None])[:, 0],
+                       y[:, 0], HESSIAN_STEP)
+    if u.size == 0:
+        return hyy, np.zeros((y.shape[0], 0))
     if lagrangian.hess_yu is not None:
         hyu = np.asarray(lagrangian.hess_yu(x, u, y), dtype=float)
     else:
-        hyu = np.zeros((mk, mu))
-        for b in range(mu):
-            up, um = u.copy(), u.copy()
-            up[b] += h
-            um[b] -= h
-            hyu[:, b] = (lagrangian.partial_y_arrays(x, up, y)
-                         - lagrangian.partial_y_arrays(x, um, y))[:, 0] / (2 * h)
+        hyu = gradient(lambda v: lagrangian.partial_y_arrays(x, v, y)[:, 0], u, HESSIAN_STEP)
     return hyy, hyu
 
 
@@ -296,9 +271,8 @@ def _mechanics_rhs(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
                 "velocity Hessian of the Lagrangian is singular or ill-conditioned")
 
     # explicit time dependence of the momentum map
-    ht = 1e-6
-    mom_t = (lagrangian.partial_y_arrays(x + ht, u, ycol)
-             - lagrangian.partial_y_arrays(x - ht, u, ycol))[:, 0] / (2 * ht)
+    mom_t = partial_derivative(lambda z: lagrangian.partial_y_arrays(z, u, ycol),
+                               x, 0, FINE_STEP)[:, 0]
 
     ydot = hinv @ (rhs - (hyu @ udot if u.size else 0.0) - mom_t)
     return udot, ydot
@@ -537,7 +511,6 @@ def su2_exponential(v) -> np.ndarray:
 
 def flat_connection_generator(gauge: Callable, grid: GridSpec,
                               algebra_basis: Sequence[np.ndarray],
-                              fd_step: float = 1e-6,
                               projection_tol: float = 1e-8) -> DiscretizedSection:
     """Sample the pure-gauge connection of a group-valued function on a grid.
 
@@ -556,15 +529,11 @@ def flat_connection_generator(gauge: Callable, grid: GridSpec,
     y = np.zeros(grid.extents + (mk, grid.dim))
     for idx in grid.nodes():
         x = grid.coords(idx)
-        g = np.asarray(gauge(x), dtype=complex)
-        ginv = np.linalg.inv(g)
+        ginv = np.linalg.inv(np.asarray(gauge(x), dtype=complex))
+        dg = gradient(lambda z: np.asarray(gauge(z), dtype=complex), x, FINE_STEP)
+        dg = np.ascontiguousarray(np.moveaxis(dg, -1, 0))  # [a, i, j]
         for a in range(grid.dim):
-            xp, xm = x.copy(), x.copy()
-            xp[a] += fd_step
-            xm[a] -= fd_step
-            dg = (np.asarray(gauge(xp), dtype=complex)
-                  - np.asarray(gauge(xm), dtype=complex)) / (2 * fd_step)
-            amat = ginv @ dg
+            amat = ginv @ dg[a]
             rhs = np.array([np.real(np.trace(b.conj().T @ amat)) for b in basis])
             coeffs = np.linalg.solve(gram, rhs)
             recon = np.einsum("k,kij->ij", coeffs, basis)

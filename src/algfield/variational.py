@@ -35,6 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .differentiation import FINE_STEP, gradient
 from .fibred import FibredAlgebroidPair, JetPoint, ProjectableSection, complete_lift, z_functions
 from .fields import DiscretizedSection, GridSpec, node_derivative, node_stencil
 
@@ -45,7 +46,7 @@ class Lagrangian:
 
     ``value(x, u, y) -> float``; ``grad_u -> (fibre_dim,)`` and
     ``grad_y -> (kernel_rank, base_dim)`` when supplied, else central
-    differences with ``fd_step``.  ``hess_yy``/``hess_yu`` are used by the
+    differences.  ``hess_yy``/``hess_yu`` are used by the
     mechanics integrator (one-dimensional base) and may be omitted.
     """
 
@@ -54,7 +55,6 @@ class Lagrangian:
     grad_y: Optional[Callable] = None
     hess_yy: Optional[Callable] = None
     hess_yu: Optional[Callable] = None
-    fd_step: float = 1e-6
 
     def at(self, p: JetPoint) -> float:
         return float(self.value(p.x, p.u, p.y))
@@ -68,27 +68,12 @@ class Lagrangian:
     def partial_u_arrays(self, x, u, y) -> np.ndarray:
         if self.grad_u is not None:
             return np.asarray(self.grad_u(x, u, y), dtype=float)
-        h = self.fd_step
-        out = np.zeros(u.size)
-        for a_idx in range(u.size):
-            up, um = u.copy(), u.copy()
-            up[a_idx] += h
-            um[a_idx] -= h
-            out[a_idx] = (self.value(x, up, y) - self.value(x, um, y)) / (2 * h)
-        return out
+        return gradient(lambda v: self.value(x, v, y), u, FINE_STEP)
 
     def partial_y_arrays(self, x, u, y) -> np.ndarray:
         if self.grad_y is not None:
             return np.asarray(self.grad_y(x, u, y), dtype=float)
-        h = self.fd_step
-        out = np.zeros(y.shape)
-        for k in range(y.shape[0]):
-            for a_idx in range(y.shape[1]):
-                yp, ym = y.copy(), y.copy()
-                yp[k, a_idx] += h
-                ym[k, a_idx] -= h
-                out[k, a_idx] = (self.value(x, u, yp) - self.value(x, u, ym)) / (2 * h)
-        return out
+        return gradient(lambda v: self.value(x, u, v), y, FINE_STEP)
 
     def __add__(self, other: "Lagrangian") -> "Lagrangian":
         def add2(f, g):
@@ -100,7 +85,6 @@ class Lagrangian:
             value=lambda x, u, y: self.value(x, u, y) + other.value(x, u, y),
             grad_u=add2(self.grad_u, other.grad_u),
             grad_y=add2(self.grad_y, other.grad_y),
-            fd_step=min(self.fd_step, other.fd_step),
         )
 
 

@@ -182,8 +182,7 @@ def test_criterion_3_flow_morphism():
         model = frame_algebroid(rng)
         sigma = random_section(rng, model, amplitude=0.4)
         x0 = rng.uniform(-0.5, 0.5, size=2)
-        adm, mor = flow_morphism_defect(model, sigma, 0.5, x0, steps=200,
-                                        fd_step=1e-4)
+        adm, mor = flow_morphism_defect(model, sigma, 0.5, x0, steps=200)
         worst = max(worst, np.max(np.abs(adm)), np.max(np.abs(mor)))
     assert worst < 1e-6
 

@@ -83,7 +83,7 @@ class TestBracket:
         f = trig_polynomial(rng, 2)
         x = np.array([0.25, -0.6])
 
-        f_eta = Section(coeffs=lambda z: f(z) * eta.at(z), fd_step=1e-4)
+        f_eta = Section(coeffs=lambda z: f(z) * eta.at(z))
         lhs = bracket(model, sigma, f_eta, x)
         rho_sigma_f = float(anchor_apply(model, x, sigma.at(x)) @ f.gradient(x))
         rhs = f(x) * bracket(model, sigma, eta, x) + rho_sigma_f * eta.at(x)
@@ -320,7 +320,7 @@ class TestFlow:
         model = frame_algebroid(rng)
         sigma = random_section(rng, model, amplitude=0.4)
         adm, mor = flow_morphism_defect(model, sigma, 0.5, np.array([0.1, -0.3]),
-                                        steps=200, fd_step=1e-4)
+                                        steps=200)
         assert np.max(np.abs(adm)) < 1e-6
         assert np.max(np.abs(mor)) < 1e-6
 

@@ -148,6 +148,34 @@ class TestRun:
         check, = json.loads((out / "report.json").read_text())["checks"]
         assert 3.0 <= check["extra"]["ratio"] <= 5.0
 
+    @pytest.mark.parametrize("config, overrides", [
+        ("standard_field", ["params.lattice=abc"]),
+        ("chern_simons", ["params.lattice=2"]),
+        ("rigid_body", ["params.dt=-1"]),
+        ("standard_field", ["params.base_dim=3"]),
+        ("standard_field", ["params.fibre_dim=2"]),
+        ("atiyah_euler_poincare", ["params.base_dim=3", "params.lattice=4"]),
+        ("standard_field", ["params.lattice=4"]),
+        ("chern_simons", ["params.lattice=3"]),
+    ], ids=["lattice_not_int", "lattice_below_stencil", "negative_dt", "base_dim_3",
+            "fibre_dim_2", "first_variation_3d", "first_variation_small_lattice",
+            "cs_identity_small_lattice"])
+    def test_bad_params_schema_violation(self, tmp_path, capsys, config, overrides):
+        argv = ["run", config, str(tmp_path / "out")]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == EXIT_SCHEMA_VIOLATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_check_config_rejects_bad_params(self, tmp_path):
+        config = json.loads(builtin_config_path("chern_simons").read_text())
+        config["params"]["lattice"] = 2
+        cfg = write_config(tmp_path, config)
+        assert main(["check-config", str(cfg)]) == EXIT_SCHEMA_VIOLATION
+        assert main(["run", str(cfg), str(tmp_path / "out")]) == EXIT_SCHEMA_VIOLATION
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_io_error(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json"),
                      str(tmp_path / "o")]) == EXIT_IO_ERROR

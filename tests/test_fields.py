@@ -1,5 +1,7 @@
 """Grids, stencils, constraint residuals and section serialization."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -246,7 +248,6 @@ class TestSerialization:
                                  y=np.zeros((3, 3, 1, 2)))
         path = tmp_path / "field.algsec"
         save_section(sec, path)
-        import json
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
         assert header["format"] == "algfield-section"
@@ -267,4 +268,31 @@ class TestSerialization:
         path = tmp_path / "junk.algsec"
         path.write_bytes(b'{"format": "other"}\n')
         with pytest.raises(ValueError):
+            load_section(path)
+
+    @staticmethod
+    def saved_small_section(tmp_path):
+        """Path, header fields and payload bytes of a freshly saved 3x3 section."""
+        path = tmp_path / "field.algsec"
+        grid = GridSpec(extents=(3, 3), spacing=(1.0, 1.0))
+        save_section(DiscretizedSection(grid=grid, u=np.zeros((3, 3, 1)),
+                                        y=np.ones((3, 3, 1, 2))), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        return path, json.loads(header), payload
+
+    @pytest.mark.parametrize("payload_edit", [lambda b: b + b"\0" * 8, lambda b: b[:-8]],
+                             ids=["trailing_bytes", "truncated"])
+    def test_reject_payload_of_wrong_length(self, tmp_path, payload_edit):
+        path, header, payload = self.saved_small_section(tmp_path)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload_edit(payload))
+        with pytest.raises(ValueError, match="payload"):
+            load_section(path)
+
+    @pytest.mark.parametrize("key, value", [("dtype", ">f8"), ("dtype", "<f4"),
+                                            ("order", "F"), ("dtype", None)])
+    def test_reject_unknown_layout(self, tmp_path, key, value):
+        path, header, payload = self.saved_small_section(tmp_path)
+        header[key] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match="payload"):
             load_section(path)

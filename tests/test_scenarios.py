@@ -1,5 +1,7 @@
 """Scenario builders, the mechanics integrator and lattice gauge sampling."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -165,6 +167,31 @@ class TestStandardScenario:
         assert errs[0] < 0.05
         assert 3.5 < errs[0] / errs[1] < 4.5
 
+    def test_analytic_connection_derivatives_match_fallback(self):
+        def gamma(x, u):
+            return np.array([[np.sin(x[0]) * u[0], np.cos(x[1]) * u[1] ** 2],
+                             [x[0] * x[1] * u[1], u[0] * u[1]]])
+
+        def vertical(x, u):  # [i, A, B] = dG_i^A / du^B
+            return np.array([[[np.sin(x[0]), 0.0], [0.0, 2 * np.cos(x[1]) * u[1]]],
+                             [[0.0, x[0] * x[1]], [u[1], u[0]]]])
+
+        def base(x, u):  # [i, A, j] = dG_i^A / dx^j
+            return np.array([[[np.cos(x[0]) * u[0], 0.0], [0.0, -np.sin(x[1]) * u[1] ** 2]],
+                             [[x[1] * u[1], x[0] * u[1]], [0.0, 0.0]]])
+
+        fallback = StandardCaseData(gamma=gamma)
+        analytic = StandardCaseData(gamma=gamma, vertical_derivative=vertical,
+                                    base_derivative=base)
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            x, u = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+            npt.assert_allclose(fallback.vertical_derivative_at(x, u), vertical(x, u),
+                                atol=1e-7)
+            npt.assert_allclose(fallback.base_derivative_at(x, u), base(x, u), atol=1e-7)
+            npt.assert_allclose(fallback.frame_bracket(x, u), analytic.frame_bracket(x, u),
+                                atol=1e-7)
+
 
 class TestMechanicsIntegrator:
     def test_free_particle_exact(self):
@@ -257,6 +284,35 @@ class TestMechanicsIntegrator:
         assert np.max(np.abs(sphere - 1.0)) < 1e-10
         assert np.max(np.abs(axis_current - axis_current[0])) < 1e-9
         assert np.max(np.abs(casimir - casimir[0])) < 1e-9
+
+    @pytest.mark.parametrize("pair, lag, u0", [
+        (rigid_body_pair(), rigid_body_lagrangian([1.0, 2.0, 3.0]), np.zeros(0)),
+        (heavy_top_pair(), heavy_top_lagrangian([2.0, 2.0, 1.0], 1.0, [0.0, 0.0, 1.0]),
+         np.array([0.6, 0.0, 0.8])),
+    ], ids=["rigid_body", "heavy_top"])
+    def test_difference_hessians_match_analytic(self, pair, lag, u0):
+        state = MechanicsState(0.0, u0, np.array([0.3, -0.5, 0.9]))
+        fallback = dataclasses.replace(lag, hess_yy=None, hess_yu=None)
+        trajs = [integrate_mechanics(pair, lg, state, t_end=1.0, dt=1e-2)
+                 for lg in (lag, fallback)]
+        npt.assert_allclose(trajs[1].y, trajs[0].y, atol=1e-8)
+        npt.assert_allclose(trajs[1].u, trajs[0].u, atol=1e-8)
+
+    def test_time_dependent_mass_conserves_momentum(self):
+        # L = 1/2 m(t) |y|^2 on the free particle conserves m(t) y; only the
+        # explicit time derivative of the momentum sees m'(t), and the
+        # velocity Hessian comes from differenced momenta
+        def mass(x):
+            return 1.0 + 0.5 * np.sin(x[0])
+
+        lag = Lagrangian(value=lambda x, u, y: 0.5 * mass(x) * float(np.sum(y ** 2)),
+                         grad_u=lambda x, u, y: np.zeros(2),
+                         grad_y=lambda x, u, y: mass(x) * y)
+        y0 = np.array([1.0, -0.4])
+        traj = integrate_mechanics(free_particle_pair(2), lag,
+                                   MechanicsState(0.0, np.zeros(2), y0), t_end=2.0, dt=1e-2)
+        expected = y0 * (mass([0.0]) / mass([traj.times]))[:, None]
+        npt.assert_allclose(traj.y, expected, atol=1e-9)
 
     def test_degenerate_lagrangian_rejected(self):
         pair = free_particle_pair(2)
