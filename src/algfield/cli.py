@@ -4,16 +4,18 @@
 config and writes ``report.json`` (deterministic for a fixed config and
 seed: wall time goes to ``timing.json``), plus a CSV dump of the primary
 field or trajectory.  The exit code is 0 exactly when all checks pass;
-distinct nonzero codes identify check failures, schema violations
-(including check kinds the scenario does not define), unknown scenario
-kinds and I/O errors (see EXIT_* constants, documented in the README).
+distinct nonzero codes identify check failures, config errors, unknown
+scenario kinds and I/O errors (see EXIT_* constants, documented in the
+README).
 
 Each scenario kind is one ``Scenario`` entry of ``SCENARIOS``: a set-up
-function that builds the pair, the Lagrangian and any gauge into a
-``CheckContext``, one check function per check kind, and the CSV writer.
+function that checks the params, including the limits of the configured
+check kinds, and builds the pair, the Lagrangian and any gauge into a
+``CheckContext``; one check function per check kind; and the CSV writer.
 ``run``, ``check-config`` and ``list`` all take their check kinds from
-that table, so a config naming an unknown kind is rejected before any
-work is done.
+that table, and ``run`` validates the config and runs the set-up before
+it makes the output directory, so every config error is caught before
+any work is done.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
-import jsonschema
 import numpy as np
 
 from . import scenarios as sc
@@ -47,35 +48,6 @@ EXIT_SCHEMA_VIOLATION = 3
 EXIT_UNKNOWN_SCENARIO = 4
 EXIT_IO_ERROR = 5
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "scenario", "checks"],
-    "additionalProperties": False,
-    "properties": {
-        "schema": {"const": 1},
-        "scenario": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
-        "params": {"type": "object"},
-        "checks": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["name", "kind"],
-                "properties": {
-                    "name": {"type": "string", "minLength": 1},
-                    "kind": {"type": "string", "minLength": 1},
-                    "tol": {"type": "number", "minimum": 0},
-                    "ratio_min": {"type": "number"},
-                    "ratio_max": {"type": "number"},
-                    "points": {"type": "integer", "minimum": 1},
-                },
-                "additionalProperties": True,
-            },
-        },
-    },
-}
-
 
 class ConfigError(ValueError):
     """Config fails schema or semantic validation."""
@@ -88,16 +60,17 @@ class UnknownScenarioError(ValueError):
 class CheckContext:
     """State of one scenario run, shared by its checks and its CSV writer.
 
-    Holds the config's params and seed, the run's random generator, the
-    objects the scenario's set-up adds as attributes (``pair``, ``lag``,
-    ...) and lazily computed results.  Nothing stored here may refer back
-    to the context, so a run's fields are freed as soon as ``run_command``
-    returns instead of at the next garbage collection.
+    Holds the config's params, seed and set of check kinds, the run's
+    random generator, the objects the scenario's set-up adds as attributes
+    (``pair``, ``lag``, ...) and lazily computed results.  Nothing stored
+    here may refer back to the context, so a run's fields are freed as soon
+    as ``run_command`` returns instead of at the next garbage collection.
     """
 
     def __init__(self, config: dict, rng: np.random.Generator):
         self.params = config.get("params", {})
         self.seed = int(config.get("seed", 0))
+        self.kinds = {chk["kind"] for chk in config["checks"]}
         self.rng = rng
         self._cache: dict = {}
 
@@ -122,39 +95,6 @@ class CheckResult:
         if not self.extra:
             del out["extra"]
         return out
-
-
-@dataclass
-class RunReport:
-    """One scenario run: per-check results plus wall time.
-
-    Every check listed in the config appears exactly once.  Wall time is
-    serialized separately (``timing.json``) so the report body stays
-    byte-identical for a fixed config and seed.
-    """
-
-    scenario: str
-    seed: int
-    checks: list
-    outputs: list
-    wall_time_seconds: float
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def report_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "checks": [c.as_dict() for c in self.checks],
-            "outputs": self.outputs,
-            "all_passed": self.all_passed,
-        }
-
-    def timing_dict(self) -> dict:
-        return {"wall_time_seconds": self.wall_time_seconds}
 
 
 @dataclass(frozen=True)
@@ -191,13 +131,15 @@ def _norm_result(chk, values, default_tol, extra=None) -> CheckResult:
 
 
 def _ratio_result(chk, coarse, fine, default_min, default_max) -> CheckResult:
-    """Coarse/fine error ratio; passes inside ``[ratio_min, ratio_max]``."""
+    """Coarse/fine error ratio; passes inside ``[ratio_min, ratio_max]``.  A fine
+    error of 0 gives the ratio ``None`` (``null`` in the report) and fails."""
     ratio_min = chk.get("ratio_min", default_min)
     ratio_max = chk.get("ratio_max", default_max)
-    ratio = float(coarse / fine) if fine > 0 else float("inf")
+    ratio = float(coarse / fine) if fine > 0 else None
     return CheckResult(
         name=chk["name"], kind=chk["kind"], max_norm=float(coarse), l2_norm=float(fine),
-        tolerance=float(ratio_max), passed=bool(ratio_min <= ratio <= ratio_max),
+        tolerance=float(ratio_max),
+        passed=ratio is not None and bool(ratio_min <= ratio <= ratio_max),
         extra={"ratio": ratio, "ratio_min": ratio_min, "ratio_max": ratio_max,
                "coarse": float(coarse), "fine": float(fine)})
 
@@ -216,6 +158,19 @@ def _param(ctx, key, default, convert=float, valid=lambda v: True, need="a numbe
     return value
 
 
+def _integer(raw) -> int:
+    """``raw`` as an int; ValueError for booleans and non-integral values."""
+    if isinstance(raw, bool) or int(raw) != float(raw):
+        raise ValueError(raw)
+    return int(raw)
+
+
+def _needs(ctx, kind, ok, need):
+    """ConfigError when check ``kind`` is configured and its limit does not hold."""
+    if kind in ctx.kinds and not ok:
+        raise ConfigError(f"{kind} needs {need}")
+
+
 def _vector(ctx, key, default):
     n = len(default)
     return _param(ctx, key, default, lambda v: np.asarray(v, dtype=float),
@@ -223,7 +178,7 @@ def _vector(ctx, key, default):
 
 
 def _lattice(ctx):
-    return _param(ctx, "lattice", 12, int, lambda v: v >= 3, "an integer >= 3")
+    return _param(ctx, "lattice", 12, _integer, lambda v: v >= 3, "an integer >= 3")
 
 
 def _time_grid(ctx, dt, t_end):
@@ -308,7 +263,7 @@ def _heavy_top_setup(ctx):
 
 
 def _free_particle_setup(ctx):
-    dim = _param(ctx, "dim", 2, int, lambda v: v >= 1, "an integer >= 1")
+    dim = _param(ctx, "dim", 2, _integer, lambda v: v >= 1, "an integer >= 1")
     u0 = _vector(ctx, "u0", [0.0] * dim)
     y0 = _vector(ctx, "y0", [1.0] * dim)
     _time_grid(ctx, 1e-2, 5.0)
@@ -319,31 +274,32 @@ def _free_particle_setup(ctx):
 
 
 def _trajectory(ctx, dt):
-    """Trajectory at step ``dt`` and the relative drift of each conserved quantity."""
+    """Trajectory at step ``dt`` and the series of each conserved quantity along it."""
     def build():
         traj = sc.integrate_mechanics(ctx.pair, ctx.lag, ctx.state0,
                                       t_end=ctx.t_end, dt=dt)
-        drifts = {}
-        for name, fn in ctx.conserved.items():
-            series = fn(traj, ctx.lag)
-            scale = max(abs(series[0]), 1e-30)
-            drifts[name] = float(np.max(np.abs(series - series[0])) / scale)
-        return traj, drifts
+        return traj, {name: fn(traj, ctx.lag) for name, fn in ctx.conserved.items()}
     return ctx.cached(("trajectory", dt), build)
+
+
+def _relative_drift(series) -> float:
+    scale = max(abs(series[0]), 1e-30)
+    return float(np.max(np.abs(series - series[0])) / scale)
 
 
 def _drift(quantity, default_tol):
     """Check kind: relative drift of one conserved quantity along the trajectory."""
     def check(chk, ctx):
-        _, drifts = _trajectory(ctx, ctx.dt)
-        return _norm_result(chk, drifts[quantity], default_tol)
+        _, series = _trajectory(ctx, ctx.dt)
+        return _norm_result(chk, _relative_drift(series[quantity]), default_tol)
     return check
 
 
 def _drift_convergence(chk, ctx) -> CheckResult:
     _, coarse = _trajectory(ctx, ctx.dt)
     _, fine = _trajectory(ctx, ctx.dt / 2)
-    return _ratio_result(chk, coarse["energy"], fine["energy"], 10.0, 24.0)
+    return _ratio_result(chk, _relative_drift(coarse["energy"]),
+                         _relative_drift(fine["energy"]), 10.0, 24.0)
 
 
 def _el_residual_trajectory(chk, ctx) -> CheckResult:
@@ -396,8 +352,8 @@ def _field_report(ctx, nn):
 def _standard_connection(ctx):
     # the scalar field and its first-variation data are drawn on a 2d base
     # for a single fibre coordinate
-    r = _param(ctx, "base_dim", 2, int, lambda v: v == 2, "2")
-    fibre_dim = _param(ctx, "fibre_dim", 1, int, lambda v: v == 1, "1")
+    r = _param(ctx, "base_dim", 2, _integer, lambda v: v == 2, "2")
+    fibre_dim = _param(ctx, "fibre_dim", 1, _integer, lambda v: v == 1, "1")
     kind = ctx.params.get("connection", "zero")
     if kind == "zero":
         data = sc.StandardCaseData(gamma=lambda x, u: np.zeros((r, fibre_dim)))
@@ -406,6 +362,7 @@ def _standard_connection(ctx):
         data = sc.StandardCaseData(gamma=lambda x, u: np.outer(coeffs, u))
     else:
         raise ConfigError(f"unknown connection kind {kind!r}")
+    _needs(ctx, "el_vs_classical", kind == "zero", "the zero connection")
     return sc.builder_standard(data, base_dim=r, fibre_dim=fibre_dim)
 
 
@@ -420,6 +377,7 @@ def _scalar_section(pair, grid, f) -> DiscretizedSection:
 
 def _standard_field_setup(ctx):
     ctx.n = _lattice(ctx)
+    _needs(ctx, "first_variation_convergence", ctx.n >= 6, "lattice >= 6")
     ctx.mass = _param(ctx, "mass", 0.0)
     ctx.pair = pair = _standard_connection(ctx)
     ctx.lag = sc.scalar_field_lagrangian(mass=ctx.mass)
@@ -432,8 +390,6 @@ def _standard_field_setup(ctx):
 
 
 def _el_vs_classical(chk, ctx) -> CheckResult:
-    if ctx.params.get("connection", "zero") != "zero":
-        raise ConfigError("el_vs_classical requires the zero connection")
     n = ctx.n
     sec = _field(ctx, n)
     div = sum(grid_derivative(sec.y[..., 0, a], sec.grid, a) for a in range(2))
@@ -464,8 +420,6 @@ def _fixed_wave_report(ctx, nn):
 
 def _field_first_variation(chk, ctx) -> CheckResult:
     pair, n = ctx.pair, ctx.n
-    if pair.base_dim != 2 or n < 6:
-        raise ConfigError(f"{chk['kind']} needs base_dim 2 and lattice >= 6")
     rng = np.random.default_rng(ctx.seed + 23)
     mu, mk = pair.fibre_dim, pair.kernel_rank
     fu = trig_vector(rng, 2, mu)
@@ -498,6 +452,7 @@ def _gauge_function(kind, amplitude, rng, dim):
 
 def _chern_simons_setup(ctx):
     ctx.n = _lattice(ctx)
+    _needs(ctx, "cs_identity_defect", ctx.n >= 4, "lattice >= 4")
     ctx.data = sc.ChernSimonsData.su2()
     gauge = _gauge_function(ctx.params.get("gauge", "random_su2"),
                             _param(ctx, "gauge_amplitude", 0.5), ctx.rng, 3)
@@ -509,7 +464,9 @@ def _chern_simons_setup(ctx):
 
 def _atiyah_setup(ctx):
     ctx.n = _lattice(ctx)
-    dim = _param(ctx, "base_dim", 2, int, lambda v: v >= 1, "an integer >= 1")
+    dim = _param(ctx, "base_dim", 2, _integer, lambda v: v >= 1, "an integer >= 1")
+    _needs(ctx, "first_variation_convergence", dim == 2 and ctx.n >= 6,
+           "base_dim 2 and lattice >= 6")
     ctx.inertia = _vector(ctx, "inertia", [1.0, 2.0, 3.0])
     ctx.pair = sc.builder_atiyah(sc.AtiyahData(constants=sc.EPSILON3), base_dim=dim)
     ctx.lag = sc.quadratic_kinetic_lagrangian(np.ones(3))
@@ -543,8 +500,6 @@ def _el_vs_morphism_bound(chk, ctx) -> CheckResult:
 
 def _cs_identity_defect(chk, ctx) -> CheckResult:
     n = ctx.n
-    if n < 4:
-        raise ConfigError(f"{chk['kind']} needs lattice >= 4")
     sec = _field(ctx, n)
     worst = max(sc.chern_simons_lagrangian_difference(ctx.data, sec, idx)
                 for idx in [(0, 0, 0), (1, 2, 3), (n - 1, n // 2, 1),
@@ -567,11 +522,11 @@ def _rigid_body_crosscheck(chk, ctx) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _write_trajectory_csv(ctx, outdir: Path) -> list:
-    traj, _ = _trajectory(ctx, ctx.dt)
-    names = sorted(ctx.conserved)
+    traj, conserved = _trajectory(ctx, ctx.dt)
+    names = sorted(conserved)
     header = (["t"] + [f"u_{i}" for i in range(traj.u.shape[1])]
               + [f"y_{i}" for i in range(traj.y.shape[1])] + names)
-    series = np.stack([ctx.conserved[name](traj, ctx.lag) for name in names], axis=1)
+    series = np.stack([conserved[name] for name in names], axis=1)
     with open(outdir / "trajectory.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -707,12 +662,47 @@ def load_config(path_or_name: str) -> dict:
     return config
 
 
+def _require(ok, message):
+    if not ok:
+        raise ConfigError(f"config violates schema: {message}")
+
+
+def _is_number(value, minimum=None, integral=False) -> bool:
+    """A JSON number (not a boolean), integral if asked (``5.0`` is), ``>= minimum``."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (not integral or isinstance(value, int) or value.is_integer())
+            and (minimum is None or value >= minimum))
+
+
+# optional numeric check keys: (minimum, integral, requirement)
+_CHECK_NUMBERS = {"tol": (0, False, "a number >= 0"), "ratio_min": (None, False, "a number"),
+                  "ratio_max": (None, False, "a number"), "points": (1, True, "an integer >= 1")}
+
+
 def validate_config(config: dict) -> Scenario:
-    """Check a config against the schema and the scenario table; return its entry."""
+    """Check a config against the README's layout and the scenario table; return its entry."""
+    _require(isinstance(config, dict), "a config is an object")
     try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config violates schema: {exc.message}") from exc
+        json.dumps(config, allow_nan=False)
+    except ValueError:
+        raise ConfigError("config violates schema: every number must be finite") from None
+    missing = [key for key in ("schema", "scenario", "checks") if key not in config]
+    unknown = sorted(set(config) - {"schema", "scenario", "checks", "seed", "params"})
+    _require(not missing and not unknown, f"missing keys {missing}, unknown keys {unknown}")
+    _require(_is_number(config["schema"]) and config["schema"] == 1, "schema must be 1")
+    _require(isinstance(config["scenario"], str), "scenario must be a string")
+    _require(_is_number(config.get("seed", 0), 0, True), "seed must be an integer >= 0")
+    _require(isinstance(config.get("params", {}), dict), "params must be an object")
+    checks = config["checks"]
+    _require(isinstance(checks, list) and checks and all(isinstance(c, dict) for c in checks),
+             "checks must be a non-empty list of objects")
+    for i, chk in enumerate(checks):
+        for key in ("name", "kind"):
+            _require(isinstance(chk.get(key), str) and chk[key],
+                     f"checks[{i}].{key} must be a non-empty string")
+        for key, (minimum, integral, need) in _CHECK_NUMBERS.items():
+            _require(key not in chk or _is_number(chk[key], minimum, integral),
+                     f"checks[{i}].{key} must be {need}")
     names = [chk["name"] for chk in config["checks"]]
     if len(names) != len(set(names)):
         raise ConfigError("check names must be unique")
@@ -781,19 +771,20 @@ def run_command(config_path: str, outdir: str, seed=None, overrides=None) -> int
     try:
         results = [scenario.checks[chk["kind"]](chk, ctx) for chk in config["checks"]]
         outputs = scenario.write(ctx, out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA_VIOLATION
     except OSError as exc:
         print(f"error: I/O failure during run: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    report = RunReport(scenario=config["scenario"], seed=ctx.seed,
-                       checks=results, outputs=outputs,
-                       wall_time_seconds=time.perf_counter() - start)
+    # one entry per configured check; wall time goes to timing.json so
+    # that the report is byte-identical for a fixed config and seed
+    timing = {"wall_time_seconds": time.perf_counter() - start}
+    all_passed = all(r.passed for r in results)
+    report = {"schema": 1, "scenario": config["scenario"], "seed": ctx.seed,
+              "checks": [r.as_dict() for r in results], "outputs": outputs,
+              "all_passed": all_passed}
     try:
         (out / "report.json").write_text(
-            json.dumps(report.report_dict(), sort_keys=True, indent=2) + "\n")
-        (out / "timing.json").write_text(json.dumps(report.timing_dict()) + "\n")
+            json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
+        (out / "timing.json").write_text(json.dumps(timing) + "\n")
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
@@ -802,7 +793,7 @@ def run_command(config_path: str, outdir: str, seed=None, overrides=None) -> int
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.name} ({r.kind}): max={r.max_norm:.3e} tol={r.tolerance:.3e}")
     print(f"report: {out / 'report.json'}")
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURE
+    return EXIT_OK if all_passed else EXIT_CHECK_FAILURE
 
 
 def list_command() -> int:

@@ -488,12 +488,17 @@ def chern_simons_lagrangian_difference(data: ChernSimonsData,
 # lattice sampling of flat (pure-gauge) connections
 # ---------------------------------------------------------------------------
 
+# -i/2 times the Pauli matrices sigma_x, sigma_y, sigma_z
+_SU2_BASIS = -0.5j * np.array([[[0.0, 1.0], [1.0, 0.0]],
+                               [[0.0, -1.0j], [1.0j, 0.0]],
+                               [[1.0, 0.0], [0.0, -1.0]]], dtype=complex)
+_SU2_BASIS.flags.writeable = False
+
+
 def su2_basis() -> np.ndarray:
-    """Anti-hermitian basis with bracket constants ``eps``: ``T_al = -i sigma_al / 2``."""
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    return np.stack([-0.5j * sx, -0.5j * sy, -0.5j * sz])
+    """Anti-hermitian basis with bracket constants ``eps``: ``T_al = -i sigma_al / 2``
+    (one read-only array, built at import)."""
+    return _SU2_BASIS
 
 
 def su2_exponential(v) -> np.ndarray:

@@ -16,7 +16,9 @@ from algfield.cli import (
     EXIT_UNKNOWN_SCENARIO,
     SCENARIOS,
     CheckContext,
+    apply_overrides,
     builtin_config_path,
+    load_config,
     main,
 )
 
@@ -41,6 +43,52 @@ SMALL_GAUGE_CONFIG = {
     "params": {"lattice": 4, "gauge": "random_su2", "gauge_amplitude": 0.5},
     "checks": [{"name": kind, "kind": kind, "points": 5}
                for kind in SCENARIOS["chern_simons"].checks],
+}
+
+
+def variant(top=None, check=None):
+    """FAST_CONFIG with top-level entries and entries of its first check replaced."""
+    config = json.loads(json.dumps(FAST_CONFIG))
+    config["checks"][0].update(check or {})
+    config.update(top or {})
+    return config
+
+
+def without(key):
+    config = json.loads(json.dumps(FAST_CONFIG))
+    del config[key]
+    return config
+
+
+# one config per rule of the README's config layout; json.dumps writes
+# non-finite floats as NaN and Infinity, which Python's json reads back
+LAYOUT_VIOLATIONS = {
+    "not_an_object": [FAST_CONFIG],
+    "missing_schema": without("schema"),
+    "missing_scenario": without("scenario"),
+    "missing_checks": without("checks"),
+    "unknown_top_key": variant({"comment": "x"}),
+    "schema_2": variant({"schema": 2}),
+    "schema_true": variant({"schema": True}),
+    "scenario_not_string": variant({"scenario": 5}),
+    "seed_negative": variant({"seed": -1}),
+    "seed_not_integral": variant({"seed": 1.5}),
+    "seed_bool": variant({"seed": True}),
+    "params_not_object": variant({"params": [1, 2]}),
+    "checks_empty": variant({"checks": []}),
+    "checks_not_list": variant({"checks": {"name": "exact", "kind": "exact_solution"}}),
+    "check_not_object": variant({"checks": ["exact_solution"]}),
+    "check_name_missing": variant({"checks": [{"kind": "exact_solution"}]}),
+    "check_name_empty": variant(check={"name": ""}),
+    "check_kind_not_string": variant(check={"kind": 1}),
+    "tol_negative": variant(check={"tol": -1e-8}),
+    "tol_not_number": variant(check={"tol": "1e-8"}),
+    "ratio_min_not_number": variant(check={"ratio_min": "3"}),
+    "ratio_max_bool": variant(check={"ratio_max": True}),
+    "points_zero": variant(check={"points": 0}),
+    "points_not_integral": variant(check={"points": 2.5}),
+    "tol_nan": variant(check={"tol": float("nan")}),
+    "tol_infinity": variant(check={"tol": float("inf")}),
 }
 
 
@@ -96,6 +144,26 @@ class TestRun:
         config["scenario"] = "warp_drive"
         cfg = write_config(tmp_path, config)
         assert main(["run", str(cfg), str(tmp_path / "o")]) == EXIT_UNKNOWN_SCENARIO
+
+    @pytest.mark.parametrize("config", LAYOUT_VIOLATIONS.values(), ids=LAYOUT_VIOLATIONS)
+    def test_layout_violation(self, tmp_path, capsys, config):
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["check-config", str(cfg)]) == EXIT_SCHEMA_VIOLATION
+        capsys.readouterr()
+        assert main(["run", str(cfg), str(out)]) == EXIT_SCHEMA_VIOLATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_integral_floats_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, variant({"schema": 1.0, "seed": 5.0}, {"points": 2.0}))
+        out = tmp_path / "out"
+        assert main(["check-config", str(cfg)]) == EXIT_OK
+        assert main(["run", str(cfg), str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["seed"] == 5
+        assert report["checks"][0]["extra"] == {"points": 2}
 
     def test_unknown_check_kind_schema_violation(self, tmp_path):
         config = json.loads(json.dumps(FAST_CONFIG))
@@ -157,16 +225,27 @@ class TestRun:
         ("atiyah_euler_poincare", ["params.base_dim=3", "params.lattice=4"]),
         ("standard_field", ["params.lattice=4"]),
         ("chern_simons", ["params.lattice=3"]),
+        ("standard_field", ["params.connection=linear_u"]),
+        ("chern_simons", ["params.lattice=4.9"]),
+        ("atiyah_euler_poincare", ["params.base_dim=true"]),
     ], ids=["lattice_not_int", "lattice_below_stencil", "negative_dt", "base_dim_3",
             "fibre_dim_2", "first_variation_3d", "first_variation_small_lattice",
-            "cs_identity_small_lattice"])
+            "cs_identity_small_lattice", "el_vs_classical_linear_u",
+            "lattice_not_integral", "base_dim_bool"])
     def test_bad_params_schema_violation(self, tmp_path, capsys, config, overrides):
-        argv = ["run", config, str(tmp_path / "out")]
+        # every limit, those of one check kind included, is checked at
+        # set-up: by check-config, and by run before it makes the output
+        # directory
+        out = tmp_path / "out"
+        argv = ["run", config, str(out)]
         for item in overrides:
             argv += ["--override", item]
         assert main(argv) == EXIT_SCHEMA_VIOLATION
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+        cfg = write_config(tmp_path, apply_overrides(load_config(config), overrides))
+        assert main(["check-config", str(cfg)]) == EXIT_SCHEMA_VIOLATION
 
     def test_check_config_rejects_bad_params(self, tmp_path):
         config = json.loads(builtin_config_path("chern_simons").read_text())
@@ -175,6 +254,23 @@ class TestRun:
         assert main(["check-config", str(cfg)]) == EXIT_SCHEMA_VIOLATION
         assert main(["run", str(cfg), str(tmp_path / "out")]) == EXIT_SCHEMA_VIOLATION
         assert not (tmp_path / "out").exists()
+
+    def test_report_is_strict_json(self, tmp_path):
+        # the identity gauge samples a zero field, so the fine flatness
+        # error is 0 and the convergence ratio is undefined
+        config = {"schema": 1, "scenario": "chern_simons", "seed": 3,
+                  "params": {"lattice": 4, "gauge": "identity"},
+                  "checks": [{"name": "order", "kind": "morphism_convergence"}]}
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), str(out)]) == EXIT_CHECK_FAILURE
+
+        def reject(constant):
+            raise AssertionError(f"report.json holds {constant}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        check, = report["checks"]
+        assert check["extra"]["ratio"] is None and check["passed"] is False
 
     def test_missing_config_io_error(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json"),
@@ -229,6 +325,11 @@ class TestList:
             assert (f"  {name}: {scenario.summary}; checks: {', '.join(scenario.checks)}; "
                     f"params: {', '.join(scenario.params)}") in lines
         assert {"base_dim", "fibre_dim"} <= set(SCENARIOS["standard_field"].params)
+
+    def test_cli_imports_no_jsonschema(self):
+        code = "import sys, algfield.cli; sys.exit('jsonschema' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_module_entry_point(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)
