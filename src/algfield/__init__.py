@@ -39,16 +39,15 @@ from .fields import (
     StencilError,
     admissibility_residual,
     grid_derivative,
+    grid_gradient,
     load_section,
     morphism_residual,
-    node_derivative,
     residual_report,
     save_section,
 )
 from .variational import (
     Lagrangian,
     NoetherCurrent,
-    current_divergence,
     el_residual,
     el_residual_field,
     first_variation_identity_defect,

@@ -238,9 +238,9 @@ def _rigid_body_setup(ctx):
     ctx.pair = sc.rigid_body_pair()
     ctx.lag = sc.rigid_body_lagrangian(inertia)
     ctx.state0 = sc.MechanicsState(0.0, np.zeros(0), y0)
-    ctx.conserved = {
-        "energy": sc.MechanicsTrajectory.energy_series,
-        "casimir": lambda tr, lg: np.sum((inertia * tr.y) ** 2, axis=1),
+    ctx.conserved = lambda tr, lg: {
+        "energy": tr.energy_series(lg),
+        "casimir": np.sum((inertia * tr.y) ** 2, axis=1),
     }
 
 
@@ -254,12 +254,12 @@ def _heavy_top_setup(ctx):
     ctx.pair = sc.heavy_top_pair()
     ctx.lag = sc.heavy_top_lagrangian(inertia, mgl=mgl, chi=chi)
     ctx.state0 = sc.MechanicsState(0.0, u0, y0)
-    ctx.conserved = {
-        "energy": sc.MechanicsTrajectory.energy_series,
-        "sphere": lambda tr, lg: np.sum(tr.u ** 2, axis=1),
-        "casimir": lambda tr, lg: np.sum(tr.momentum_series(lg) * tr.u, axis=1),
-        "axis_current": lambda tr, lg: tr.momentum_series(lg)[:, 2],
-    }
+
+    def conserved(tr, lg):
+        mom = tr.momentum_series(lg)
+        return {"energy": tr.energy_series(lg), "sphere": np.sum(tr.u ** 2, axis=1),
+                "casimir": np.sum(mom * tr.u, axis=1), "axis_current": mom[:, 2]}
+    ctx.conserved = conserved
 
 
 def _free_particle_setup(ctx):
@@ -270,7 +270,7 @@ def _free_particle_setup(ctx):
     ctx.pair = sc.free_particle_pair(dim)
     ctx.lag = sc.quadratic_kinetic_lagrangian(np.ones(dim))
     ctx.state0 = sc.MechanicsState(0.0, u0, y0)
-    ctx.conserved = {"energy": sc.MechanicsTrajectory.energy_series}
+    ctx.conserved = lambda tr, lg: {"energy": tr.energy_series(lg)}
 
 
 def _trajectory(ctx, dt):
@@ -278,7 +278,7 @@ def _trajectory(ctx, dt):
     def build():
         traj = sc.integrate_mechanics(ctx.pair, ctx.lag, ctx.state0,
                                       t_end=ctx.t_end, dt=dt)
-        return traj, {name: fn(traj, ctx.lag) for name, fn in ctx.conserved.items()}
+        return traj, ctx.conserved(traj, ctx.lag)
     return ctx.cached(("trajectory", dt), build)
 
 
@@ -329,9 +329,8 @@ def _mechanics_first_variation(chk, ctx) -> CheckResult:
         u = np.array([[c(np.array([t])) for c in uc] for t in ts])
         y = np.array([[c(np.array([t])) for c in yc] for t in ts])[:, :, None]
         sec = DiscretizedSection(grid=grid, u=u, y=y)
-        defects.append(max(first_variation_identity_defect(pair, ctx.lag, sigma, sec,
-                                                           (scale * i,))
-                           for i in (0, 10, 50, 100)))
+        defects.append(max(first_variation_identity_defect(
+            pair, ctx.lag, sigma, sec, [(scale * i,) for i in (0, 10, 50, 100)])))
     return _ratio_result(chk, defects[0], defects[1], 3.5, 4.5)
 
 
@@ -434,7 +433,7 @@ def _field_first_variation(chk, ctx) -> CheckResult:
             u_fn=lambda x: np.array([c(x) for c in fu]),
             y_fn=lambda x: np.array([c(x) for c in fy]).reshape(mk, 2))
         defects.append(max(first_variation_identity_defect(
-            pair, ctx.lag, sigma, sec, (scale * i, scale * j)) for i, j in nodes))
+            pair, ctx.lag, sigma, sec, [(scale * i, scale * j) for i, j in nodes])))
     return _ratio_result(chk, defects[0], defects[1], 3.0, 5.0)
 
 

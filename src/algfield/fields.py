@@ -9,12 +9,13 @@ the variational problem:
   the base pair), whose vanishing makes the section compatible with both
   exterior differentials.
 
-All derivatives are second-order central differences, with periodic wrap
-or one-sided second-order stencils at the boundary.  Residuals are
-evaluated per node and never solved for; closed-form or integrated
-fields come from the scenario builders.  Sections are immutable and
-node evaluation is independent, so residual calls may run concurrently
-over disjoint node ranges.
+All derivatives come from ``grid_derivative``: second-order central
+differences, with periodic wrap or one-sided second-order stencils at
+the boundary.  ``residual_report`` forms them once per grid and
+evaluates the pointwise residual formulas at every node; the single-node
+functions differentiate the whole grid and read their node, so sweeps
+call ``residual_report``.  Closed-form or integrated fields come from
+the scenario builders.
 """
 
 from __future__ import annotations
@@ -91,52 +92,33 @@ class GridSpec:
         return GridSpec(extents=extents, spacing=spacing, boundary="periodic")
 
 
-def node_stencil(at, grid: GridSpec, axis: int, idx):
-    """Second-order difference along one grid axis at node ``idx``.
-
-    ``at(jj)`` returns the value at node index tuple ``jj``; it is called
-    only at the two or three nodes the stencil needs, so per-node
-    quantities that no array holds can be differentiated in place.
-    """
-    n = grid.extents[axis]
-    h = grid.spacing[axis]
-    i = idx[axis]
-
-    def shifted(j):
-        jj = list(idx)
-        jj[axis] = j
-        return at(tuple(jj))
-
-    if grid.boundary == "periodic":
-        return (shifted((i + 1) % n) - shifted((i - 1) % n)) / (2.0 * h)
-    if 0 < i < n - 1:
-        return (shifted(i + 1) - shifted(i - 1)) / (2.0 * h)
-    if i == 0:
-        return (-3.0 * shifted(0) + 4.0 * shifted(1) - shifted(2)) / (2.0 * h)
-    return (3.0 * shifted(n - 1) - 4.0 * shifted(n - 2) + shifted(n - 3)) / (2.0 * h)
-
-
-def node_derivative(values: np.ndarray, grid: GridSpec, axis: int, idx) -> np.ndarray:
-    """Second-order difference of a nodal array along one grid axis at one node."""
-    return node_stencil(lambda jj: values[jj], grid, axis, idx)
-
-
 def grid_derivative(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
-    """Vectorized second-order derivative of a nodal array along one axis."""
-    h = grid.spacing[axis]
+    """Second-order derivative of a nodal array along one grid axis: central
+    differences, wrapped at the ends of a periodic grid and one-sided there otherwise."""
+    out = np.empty(values.shape, dtype=np.result_type(values, 1.0))
+    return _difference_into(out, values, grid, axis)
+
+
+def grid_gradient(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """All grid derivatives in one array: ``out[..., i] = grid_derivative(values, grid, i)``."""
+    out = np.empty(values.shape + (grid.dim,), dtype=np.result_type(values, 1.0))
+    for i in range(grid.dim):
+        _difference_into(out[..., i], values, grid, i)
+    return out
+
+
+def _difference_into(out: np.ndarray, values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
+    n, h = grid.extents[axis], grid.spacing[axis]
+    # slices (never single indices) keep the end rows views, also of 1-d arrays
+    v, d = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(v[2:], v[:-2], out=d[1:-1])
     if grid.boundary == "periodic":
-        return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
-    out = np.empty_like(values)
-    n = grid.extents[axis]
-
-    def sl(i):
-        index = [slice(None)] * values.ndim
-        index[axis] = i
-        return tuple(index)
-
-    out[sl(slice(1, n - 1))] = (values[sl(slice(2, n))] - values[sl(slice(0, n - 2))]) / (2.0 * h)
-    out[sl(0)] = (-3.0 * values[sl(0)] + 4.0 * values[sl(1)] - values[sl(2)]) / (2.0 * h)
-    out[sl(n - 1)] = (3.0 * values[sl(n - 1)] - 4.0 * values[sl(n - 2)] + values[sl(n - 3)]) / (2.0 * h)
+        np.subtract(v[1:2], v[n - 1:], out=d[:1])
+        np.subtract(v[:1], v[n - 2:n - 1], out=d[n - 1:])
+    else:
+        d[:1] = -3.0 * v[:1] + 4.0 * v[1:2] - v[2:3]
+        d[n - 1:] = 3.0 * v[n - 1:] - 4.0 * v[n - 2:n - 1] + v[n - 3:n - 2]
+    d /= 2.0 * h
     return out
 
 
@@ -227,17 +209,7 @@ def admissibility_residual(pair: FibredAlgebroidPair, section: DiscretizedSectio
     Shape ``(fibre_dim, base_dim)``; identically empty when the pair has
     no fibre coordinates.
     """
-    p = section.jet_point(idx)
-    mu = section.fibre_dim
-    if mu == 0:
-        return np.zeros((0, pair.base_dim))
-    du = np.stack([node_derivative(section.u, section.grid, a, idx)
-                   for a in range(section.grid.dim)], axis=-1)  # [A, i]
-    rho_f = pair.rho_f_at(p.x)
-    out = np.einsum("ai,Ai->Aa", rho_f, du)
-    out -= pair.rho_base_u_at(p.x, p.u).T
-    out -= np.einsum("kA,ka->Aa", pair.rho_kernel_u_at(p.x, p.u), p.y)
-    return out
+    return _admissibility(pair, section, idx, grid_gradient(section.u, section.grid))
 
 
 def morphism_residual(pair: FibredAlgebroidPair, section: DiscretizedSection,
@@ -254,10 +226,28 @@ def morphism_residual(pair: FibredAlgebroidPair, section: DiscretizedSection,
     and under which the flat-reference case forces
     ``d_a y_b - d_b y_a = Omega_ab`` (see the scenario tests).
     """
+    return _morphism(pair, section, idx, grid_gradient(section.y, section.grid))
+
+
+def _admissibility(pair: FibredAlgebroidPair, section: DiscretizedSection, idx,
+                   du: np.ndarray) -> np.ndarray:
+    """Admissibility residual at one node from the grid array ``du[..., A, i] = d_i u^A``."""
+    p = section.jet_point(idx)
+    if section.fibre_dim == 0:
+        return np.zeros((0, pair.base_dim))
+    rho_f = pair.rho_f_at(p.x)
+    out = np.einsum("ai,Ai->Aa", rho_f, du[tuple(idx)])
+    out -= pair.rho_base_u_at(p.x, p.u).T
+    out -= np.einsum("kA,ka->Aa", pair.rho_kernel_u_at(p.x, p.u), p.y)
+    return out
+
+
+def _morphism(pair: FibredAlgebroidPair, section: DiscretizedSection, idx,
+              dy: np.ndarray) -> np.ndarray:
+    """Flatness residual at one node from the grid array ``dy[..., al, a, i] = d_i y^al_a``."""
     p = section.jet_point(idx)
     y = p.y
-    dy = np.stack([node_derivative(section.y, section.grid, i, idx)
-                   for i in range(section.grid.dim)], axis=-1)  # [alpha, a, i]
+    dy = dy[tuple(idx)]
     rho_f = pair.rho_f_at(p.x)
     cm = pair.c_mixed_at(p.x, p.u)
     ck = pair.c_kernel_at(p.x, p.u)
@@ -283,13 +273,13 @@ def residual_report(pair: FibredAlgebroidPair, section: DiscretizedSection,
     Returns ``(ResidualField, is_morphism)`` with ``is_morphism`` true
     when both max norms are within ``tol``.
     """
-    ext = section.grid.extents
-    mu, mk, r = section.fibre_dim, section.kernel_rank, section.grid.dim
-    adm = np.zeros(ext + (mu, r))
-    mor = np.zeros(ext + (mk, r, r))
+    # the residual arrays have the shapes of the derivatives, and each node
+    # reads only its own derivatives, so its residuals overwrite them
+    adm = grid_gradient(section.u, section.grid)
+    mor = grid_gradient(section.y, section.grid)
     for idx in section.grid.nodes():
-        adm[idx] = admissibility_residual(pair, section, idx)
-        mor[idx] = morphism_residual(pair, section, idx)
+        adm[idx] = _admissibility(pair, section, idx, adm)
+        mor[idx] = _morphism(pair, section, idx, mor)
     fieldres = ResidualField(admissibility=adm, morphism=mor,
                              cell_volume=section.grid.cell_volume)
     return fieldres, bool(fieldres.max_norm <= tol)

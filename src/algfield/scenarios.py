@@ -31,7 +31,7 @@ import numpy as np
 from .differentiation import (
     FINE_STEP, HESSIAN_STEP, STEP, gradient, partial_derivative, partial_derivative_two_slot)
 from .fibred import FibredAlgebroidPair
-from .fields import DiscretizedSection, GridSpec, node_derivative
+from .fields import DiscretizedSection, GridSpec, grid_gradient
 from .variational import Lagrangian, el_residual_field
 
 EPSILON3 = np.zeros((3, 3, 3))
@@ -460,14 +460,12 @@ def chern_simons_lagrangian_difference(data: ChernSimonsData,
     identity hold; the two densities then agree on flat sections.)
     """
     y = section.y[tuple(idx)]  # [alpha, a]
-    grid = section.grid
     k = data.metric
     cl = data.lowered
     c = data.constants
     mk = y.shape[0]
 
-    dy = np.stack([node_derivative(section.y, grid, a, idx) for a in range(3)],
-                  axis=-1)  # [alpha, b, a] = d_a y^alpha_b
+    dy = grid_gradient(section.y, section.grid)[tuple(idx)]  # [alpha, b, a] = d_a y^alpha_b
     da = np.einsum("kba->kab", dy) - dy  # [alpha, a, b] = d_a A_b - d_b A_a
 
     lprime = sum(k[al, be] * _wedge_1_2(y[al], da[be])

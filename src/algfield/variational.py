@@ -37,7 +37,7 @@ import numpy as np
 
 from .differentiation import FINE_STEP, gradient
 from .fibred import FibredAlgebroidPair, JetPoint, ProjectableSection, complete_lift, z_functions
-from .fields import DiscretizedSection, GridSpec, node_derivative, node_stencil
+from .fields import DiscretizedSection, GridSpec, grid_derivative
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,32 @@ def _require_vertical(sigma: ProjectableSection) -> None:
         raise ValueError("this operation requires a vertical section")
 
 
+def _momentum_field(lagrangian: Lagrangian, section: DiscretizedSection) -> np.ndarray:
+    """``dL/dy`` at every node, shape ``extents + (kernel_rank, base_dim)``."""
+    out = np.zeros(section.y.shape)
+    for idx in section.grid.nodes():
+        out[idx] = lagrangian.partial_y(section.jet_point(idx))
+    return out
+
+
+def _divergence(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Grid divergence ``sum_a d_a values[..., a]`` at every node."""
+    out = np.zeros(values.shape[:-1])
+    for a in range(grid.dim):
+        out += grid_derivative(values[..., a], grid, a)
+    return out
+
+
+def _el_local(pair: FibredAlgebroidPair, lagrangian: Lagrangian, p: JetPoint,
+              mom: np.ndarray, div: np.ndarray) -> np.ndarray:
+    """Euler-Lagrange residual at ``p`` from its momentum and momentum divergence."""
+    z_mixed, _ = z_functions(pair, p)
+    out = div - np.einsum("gak,ga->k", z_mixed, mom)
+    if p.u.size:
+        out -= np.einsum("kA,A->k", pair.rho_kernel_u_at(p.x, p.u), lagrangian.partial_u(p))
+    return out
+
+
 def el_residual(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
                 section: DiscretizedSection, idx) -> np.ndarray:
     """Euler-Lagrange residual ``dL_alpha`` at one node (shape ``(kernel_rank,)``).
@@ -109,20 +135,19 @@ def el_residual(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
     to node (no chain-rule expansion, no second derivatives of L).
     """
     _require_coordinate_base(pair)
-    p = section.jet_point(idx)
-    r = section.grid.dim
+    mom = _momentum_field(lagrangian, section)
+    return _el_local(pair, lagrangian, section.jet_point(idx), mom[tuple(idx)],
+                     _divergence(mom, section.grid)[tuple(idx)])
 
-    div = np.zeros(section.kernel_rank)
-    for a in range(r):
-        div += node_stencil(
-            lambda jj, a=a: lagrangian.partial_y(section.jet_point(jj))[:, a],
-            section.grid, a, idx)
 
-    z_mixed, _ = z_functions(pair, p)
-    mom = lagrangian.partial_y(p)
-    out = div - np.einsum("gak,ga->k", z_mixed, mom)
-    if section.fibre_dim:
-        out -= np.einsum("kA,A->k", pair.rho_kernel_u_at(p.x, p.u), lagrangian.partial_u(p))
+def el_residual_field(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
+                      section: DiscretizedSection) -> np.ndarray:
+    """Euler-Lagrange residual at every node, shape ``extents + (kernel_rank,)``."""
+    _require_coordinate_base(pair)
+    mom = _momentum_field(lagrangian, section)
+    out = _divergence(mom, section.grid)  # each node's residual overwrites its divergence
+    for idx in section.grid.nodes():
+        out[idx] = _el_local(pair, lagrangian, section.jet_point(idx), mom[idx], out[idx])
     return out
 
 
@@ -153,46 +178,28 @@ def invariance_defect(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
     return out
 
 
-def current_divergence(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
-                       sigma: ProjectableSection, section: DiscretizedSection,
-                       idx) -> float:
-    """Grid divergence of the current of a vertical section at one node."""
-    _require_vertical(sigma)
-
-    def current_component(jj, a):
-        p = section.jet_point(jj)
-        s = sigma.vertical_at(p.x, p.u, section.kernel_rank)
-        return float(np.einsum("k,k->", s, lagrangian.partial_y(p)[:, a]))
-
-    return float(sum(
-        node_stencil(lambda jj, a=a: current_component(jj, a), section.grid, a, idx)
-        for a in range(section.grid.dim)))
-
-
 def first_variation_identity_defect(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
                                     sigma: ProjectableSection,
-                                    section: DiscretizedSection, idx) -> float:
-    """Pointwise defect of the first-variation identity at one node.
+                                    section: DiscretizedSection, nodes) -> list:
+    """Pointwise defect of the first-variation identity at each of ``nodes``.
 
     ``| dL/ds along lift + dL_al sigma^al - div_h(J_sigma) |`` -- of
     stencil order for any field (see module docstring for the
     u-dependent-section caveat), without assuming the field solves
-    anything.
+    anything.  The complete lift is taken at the listed nodes only.
     """
-    p = section.jet_point(idx)
-    inv = invariance_defect(pair, lagrangian, sigma, section, idx)
-    el = el_residual(pair, lagrangian, section, idx)
-    s = sigma.vertical_at(p.x, p.u, section.kernel_rank)
-    div = current_divergence(pair, lagrangian, sigma, section, idx)
-    return abs(inv + float(el @ s) - div)
-
-
-def el_residual_field(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
-                      section: DiscretizedSection) -> np.ndarray:
-    """Euler-Lagrange residual at every node, shape ``extents + (kernel_rank,)``."""
-    out = np.zeros(section.grid.extents + (section.kernel_rank,))
-    for idx in section.grid.nodes():
-        out[idx] = el_residual(pair, lagrangian, section, idx)
+    _require_vertical(sigma)
+    _require_coordinate_base(pair)
+    mom = _momentum_field(lagrangian, section)
+    el_div = _divergence(mom, section.grid)
+    current_div = _divergence(_current_field(sigma, section, mom).values, section.grid)
+    out = []
+    for idx in map(tuple, nodes):
+        p = section.jet_point(idx)
+        inv = invariance_defect(pair, lagrangian, sigma, section, idx)
+        el = _el_local(pair, lagrangian, p, mom[idx], el_div[idx])
+        s = sigma.vertical_at(p.x, p.u, section.kernel_rank)
+        out.append(abs(inv + float(el @ s) - float(current_div[idx])))
     return out
 
 
@@ -212,8 +219,7 @@ class NoetherCurrent:
             raise ValueError("non-finite current components")
 
     def divergence(self, idx) -> float:
-        return float(sum(node_derivative(self.values[..., a], self.grid, a, idx)
-                         for a in range(self.grid.dim)))
+        return float(_divergence(self.values, self.grid)[tuple(idx)])
 
 
 def noether_current_field(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
@@ -221,7 +227,13 @@ def noether_current_field(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
                           section: DiscretizedSection) -> NoetherCurrent:
     """Evaluate the current of a vertical section over the whole grid."""
     _require_vertical(sigma)
+    return _current_field(sigma, section, _momentum_field(lagrangian, section))
+
+
+def _current_field(sigma: ProjectableSection, section: DiscretizedSection,
+                   mom: np.ndarray) -> NoetherCurrent:
     out = np.zeros(section.grid.extents + (section.grid.dim,))
     for idx in section.grid.nodes():
-        out[idx] = noether_current(pair, lagrangian, sigma, section, idx)
+        p = section.jet_point(idx)
+        out[idx] = np.einsum("k,ka->a", sigma.vertical_at(p.x, p.u, mom.shape[-2]), mom[idx])
     return NoetherCurrent(grid=section.grid, values=out)

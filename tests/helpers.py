@@ -191,3 +191,33 @@ def random_jet_point(rng: np.random.Generator, pair) -> "object":
         u=rng.uniform(-1, 1, size=pair.fibre_dim),
         y=rng.uniform(-1, 1, size=(pair.kernel_rank, pair.base_dim)),
     )
+
+
+# ---------------------------------------------------------------------------
+# per-node reference stencil
+# ---------------------------------------------------------------------------
+
+def node_stencil(at, grid, axis: int, idx):
+    """Second-order difference along one grid axis at node ``idx``, node by node.
+
+    ``at(jj)`` returns the value at node index tuple ``jj`` and is called
+    only at the two or three nodes the stencil needs: central inside,
+    wrapped on a periodic grid, second-order one-sided at the ends
+    otherwise.  The reference that ``grid_derivative`` is checked against.
+    """
+    n = grid.extents[axis]
+    h = grid.spacing[axis]
+    i = idx[axis]
+
+    def shifted(j):
+        jj = list(idx)
+        jj[axis] = j
+        return at(tuple(jj))
+
+    if grid.boundary == "periodic":
+        return (shifted((i + 1) % n) - shifted((i - 1) % n)) / (2.0 * h)
+    if 0 < i < n - 1:
+        return (shifted(i + 1) - shifted(i - 1)) / (2.0 * h)
+    if i == 0:
+        return (-3.0 * shifted(0) + 4.0 * shifted(1) - shifted(2)) / (2.0 * h)
+    return (3.0 * shifted(n - 1) - 4.0 * shifted(n - 2) + shifted(n - 3)) / (2.0 * h)

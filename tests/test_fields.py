@@ -1,12 +1,13 @@
 """Grids, stencils, constraint residuals and section serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from algfield.fibred import FibredAlgebroidPair
+from algfield.fibred import FibredAlgebroidPair, ProjectableSection, z_functions
 from algfield.fields import (
     DiscretizedSection,
     GridSpec,
@@ -15,13 +16,18 @@ from algfield.fields import (
     grid_derivative,
     load_section,
     morphism_residual,
-    node_derivative,
     residual_report,
     save_section,
 )
-from algfield.smoothfields import trig_polynomial
+from algfield.smoothfields import trig_polynomial, trig_vector
+from algfield.variational import (
+    Lagrangian,
+    el_residual_field,
+    first_variation_identity_defect,
+    invariance_defect,
+)
 
-from helpers import connection_pair, trivial_pair
+from helpers import connection_pair, node_stencil, trivial_pair
 
 
 class TestGridSpec:
@@ -44,14 +50,91 @@ class TestGridSpec:
 
 class TestStencils:
     @pytest.mark.parametrize("boundary", ["periodic", "one_sided"])
-    def test_node_matches_grid_derivative(self, boundary):
-        rng = np.random.default_rng(3)
+    def test_grid_passes_match_node_reference(self, boundary):
+        # every node of the whole-grid passes against the same formulas fed
+        # by the per-node reference stencil; u-dependent connection pair,
+        # Lagrangian of fourth order in y
+        rng = np.random.default_rng(17)
+        pair = connection_pair(rng)
         grid = GridSpec(extents=(5, 6), spacing=(0.3, 0.2), boundary=boundary)
-        values = rng.standard_normal(grid.extents + (2,))
-        for axis in range(2):
-            full = grid_derivative(values, grid, axis)
-            for idx in grid.nodes():
-                npt.assert_array_equal(full[idx], node_derivative(values, grid, axis, idx))
+        sec = DiscretizedSection(grid=grid, u=rng.standard_normal(grid.extents + (2,)),
+                                 y=rng.standard_normal(grid.extents + (2, 2)))
+        lag = Lagrangian(
+            value=lambda x, u, y: (0.25 * float(np.sum(y ** 4)) + float(u[0] * y[1, 0])
+                                   - float(np.cos(u[1]))),
+            grad_u=lambda x, u, y: np.array([y[1, 0], np.sin(u[1])]),
+            grad_y=lambda x, u, y: y ** 3 + np.array([[0.0, 0.0], [u[0], 0.0]]))
+        sc = trig_vector(rng, 2, 2)
+        sigma = ProjectableSection(
+            vertical_coeffs=lambda x, u: np.array([c(x) for c in sc]),
+            d_vertical_x=lambda x, u: np.stack([c.gradient(x) for c in sc]),
+            d_vertical_u=lambda x, u: np.zeros((2, 2)))
+
+        def gradient_at(at, idx):
+            return np.stack([node_stencil(at, grid, a, idx) for a in range(2)], axis=-1)
+
+        def divergence_at(at, idx):  # at(jj) -> [..., a]
+            return sum(node_stencil(lambda jj, a=a: at(jj)[..., a], grid, a, idx)
+                       for a in range(2))
+
+        def mom(jj):
+            return lag.partial_y(sec.jet_point(jj))
+
+        def el_at(idx):
+            p = sec.jet_point(idx)
+            z_mixed, _ = z_functions(pair, p)
+            return (divergence_at(mom, idx) - np.einsum("gak,ga->k", z_mixed, mom(idx))
+                    - pair.rho_kernel_u_at(p.x, p.u) @ lag.partial_u(p))
+
+        def current(jj):
+            p = sec.jet_point(jj)
+            return sigma.vertical_at(p.x, p.u, 2) @ mom(jj)
+
+        nodes = list(grid.nodes())
+        adm, mor, el, fv = [], [], [], []
+        for idx in nodes:
+            p = sec.jet_point(idx)
+            rho_f, y = pair.rho_f_at(p.x), p.y
+            du = gradient_at(lambda jj: sec.u[jj], idx)
+            adm.append(du @ rho_f.T - pair.rho_base_u_at(p.x, p.u).T
+                       - pair.rho_kernel_u_at(p.x, p.u).T @ y)
+            dy = gradient_at(lambda jj: sec.y[jj], idx)
+            cm, ck = pair.c_mixed_at(p.x, p.u), pair.c_kernel_at(p.x, p.u)
+            # the flatness residual is the antisymmetric part m - m^T of these terms
+            m = (np.einsum("bi,kai->kab", rho_f, dy)
+                 + np.einsum("bgk,ga->kab", cm, y)
+                 + 0.5 * np.einsum("mgk,mb,ga->kab", ck, y, y)
+                 + 0.5 * np.einsum("abc,kc->kab", pair.c_f_at(p.x), y)
+                 - 0.5 * np.einsum("abk->kab", pair.c_base_kernel_at(p.x, p.u)))
+            mor.append(m - np.swapaxes(m, 1, 2))
+            el.append(el_at(idx))
+            s = sigma.vertical_at(p.x, p.u, 2)
+            fv.append(abs(invariance_defect(pair, lag, sigma, sec, idx) + el[-1] @ s
+                          - divergence_at(current, idx)))
+
+        report, _ = residual_report(pair, sec, tol=1.0)
+        shape = grid.extents
+        for got, want in [(report.admissibility, adm), (report.morphism, mor),
+                          (el_residual_field(pair, lag, sec), el),
+                          (first_variation_identity_defect(pair, lag, sigma, sec, nodes), fv)]:
+            want = np.reshape(want, shape + np.shape(want)[1:])
+            scale = np.max(np.abs(want))
+            assert scale > 1e-3
+            npt.assert_allclose(np.reshape(got, want.shape), want, rtol=0.0,
+                                atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "one_sided"])
+    def test_grid_derivative_allocates_its_output_only(self, boundary):
+        grid = GridSpec(extents=(24, 24, 24), spacing=(0.1, 0.2, 0.3), boundary=boundary)
+        values = np.random.default_rng(5).standard_normal(grid.extents + (3, 3))
+        for axis in range(3):
+            tracemalloc.start()
+            try:
+                out = grid_derivative(values, grid, axis)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * out.nbytes
 
     def test_periodic_derivative_convergence(self):
         # halving h divides the stencil error of a trig field by about 4

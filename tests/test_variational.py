@@ -9,11 +9,11 @@ from algfield.fields import DiscretizedSection, GridSpec, grid_derivative
 from algfield.smoothfields import trig_polynomial, trig_vector
 from algfield.variational import (
     Lagrangian,
-    current_divergence,
     el_residual,
     first_variation_identity_defect,
     invariance_defect,
     noether_current,
+    noether_current_field,
 )
 
 from helpers import EPS3, connection_pair, heavy_top_style_pair, trivial_pair
@@ -276,7 +276,7 @@ class TestFirstVariationIdentity:
                                  y=rng.standard_normal((6, 6, 2, 2)))
         sigma = ProjectableSection.vertical_constant([0.0, 0.0])
         lag = free_field_lagrangian()
-        assert first_variation_identity_defect(pair, lag, sigma, sec, (2, 3)) == 0.0
+        assert first_variation_identity_defect(pair, lag, sigma, sec, [(2, 3)])[0] == 0.0
 
     @pytest.mark.parametrize("seed", [31, 37])
     def test_off_shell_defect_second_order_field_case(self, seed):
@@ -308,10 +308,8 @@ class TestFirstVariationIdentity:
                 y_fn=lambda x: np.array([f(x) for f in fy]).reshape(2, 2),
             )
             # same physical points at both resolutions
-            defects.append(max(
-                first_variation_identity_defect(pair, lag, sigma, sec,
-                                                (scale * i, scale * j))
-                for i, j in base_nodes))
+            defects.append(max(first_variation_identity_defect(
+                pair, lag, sigma, sec, [(scale * i, scale * j) for i, j in base_nodes])))
         assert defects[0] > 1e-8  # genuinely off-shell
         assert 3.0 < defects[0] / defects[1] < 5.0
 
@@ -325,8 +323,9 @@ class TestFirstVariationIdentity:
         sec = mechanics_section(ts,
                                 lambda t: np.array([np.sin(t), t, np.cos(2 * t)]),
                                 lambda t: np.array([t ** 2, 1.0, np.sin(t)]), 3, 3)
-        for i in (0, 25, 50):
-            assert first_variation_identity_defect(pair, lag, sigma, sec, (i,)) < 1e-12
+        for defect in first_variation_identity_defect(pair, lag, sigma, sec,
+                                                      [(0,), (25,), (50,)]):
+            assert defect < 1e-12
 
     def test_mechanics_defect_second_order_in_dt(self):
         # time-dependent vertical section: the product rule enters through
@@ -349,9 +348,8 @@ class TestFirstVariationIdentity:
             sec = mechanics_section(ts,
                                     lambda t: np.array([c(np.array([t])) for c in uc]),
                                     lambda t: np.array([c(np.array([t])) for c in yc]), 3, 3)
-            defects.append(max(first_variation_identity_defect(pair, lag, sigma, sec,
-                                                               (scale * i,))
-                               for i in (0, 10, 50, 100)))
+            defects.append(max(first_variation_identity_defect(
+                pair, lag, sigma, sec, [(scale * i,) for i in (0, 10, 50, 100)])))
         assert defects[0] > 1e-10
         assert 3.0 < defects[0] / defects[1] < 5.0
 
@@ -359,8 +357,6 @@ class TestFirstVariationIdentity:
         # whole-grid current of the axis symmetry along an admissible
         # equator rotation: sampled values agree with the per-node
         # operation and the divergence is conserved at stencil order
-        from algfield.variational import noether_current_field
-
         pair = heavy_top_style_pair()
         lag = heavy_top_lagrangian([2.0, 2.0, 1.0], mgl=1.0, chi=[0.0, 0.0, 1.0])
         ts = np.linspace(0.0, 1.0, 101)
@@ -391,6 +387,6 @@ class TestFirstVariationIdentity:
         inv = invariance_defect(pair, lag, e3, sec, idx)
         assert abs(inv) < 1e-12
         el = el_residual(pair, lag, sec, idx)
-        div = current_divergence(pair, lag, e3, sec, idx)
+        div = noether_current_field(pair, lag, e3, sec).divergence(idx)
         s = np.array([0.0, 0.0, 1.0])
         assert abs(div - float(el @ s)) < 1e-10
