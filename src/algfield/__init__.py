@@ -81,6 +81,7 @@ from .scenarios import (
     scalar_field_lagrangian,
     su2_basis,
     su2_exponential,
+    su2_exponential_gauge_field,
 )
 
 __version__ = "0.1.0"

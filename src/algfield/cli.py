@@ -36,11 +36,7 @@ from .algebroid import structure_residual_max
 from .fibred import ProjectableSection
 from .fields import DiscretizedSection, GridSpec, grid_derivative, residual_report
 from .smoothfields import TrigPolynomial, trig_polynomial, trig_vector
-from .variational import (
-    el_residual,
-    el_residual_field,
-    first_variation_identity_defect,
-)
+from .variational import el_residual_field, first_variation_identity_defect
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -239,7 +235,7 @@ def _rigid_body_setup(ctx):
     ctx.lag = sc.rigid_body_lagrangian(inertia)
     ctx.state0 = sc.MechanicsState(0.0, np.zeros(0), y0)
     ctx.conserved = lambda tr, lg: {
-        "energy": tr.energy_series(lg),
+        "energy": tr.energy_series(lg, tr.momentum_series(lg)),
         "casimir": np.sum((inertia * tr.y) ** 2, axis=1),
     }
 
@@ -257,7 +253,7 @@ def _heavy_top_setup(ctx):
 
     def conserved(tr, lg):
         mom = tr.momentum_series(lg)
-        return {"energy": tr.energy_series(lg), "sphere": np.sum(tr.u ** 2, axis=1),
+        return {"energy": tr.energy_series(lg, mom), "sphere": np.sum(tr.u ** 2, axis=1),
                 "casimir": np.sum(mom * tr.u, axis=1), "axis_current": mom[:, 2]}
     ctx.conserved = conserved
 
@@ -270,7 +266,7 @@ def _free_particle_setup(ctx):
     ctx.pair = sc.free_particle_pair(dim)
     ctx.lag = sc.quadratic_kinetic_lagrangian(np.ones(dim))
     ctx.state0 = sc.MechanicsState(0.0, u0, y0)
-    ctx.conserved = lambda tr, lg: {"energy": tr.energy_series(lg)}
+    ctx.conserved = lambda tr, lg: {"energy": tr.energy_series(lg, tr.momentum_series(lg))}
 
 
 def _trajectory(ctx, dt):
@@ -392,11 +388,11 @@ def _el_vs_classical(chk, ctx) -> CheckResult:
     n = ctx.n
     sec = _field(ctx, n)
     div = sum(grid_derivative(sec.y[..., 0, a], sec.grid, a) for a in range(2))
+    el = el_residual_field(ctx.pair, ctx.lag, sec)
     worst = 0.0
     for idx in [(0, 0), (n // 3, 1), (n - 1, n // 2)]:
         oracle = div[idx] + ctx.mass ** 2 * sec.u[idx][0]
-        got = el_residual(ctx.pair, ctx.lag, sec, idx)[0]
-        worst = max(worst, abs(got - oracle))
+        worst = max(worst, abs(el[idx][0] - oracle))
     return _norm_result(chk, worst, 1e-10)
 
 
@@ -437,15 +433,14 @@ def _field_first_variation(chk, ctx) -> CheckResult:
     return _ratio_result(chk, defects[0], defects[1], 3.0, 5.0)
 
 
-def _gauge_function(kind, amplitude, rng, dim):
+def _gauge_coords(kind, amplitude, rng, dim):
+    """Exponential coordinates ``v`` of the gauge ``exp(v^al T_al)``, drawn from ``rng``."""
     if kind == "identity":
-        return lambda x: np.eye(2, dtype=complex)
+        return [0, 0, 0]
     if kind == "single_generator":
-        f = trig_polynomial(rng, dim, amplitude=amplitude)
-        return lambda x: sc.su2_exponential(np.array([0.0, 0.0, f(x)]))
+        return [0, 0, trig_polynomial(rng, dim, amplitude=amplitude)]
     if kind == "random_su2":
-        comps = trig_vector(rng, dim, 3, amplitude=amplitude)
-        return lambda x: sc.su2_exponential(np.array([c(x) for c in comps]))
+        return trig_vector(rng, dim, 3, amplitude=amplitude)
     raise ConfigError(f"unknown gauge function {kind!r}")
 
 
@@ -453,10 +448,10 @@ def _chern_simons_setup(ctx):
     ctx.n = _lattice(ctx)
     _needs(ctx, "cs_identity_defect", ctx.n >= 4, "lattice >= 4")
     ctx.data = sc.ChernSimonsData.su2()
-    gauge = _gauge_function(ctx.params.get("gauge", "random_su2"),
-                            _param(ctx, "gauge_amplitude", 0.5), ctx.rng, 3)
-    ctx.sample_field = lambda nn: sc.flat_connection_generator(
-        gauge, GridSpec.periodic_box((nn, nn, nn)), sc.su2_basis())
+    coords = _gauge_coords(ctx.params.get("gauge", "random_su2"),
+                           _param(ctx, "gauge_amplitude", 0.5), ctx.rng, 3)
+    ctx.sample_field = lambda nn: sc.su2_exponential_gauge_field(
+        coords, GridSpec.periodic_box((nn, nn, nn)))
     ctx.pair, ctx.lag = sc.builder_chern_simons(ctx.data,
                                                 GridSpec.periodic_box((ctx.n,) * 3))
 
@@ -469,10 +464,9 @@ def _atiyah_setup(ctx):
     ctx.inertia = _vector(ctx, "inertia", [1.0, 2.0, 3.0])
     ctx.pair = sc.builder_atiyah(sc.AtiyahData(constants=sc.EPSILON3), base_dim=dim)
     ctx.lag = sc.quadratic_kinetic_lagrangian(np.ones(3))
-    gauge = _gauge_function("random_su2", _param(ctx, "gauge_amplitude", 0.5),
-                            ctx.rng, dim)
-    ctx.sample_field = lambda nn: sc.flat_connection_generator(
-        gauge, GridSpec.periodic_box((nn,) * dim), sc.su2_basis())
+    coords = _gauge_coords("random_su2", _param(ctx, "gauge_amplitude", 0.5), ctx.rng, dim)
+    ctx.sample_field = lambda nn: sc.su2_exponential_gauge_field(
+        coords, GridSpec.periodic_box((nn,) * dim))
 
 
 def _morphism_sweep(chk, ctx) -> CheckResult:
@@ -500,9 +494,8 @@ def _el_vs_morphism_bound(chk, ctx) -> CheckResult:
 def _cs_identity_defect(chk, ctx) -> CheckResult:
     n = ctx.n
     sec = _field(ctx, n)
-    worst = max(sc.chern_simons_lagrangian_difference(ctx.data, sec, idx)
-                for idx in [(0, 0, 0), (1, 2, 3), (n - 1, n // 2, 1),
-                            (n // 2, n // 2, n // 2)])
+    worst = max(sc.chern_simons_lagrangian_difference(
+        ctx.data, sec, [(0, 0, 0), (1, 2, 3), (n - 1, n // 2, 1), (n // 2, n // 2, n // 2)]))
     return _norm_result(chk, worst, 1e-10)
 
 
@@ -709,6 +702,10 @@ def validate_config(config: dict) -> Scenario:
     if scenario is None:
         raise UnknownScenarioError(f"unknown scenario kind {config['scenario']!r}; "
                                    f"known kinds: {', '.join(sorted(SCENARIOS))}")
+    unknown = sorted(set(config.get("params", {})) - set(scenario.params))
+    if unknown:
+        raise ConfigError(f"unknown params {', '.join(map(repr, unknown))} for scenario "
+                          f"{config['scenario']}; known params: {', '.join(scenario.params)}")
     for chk in config["checks"]:
         if chk["kind"] not in scenario.checks:
             raise ConfigError(f"unknown check kind {chk['kind']!r} for scenario "

@@ -10,7 +10,10 @@ carries its own:
 
 * ``STEP`` for structure functions, sections and connection coefficients;
 * ``FINE_STEP`` for Lagrangian partials, the gauge derivative of a
-  pure-gauge connection and the explicit time derivative of the momentum;
+  pure-gauge connection on the general matrix-gauge path
+  (``flat_connection_generator``; gauges given by su(2) exponential
+  coordinates are sampled in closed form, with no step) and the explicit
+  time derivative of the momentum;
 * ``HESSIAN_STEP`` for the velocity Hessian, a difference of momenta.
 """
 

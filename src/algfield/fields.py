@@ -82,6 +82,13 @@ class GridSpec:
     def nodes(self):
         return np.ndindex(*self.extents)
 
+    def points(self) -> np.ndarray:
+        """Coordinates of every node, ``out[idx] = coords(idx)``: shape ``extents + (dim,)``."""
+        out = np.empty(self.extents + (self.dim,))
+        for a, (n, o, h) in enumerate(zip(self.extents, self.origin, self.spacing)):
+            out[..., a] = (o + np.arange(n) * h).reshape((n,) + (1,) * (self.dim - 1 - a))
+        return out
+
     @staticmethod
     def periodic_box(extents, lengths=None) -> "GridSpec":
         """Periodic grid covering ``[0, length)`` per axis (default ``2*pi``)."""

@@ -32,6 +32,7 @@ from .differentiation import (
     FINE_STEP, HESSIAN_STEP, STEP, gradient, partial_derivative, partial_derivative_two_slot)
 from .fibred import FibredAlgebroidPair
 from .fields import DiscretizedSection, GridSpec, grid_gradient
+from .smoothfields import TrigPolynomial
 from .variational import Lagrangian, el_residual_field
 
 EPSILON3 = np.zeros((3, 3, 3))
@@ -201,12 +202,13 @@ class MechanicsTrajectory:
                         boundary="one_sided", origin=(float(self.times[0]),))
         return DiscretizedSection(grid=grid, u=self.u, y=self.y[:, :, None])
 
-    def energy_series(self, lagrangian: Lagrangian) -> np.ndarray:
+    def energy_series(self, lagrangian: Lagrangian, momentum: np.ndarray) -> np.ndarray:
+        """``momentum . y - L`` per sample, with ``momentum`` the
+        ``momentum_series(lagrangian)`` of this trajectory."""
         out = np.zeros(self.times.size)
         for i, t in enumerate(self.times):
             x, ycol = np.array([t]), self.y[i][:, None]
-            mom = lagrangian.partial_y_arrays(x, self.u[i], ycol)[:, 0]
-            out[i] = float(mom @ self.y[i]) - float(lagrangian.value(x, self.u[i], ycol))
+            out[i] = float(momentum[i] @ self.y[i]) - float(lagrangian.value(x, self.u[i], ycol))
         return out
 
     def momentum_series(self, lagrangian: Lagrangian) -> np.ndarray:
@@ -448,8 +450,8 @@ def _wedge_1_2(v: np.ndarray, b: np.ndarray) -> float:
 
 
 def chern_simons_lagrangian_difference(data: ChernSimonsData,
-                                       section: DiscretizedSection, idx) -> float:
-    """Defect of the conventional-vs-cubic Lagrangian identity at one node.
+                                       section: DiscretizedSection, nodes) -> list:
+    """Defect of the conventional-vs-cubic Lagrangian identity at each of ``nodes``.
 
     The conventional density ``k(A ^ dA + (2/3) A ^ A ^ A-bracket-term)``
     differs from the cubic density by the metric pairing of ``A`` with
@@ -457,29 +459,32 @@ def chern_simons_lagrangian_difference(data: ChernSimonsData,
     derivatives on both sides the identity is algebraically exact, so the
     returned defect is rounding noise bounded well below stencil order
     for any field.  (The cubic coefficient 2/3 is the one that makes the
-    identity hold; the two densities then agree on flat sections.)
+    identity hold; the two densities then agree on flat sections.)  The
+    grid derivatives are formed once for all nodes.
     """
-    y = section.y[tuple(idx)]  # [alpha, a]
     k = data.metric
     cl = data.lowered
     c = data.constants
-    mk = y.shape[0]
+    mk = section.kernel_rank
+    grad = grid_gradient(section.y, section.grid)  # [..., alpha, b, a] = d_a y^alpha_b
+    out = []
+    for idx in map(tuple, nodes):
+        y = section.y[idx]  # [alpha, a]
+        dy = grad[idx]
+        da = np.einsum("kba->kab", dy) - dy  # [alpha, a, b] = d_a A_b - d_b A_a
 
-    dy = grid_gradient(section.y, section.grid)[tuple(idx)]  # [alpha, b, a] = d_a y^alpha_b
-    da = np.einsum("kba->kab", dy) - dy  # [alpha, a, b] = d_a A_b - d_b A_a
+        lprime = sum(k[al, be] * _wedge_1_2(y[al], da[be])
+                     for al in range(mk) for be in range(mk))
+        lprime += (2.0 / 3.0) * float(
+            np.einsum("amn,ai,mj,nk,ijk->", cl, y, y, y, EPSILON3))
 
-    lprime = sum(k[al, be] * _wedge_1_2(y[al], da[be])
-                 for al in range(mk) for be in range(mk))
-    lprime += (2.0 / 3.0) * float(
-        np.einsum("amn,ai,mj,nk,ijk->", cl, y, y, y, EPSILON3))
+        lvalue = float(np.einsum("abg,a,b,g->", cl, y[:, 0], y[:, 1], y[:, 2]))
 
-    lvalue = float(np.einsum("abg,a,b,g->", cl, y[:, 0], y[:, 1], y[:, 2]))
-
-    f = da + np.einsum("bga,bi,gj->aij", c, y, y)  # flatness 2-form per direction
-    fterm = sum(k[al, mu] * _wedge_1_2(y[mu], f[al])
-                for al in range(mk) for mu in range(mk))
-
-    return abs(lprime - lvalue - fterm)
+        f = da + np.einsum("bga,bi,gj->aij", c, y, y)  # flatness 2-form per direction
+        fterm = sum(k[al, mu] * _wedge_1_2(y[mu], f[al])
+                    for al in range(mk) for mu in range(mk))
+        out.append(abs(lprime - lvalue - fterm))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +517,90 @@ def su2_exponential(v) -> np.ndarray:
     return np.cos(theta / 2) * eye + 2 * np.sin(theta / 2) * x
 
 
+# below this |v| the dexp coefficients are their two-term series, which is
+# exact at v = 0 and off by under theta^4 / 720 at the switch
+_DEXP_SERIES_BELOW = 1e-3
+
+
+def _su2_dexp_coefficients(theta: np.ndarray) -> tuple:
+    """``(1 - cos t) / t^2`` and ``(t - sin t) / t^3`` of each ``t = theta``,
+    by their series ``1/2 - t^2/24`` and ``1/6 - t^2/120`` near 0."""
+    small = theta < _DEXP_SERIES_BELOW
+    t = np.where(small, 1.0, theta)
+    c1 = (1.0 - np.cos(t)) / t ** 2
+    c2 = (t - np.sin(t)) / t ** 3
+    t2 = theta[small] ** 2
+    c1[small] = 0.5 - t2 / 24.0
+    c2[small] = 1.0 / 6.0 - t2 / 120.0
+    return c1, c2
+
+
+def _cross_into(out: np.ndarray, u: np.ndarray, w: np.ndarray) -> None:
+    """``out = u x w`` over the last axis, one component at a time."""
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(u[..., j], w[..., k], out=out[..., i])
+        out[..., i] -= u[..., k] * w[..., j]
+
+
+def su2_exponential_gauge_field(coords: Sequence, grid: GridSpec) -> DiscretizedSection:
+    """Pure-gauge connection of ``g = exp(v^al T_al)`` on a grid, in closed form.
+
+    ``coords`` are the three exponential coordinates ``v^al``, each a
+    ``TrigPolynomial`` or ``0``; they are evaluated with their analytic
+    gradients over all nodes at once.  With ``theta = |v|`` the su(2)
+    case of ``dexp`` gives the components of ``g^{-1} d_a g`` in
+    ``su2_basis()``:
+
+        ``y[..., :, a] = d_a v - (1 - cos theta)/theta^2 v x d_a v
+                         + (theta - sin theta)/theta^3 v x (v x d_a v)``
+
+    (Iserles, Munthe-Kaas, Norsett and Zanna, "Lie-group methods", Acta
+    Numerica 2000).  Nothing is differenced, so the flatness residual of
+    the result is pure stencil error, and the identity gauge (all
+    coordinates 0) gives exactly 0.  The cross products are formed one
+    axis at a time in two ``(..., 3)`` buffers and written into ``y`` in
+    place.  Any other gauge goes through ``flat_connection_generator``.
+    """
+    if len(coords) != 3:
+        raise ValueError("su(2) gauges have three exponential coordinates")
+    v = np.zeros(grid.extents + (3,))
+    y = np.zeros(grid.extents + (3, grid.dim))  # d_a v^al, until overwritten
+    points = grid.points()
+    for al, c in enumerate(coords):
+        if isinstance(c, TrigPolynomial):
+            v[..., al], y[..., al, :] = c.on_points(points)
+        elif not (np.isscalar(c) and c == 0):
+            raise TypeError("an exponential coordinate is a TrigPolynomial or 0")
+    del points
+    c1, c2 = _su2_dexp_coefficients(np.sqrt(np.einsum("...k,...k->...", v, v)))
+    c1, c2 = c1[..., None], c2[..., None]
+    first, second = np.empty_like(v), np.empty_like(v)
+    for a in range(grid.dim):
+        dv = y[..., a]
+        _cross_into(first, v, dv)
+        _cross_into(second, v, first)
+        first *= c1
+        second *= c2
+        dv -= first
+        dv += second
+    return DiscretizedSection(grid=grid, u=np.zeros(grid.extents + (0,)), y=y)
+
+
 def flat_connection_generator(gauge: Callable, grid: GridSpec,
                               algebra_basis: Sequence[np.ndarray],
                               projection_tol: float = 1e-8) -> DiscretizedSection:
     """Sample the pure-gauge connection of a group-valued function on a grid.
 
-    ``A_a(x) = g(x)^{-1} d_a g(x)`` is computed with central differences
-    of the caller-supplied matrix function (independent of the grid
-    spacing) and projected onto the given algebra basis; components
-    outside the span beyond ``projection_tol`` raise ``ProjectionError``.
-    The result is a kernel-only section (no fibre coordinates) whose
-    flatness residual is pure stencil error.
+    ``A_a(x) = g(x)^{-1} d_a g(x)`` is computed node by node with central
+    differences (``FINE_STEP``) of the caller-supplied matrix function,
+    independent of the grid spacing, and projected onto the given algebra
+    basis; components outside the span beyond ``projection_tol`` raise
+    ``ProjectionError``.  The result is a kernel-only section (no fibre
+    coordinates) whose flatness residual is stencil error plus the
+    difference error of the gauge derivative (about 1e-10 for the su(2)
+    exponentials).  This is the general path for any matrix gauge;
+    ``su2_exponential_gauge_field`` samples gauges given by exponential
+    coordinates in closed form, over the whole grid at once.
     """
     basis = np.stack([np.asarray(b, dtype=complex) for b in algebra_basis])
     mk = basis.shape[0]

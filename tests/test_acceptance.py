@@ -250,7 +250,7 @@ def test_criterion_5_rigid_body_mechanics():
     def drifts(dt):
         traj = integrate_mechanics(pair, lag, MechanicsState(0.0, np.zeros(0), y0),
                                    t_end=10.0, dt=dt)
-        e = traj.energy_series(lag)
+        e = traj.energy_series(lag, traj.momentum_series(lag))
         c = np.sum((inertia * traj.y) ** 2, axis=1)
         return (np.max(np.abs(e - e[0])) / abs(e[0]),
                 np.max(np.abs(c - c[0])) / c[0])
@@ -303,9 +303,8 @@ def test_criterion_6_chern_simons_lattice():
         arb = DiscretizedSection.from_functions(
             g2, 0, 3, y_fn=lambda x: np.array([c(x) for c in comps2]).reshape(3, 3))
         h2 = g2.spacing[0] ** 2
-        worst = max(chern_simons_lagrangian_difference(data, arb, idx)
-                    for idx in [(0, 0, 0), (1, 2, 3), (n - 1, n // 2, 1),
-                                (n // 2, 2, n - 2)])
+        worst = max(chern_simons_lagrangian_difference(
+            data, arb, [(0, 0, 0), (1, 2, 3), (n - 1, n // 2, 1), (n // 2, 2, n - 2)]))
         assert worst <= h2  # and in fact rounding-level
         assert worst < 1e-10
 

@@ -228,10 +228,13 @@ class TestRun:
         ("standard_field", ["params.connection=linear_u"]),
         ("chern_simons", ["params.lattice=4.9"]),
         ("atiyah_euler_poincare", ["params.base_dim=true"]),
+        ("standard_field", ["params.latice=4"]),
+        ("atiyah_euler_poincare", ["params.gauge=random_su2"]),
     ], ids=["lattice_not_int", "lattice_below_stencil", "negative_dt", "base_dim_3",
             "fibre_dim_2", "first_variation_3d", "first_variation_small_lattice",
             "cs_identity_small_lattice", "el_vs_classical_linear_u",
-            "lattice_not_integral", "base_dim_bool"])
+            "lattice_not_integral", "base_dim_bool", "unknown_param_misspelt",
+            "unknown_param_of_other_scenario"])
     def test_bad_params_schema_violation(self, tmp_path, capsys, config, overrides):
         # every limit, those of one check kind included, is checked at
         # set-up: by check-config, and by run before it makes the output

@@ -1,6 +1,7 @@
 """Scenario builders, the mechanics integrator and lattice gauge sampling."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -38,8 +39,11 @@ from algfield.scenarios import (
     scalar_field_lagrangian,
     su2_basis,
     su2_exponential,
+    su2_exponential_gauge_field,
+    _DEXP_SERIES_BELOW,
+    _su2_dexp_coefficients,
 )
-from algfield.smoothfields import trig_polynomial, trig_vector
+from algfield.smoothfields import TrigPolynomial, trig_polynomial, trig_vector
 from algfield.variational import Lagrangian, el_residual, el_residual_field
 
 
@@ -211,7 +215,7 @@ class TestMechanicsIntegrator:
         traj = integrate_mechanics(pair, lag, MechanicsState(0.0, np.zeros(0),
                                                              np.array([1.0, 1.0, 1.0])),
                                    t_end=2.0, dt=1e-3)
-        energy = traj.energy_series(lag)
+        energy = traj.energy_series(lag, traj.momentum_series(lag))
         casimir = np.sum((inertia * traj.y) ** 2, axis=1)
         assert np.max(np.abs(energy - energy[0])) / abs(energy[0]) < 1e-9
         assert np.max(np.abs(casimir - casimir[0])) / casimir[0] < 1e-9
@@ -275,9 +279,9 @@ class TestMechanicsIntegrator:
         traj = integrate_mechanics(pair, lag,
                                    MechanicsState(0.0, u0, np.array([0.1, -0.2, 5.0])),
                                    t_end=2.0, dt=1e-3)
-        energy = traj.energy_series(lag)
-        sphere = np.sum(traj.u ** 2, axis=1)
         momentum = traj.momentum_series(lag)
+        energy = traj.energy_series(lag, momentum)
+        sphere = np.sum(traj.u ** 2, axis=1)
         axis_current = momentum[:, 2]                      # symmetric-top symmetry
         casimir = np.sum(momentum * traj.u, axis=1)        # zero-lift direction
         assert np.max(np.abs(energy - energy[0])) < 1e-9
@@ -469,15 +473,92 @@ class TestChernSimons:
         sec = DiscretizedSection.from_functions(
             grid, 0, 3,
             y_fn=lambda x: np.array([c(x) for c in comps]).reshape(3, 3))
-        for idx in [(0, 0, 0), (3, 1, 5), (2, 2, 2)]:
-            assert chern_simons_lagrangian_difference(data, sec, idx) < 1e-12
+        defects = chern_simons_lagrangian_difference(data, sec,
+                                                     [(0, 0, 0), (3, 1, 5), (2, 2, 2)])
+        assert len(defects) == 3 and max(defects) < 1e-12
 
     def test_lagrangian_difference_zero_field(self):
         data = ChernSimonsData.su2()
         grid = GridSpec.periodic_box((4, 4, 4))
         sec = DiscretizedSection(grid=grid, u=np.zeros((4, 4, 4, 0)),
                                  y=np.zeros((4, 4, 4, 3, 3)))
-        assert chern_simons_lagrangian_difference(data, sec, (1, 2, 3)) == 0.0
+        assert chern_simons_lagrangian_difference(data, sec, [(1, 2, 3)]) == [0.0]
+
+
+class TestClosedFormGauge:
+    """``su2_exponential_gauge_field`` against the difference path and the formula."""
+
+    @pytest.mark.parametrize("extents", [(6, 6, 6), (8, 8)], ids=["6^3", "8^2"])
+    def test_matches_difference_path(self, extents):
+        comps = trig_vector(np.random.default_rng(71), len(extents), 3, amplitude=0.5)
+        grid = GridSpec.periodic_box(extents)
+        closed = su2_exponential_gauge_field(comps, grid)
+        oracle = flat_connection_generator(
+            lambda x: su2_exponential(np.array([c(x) for c in comps])), grid, su2_basis())
+        assert closed.y.shape == oracle.y.shape and closed.u.shape == oracle.u.shape
+        npt.assert_allclose(closed.y, oracle.y, rtol=0, atol=1e-8 * np.max(np.abs(oracle.y)))
+
+    def test_stacked_points_and_values(self):
+        grid = GridSpec(extents=(3, 4, 5), spacing=(0.3, 0.2, 0.1), origin=(1.0, -2.0, 0.5))
+        f = trig_polynomial(np.random.default_rng(73), 3, amplitude=0.7)
+        points = grid.points()
+        values, grads = f.on_points(points)
+        for idx in grid.nodes():
+            npt.assert_array_equal(points[idx], grid.coords(idx))
+            npt.assert_allclose(values[idx], f(points[idx]), rtol=0, atol=1e-15)
+            npt.assert_allclose(grads[idx], f.gradient(points[idx]), rtol=0, atol=1e-15)
+
+    def test_single_generator_is_gradient(self):
+        f = trig_polynomial(np.random.default_rng(23), 3, amplitude=0.7)
+        grid = GridSpec.periodic_box((5, 5, 5))
+        y = su2_exponential_gauge_field([0, 0, f], grid).y
+        npt.assert_array_equal(y[..., 2, :], f.on_points(grid.points())[1])
+        assert np.all(y[..., :2, :] == 0.0)
+
+    def test_identity_gives_exact_zero(self):
+        sec = su2_exponential_gauge_field([0, 0, 0], GridSpec.periodic_box((4, 4, 4)))
+        assert sec.y.shape == (4, 4, 4, 3, 3) and np.all(sec.y == 0.0)
+
+    def test_series_branch_matches_direct_formula(self):
+        # v = s (n + 1% modulation) puts |v| within 2% of s = the switch, on
+        # both sides of it; the reference uses the direct formula everywhere
+        s = _DEXP_SERIES_BELOW
+        rng = np.random.default_rng(79)
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        coords = [TrigPolynomial(waves=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]),
+                                 amplitudes=np.array([s * n, 0.01 * s]),
+                                 phases=np.array([0.0, rng.uniform(0, 2 * np.pi)]))
+                  for n in direction]
+        grid = GridSpec.periodic_box((8, 8, 8))
+        y = su2_exponential_gauge_field(coords, grid).y
+        evaluated = [c.on_points(grid.points()) for c in coords]
+        v = np.stack([val for val, _ in evaluated], axis=-1)
+        theta = np.linalg.norm(v, axis=-1)[..., None]
+        assert np.any(theta < s) and np.any(theta > s)
+        for a in range(3):
+            dv = np.stack([grad[..., a] for _, grad in evaluated], axis=-1)
+            first = np.cross(v, dv)
+            ref = (dv - (1 - np.cos(theta)) / theta ** 2 * first
+                   + (theta - np.sin(theta)) / theta ** 3 * np.cross(v, first))
+            npt.assert_allclose(y[..., a], ref, rtol=0, atol=1e-12 * np.max(np.abs(dv)))
+        # the coefficients alone, against their series to theta^6; 1e-9 is
+        # the accuracy of the direct formula just above the switch
+        t = s * np.array([1 - 1e-6, 1 + 1e-6])
+        c1, c2 = _su2_dexp_coefficients(t)
+        npt.assert_allclose(c1, 1 / 2 - t ** 2 / 24 + t ** 4 / 720 - t ** 6 / 40320, rtol=1e-9)
+        npt.assert_allclose(c2, 1 / 6 - t ** 2 / 120 + t ** 4 / 5040 - t ** 6 / 362880, rtol=1e-9)
+
+    def test_allocates_little_beyond_its_output(self):
+        comps = trig_vector(np.random.default_rng(83), 3, 3, amplitude=0.5)
+        grid = GridSpec.periodic_box((24, 24, 24))
+        tracemalloc.start()
+        try:
+            sec = su2_exponential_gauge_field(comps, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * sec.y.nbytes
 
 
 class TestAtiyah:
