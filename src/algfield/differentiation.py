@@ -13,7 +13,8 @@ carries its own:
   pure-gauge connection on the general matrix-gauge path
   (``flat_connection_generator``; gauges given by su(2) exponential
   coordinates are sampled in closed form, with no step) and the explicit
-  time derivative of the momentum;
+  time derivative of the momentum, which the mechanics integrator forms
+  only for Lagrangians not declared ``autonomous``;
 * ``HESSIAN_STEP`` for the velocity Hessian, a difference of momenta.
 """
 

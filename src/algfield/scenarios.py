@@ -30,7 +30,7 @@ import numpy as np
 
 from .differentiation import (
     FINE_STEP, HESSIAN_STEP, STEP, gradient, partial_derivative, partial_derivative_two_slot)
-from .fibred import FibredAlgebroidPair
+from .fibred import FibredAlgebroidPair, _antisym01
 from .fields import DiscretizedSection, GridSpec, grid_gradient
 from .smoothfields import TrigPolynomial
 from .variational import Lagrangian, el_residual_field
@@ -243,9 +243,39 @@ def _mechanics_hessians(lagrangian: Lagrangian, x, u, y):
     return hyy, hyu
 
 
+class _LastValue:
+    """One-entry memo of ``f(a)``, keyed on the bytes of the array ``a``.
+
+    ``f`` runs again only when ``a`` differs from the last array it saw;
+    a call of ``f`` that raises stores nothing.
+    """
+
+    def __init__(self, f: Callable):
+        self.f, self.key, self.value = f, None, None
+
+    def __call__(self, a: np.ndarray):
+        key = a.tobytes()
+        if key != self.key:
+            self.key, self.value = key, self.f(a)
+        return self.value
+
+
+def _inverse_and_verdict(hyy: np.ndarray, cond_limit: float) -> tuple:
+    """Inverse of the velocity Hessian and whether its 1-norm condition
+    number is finite and at most ``cond_limit``."""
+    try:
+        hinv = np.linalg.inv(hyy)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateLagrangianError(
+            "velocity Hessian of the Lagrangian is singular") from exc
+    cond = float(np.abs(hyy).sum(axis=0).max() * np.abs(hinv).sum(axis=0).max())
+    return hinv, bool(np.isfinite(cond) and cond <= cond_limit)
+
+
 def _mechanics_rhs(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
                    t: float, u: np.ndarray, y: np.ndarray,
-                   cond_limit: float, check_cond: bool = True) -> tuple:
+                   inverse: _LastValue, kernel: _LastValue,
+                   check_cond: bool = False) -> tuple:
     x = np.array([t])
     ycol = y[:, None]
     mk = y.shape[0]
@@ -254,30 +284,28 @@ def _mechanics_rhs(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
 
     mom = lagrangian.partial_y_arrays(x, u, ycol)[:, 0]
     # Z[al, ga] at the one base slot: C_{0 al}^ga + C_{be al}^ga y^be
-    ck = pair.c_kernel_at(x, u)
+    if pair.c_kernel is None:
+        ck = pair.c_kernel_at(x, u)
+    else:
+        ck = kernel(np.asarray(pair.c_kernel(x, u), dtype=float))
     zslice = pair.c_mixed_at(x, u)[0] + (y @ ck.reshape(mk, -1)).reshape(mk, mk)
     rhs = zslice @ mom
     if u.size:
         rhs += rho_k @ lagrangian.partial_u_arrays(x, u, ycol)
 
     hyy, hyu = _mechanics_hessians(lagrangian, x, u, ycol)
-    try:
-        hinv = np.linalg.inv(hyy)
-    except np.linalg.LinAlgError as exc:
+    hinv, well_conditioned = inverse(hyy)
+    if check_cond and not well_conditioned:
         raise DegenerateLagrangianError(
-            "velocity Hessian of the Lagrangian is singular") from exc
-    if check_cond:
-        cond = float(np.abs(hyy).sum(axis=0).max() * np.abs(hinv).sum(axis=0).max())
-        if not np.isfinite(cond) or cond > cond_limit:
-            raise DegenerateLagrangianError(
-                "velocity Hessian of the Lagrangian is singular or ill-conditioned")
+            "velocity Hessian of the Lagrangian is singular or ill-conditioned")
 
-    # explicit time dependence of the momentum map
-    mom_t = partial_derivative(lambda z: lagrangian.partial_y_arrays(z, u, ycol),
-                               x, 0, FINE_STEP)[:, 0]
-
-    ydot = hinv @ (rhs - (hyu @ udot if u.size else 0.0) - mom_t)
-    return udot, ydot
+    if u.size:
+        rhs -= hyu @ udot
+    if not lagrangian.autonomous:
+        # explicit time dependence of the momentum map
+        rhs -= partial_derivative(lambda z: lagrangian.partial_y_arrays(z, u, ycol),
+                                  x, 0, FINE_STEP)[:, 0]
+    return udot, hinv @ rhs
 
 
 def integrate_mechanics(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
@@ -286,8 +314,18 @@ def integrate_mechanics(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
     """Fixed-step RK4 integration of the one-dimensional field equations.
 
     The momentum equation is solved for the velocity rate through the
-    (dense, condition-guarded) velocity Hessian at every stage.  Requires
-    a regular Lagrangian; raises on blow-up.
+    (dense) inverse of the velocity Hessian at every stage; its condition
+    number is checked against ``cond_limit`` on the first stage of each
+    step.  Requires a regular Lagrangian; raises on blow-up.
+
+    Work that depends on one array alone is done once per run: the
+    inverse of the velocity Hessian with its condition verdict, and the
+    antisymmetrized kernel constants, are kept in a one-entry memo keyed
+    on the bytes of the Hessian and of the raw constants.  Both are still
+    evaluated at every stage, so a Hessian that changes along the
+    trajectory is inverted afresh whenever it changes.  The explicit time
+    derivative of the momentum is differenced only for Lagrangians not
+    declared ``autonomous``.
     """
     if pair.base_dim != 1:
         raise ValueError("mechanics integration needs a one-dimensional base")
@@ -303,23 +341,22 @@ def integrate_mechanics(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
     ys = np.zeros((n_steps + 1, mk))
     us[0], ys[0] = initial.u, initial.y
 
+    memo = (_LastValue(lambda hyy: _inverse_and_verdict(hyy, cond_limit)),
+            _LastValue(_antisym01))
     u, y = initial.u.astype(float).copy(), initial.y.astype(float).copy()
     for i in range(n_steps):
         t = times[i]
         # condition guard on the first stage of each step
-        k1u, k1y = _mechanics_rhs(pair, lagrangian, t, u, y, cond_limit)
+        k1u, k1y = _mechanics_rhs(pair, lagrangian, t, u, y, *memo, check_cond=True)
         k2u, k2y = _mechanics_rhs(pair, lagrangian, t + dt / 2,
-                                  u + dt / 2 * k1u, y + dt / 2 * k1y, cond_limit,
-                                  check_cond=False)
+                                  u + dt / 2 * k1u, y + dt / 2 * k1y, *memo)
         k3u, k3y = _mechanics_rhs(pair, lagrangian, t + dt / 2,
-                                  u + dt / 2 * k2u, y + dt / 2 * k2y, cond_limit,
-                                  check_cond=False)
+                                  u + dt / 2 * k2u, y + dt / 2 * k2y, *memo)
         k4u, k4y = _mechanics_rhs(pair, lagrangian, t + dt,
-                                  u + dt * k3u, y + dt * k3y, cond_limit,
-                                  check_cond=False)
+                                  u + dt * k3u, y + dt * k3y, *memo)
         u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
         y = y + dt / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(u).all() and np.isfinite(y).all()):
             raise IntegrationBlowupError(f"non-finite state at t = {t + dt}")
         us[i + 1], ys[i + 1] = u, y
     return MechanicsTrajectory(times=times, u=us, y=ys)
@@ -338,6 +375,7 @@ def quadratic_kinetic_lagrangian(weights) -> Lagrangian:
         grad_y=lambda x, u, y: w[:, None] * y,
         hess_yy=lambda x, u, y: np.diag(w),
         hess_yu=lambda x, u, y: np.zeros((w.size, np.asarray(u).size)),
+        autonomous=True,
     )
 
 
@@ -356,6 +394,7 @@ def heavy_top_lagrangian(inertia, mgl: float, chi) -> Lagrangian:
         grad_y=lambda x, u, y: inertia[:, None] * y,
         hess_yy=lambda x, u, y: np.diag(inertia),
         hess_yu=lambda x, u, y: np.zeros((3, 3)),
+        autonomous=True,
     )
 
 
@@ -365,6 +404,7 @@ def scalar_field_lagrangian(mass: float = 0.0) -> Lagrangian:
         value=lambda x, u, y: 0.5 * float(np.sum(y ** 2)) - 0.5 * mass ** 2 * float(np.sum(np.asarray(u) ** 2)),
         grad_u=lambda x, u, y: -mass ** 2 * np.asarray(u, dtype=float),
         grad_y=lambda x, u, y: np.asarray(y, dtype=float).copy(),
+        autonomous=True,
     )
 
 
@@ -429,7 +469,7 @@ def chern_simons_lagrangian(data: ChernSimonsData) -> Lagrangian:
 
     return Lagrangian(value=value,
                       grad_u=lambda x, u, y: np.zeros(0),
-                      grad_y=grad_y)
+                      grad_y=grad_y, autonomous=True)
 
 
 def builder_chern_simons(data: ChernSimonsData, grid: GridSpec):

@@ -48,6 +48,12 @@ class Lagrangian:
     ``grad_y -> (kernel_rank, base_dim)`` when supplied, else central
     differences.  ``hess_yy``/``hess_yu`` are used by the
     mechanics integrator (one-dimensional base) and may be omitted.
+
+    ``autonomous`` declares that ``value`` and every partial do not
+    depend on the base point ``x``.  The mechanics integrator then skips
+    the central difference of the momentum in time, which is exactly 0
+    for such a Lagrangian; undeclared Lagrangians keep it.  A wrong
+    declaration drops a real time dependence.
     """
 
     value: Callable
@@ -55,6 +61,7 @@ class Lagrangian:
     grad_y: Optional[Callable] = None
     hess_yy: Optional[Callable] = None
     hess_yu: Optional[Callable] = None
+    autonomous: bool = False
 
     def at(self, p: JetPoint) -> float:
         return float(self.value(p.x, p.u, p.y))
@@ -85,6 +92,9 @@ class Lagrangian:
             value=lambda x, u, y: self.value(x, u, y) + other.value(x, u, y),
             grad_u=add2(self.grad_u, other.grad_u),
             grad_y=add2(self.grad_y, other.grad_y),
+            hess_yy=add2(self.hess_yy, other.hess_yy),
+            hess_yu=add2(self.hess_yu, other.hess_yu),
+            autonomous=self.autonomous and other.autonomous,
         )
 
 

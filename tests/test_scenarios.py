@@ -197,6 +197,13 @@ class TestStandardScenario:
                                 atol=1e-7)
 
 
+SHIPPED_MECHANICS = pytest.mark.parametrize("pair, lag, u0", [
+    (rigid_body_pair(), rigid_body_lagrangian([1.0, 2.0, 3.0]), np.zeros(0)),
+    (heavy_top_pair(), heavy_top_lagrangian([2.0, 2.0, 1.0], 1.0, [0.0, 0.0, 1.0]),
+     np.array([0.6, 0.0, 0.8])),
+], ids=["rigid_body", "heavy_top"])
+
+
 class TestMechanicsIntegrator:
     def test_free_particle_exact(self):
         pair = free_particle_pair(2)
@@ -289,11 +296,7 @@ class TestMechanicsIntegrator:
         assert np.max(np.abs(axis_current - axis_current[0])) < 1e-9
         assert np.max(np.abs(casimir - casimir[0])) < 1e-9
 
-    @pytest.mark.parametrize("pair, lag, u0", [
-        (rigid_body_pair(), rigid_body_lagrangian([1.0, 2.0, 3.0]), np.zeros(0)),
-        (heavy_top_pair(), heavy_top_lagrangian([2.0, 2.0, 1.0], 1.0, [0.0, 0.0, 1.0]),
-         np.array([0.6, 0.0, 0.8])),
-    ], ids=["rigid_body", "heavy_top"])
+    @SHIPPED_MECHANICS
     def test_difference_hessians_match_analytic(self, pair, lag, u0):
         state = MechanicsState(0.0, u0, np.array([0.3, -0.5, 0.9]))
         fallback = dataclasses.replace(lag, hess_yy=None, hess_yu=None)
@@ -301,6 +304,94 @@ class TestMechanicsIntegrator:
                  for lg in (lag, fallback)]
         npt.assert_allclose(trajs[1].y, trajs[0].y, atol=1e-8)
         npt.assert_allclose(trajs[1].u, trajs[0].u, atol=1e-8)
+
+    @SHIPPED_MECHANICS
+    def test_autonomous_declaration_changes_no_bit(self, pair, lag, u0):
+        # skipping the momentum time derivative drops a difference that is
+        # exactly 0 for these Lagrangians
+        assert lag.autonomous
+        state = MechanicsState(0.0, u0, np.array([0.3, -0.5, 0.9]))
+        trajs = [integrate_mechanics(pair, lg, state, t_end=1.0, dt=1e-2)
+                 for lg in (lag, dataclasses.replace(lag, autonomous=False))]
+        assert np.array_equal(trajs[0].y, trajs[1].y)
+        assert np.array_equal(trajs[0].u, trajs[1].u)
+
+    @SHIPPED_MECHANICS
+    def test_sum_keeps_hessians_and_declaration(self, pair, lag, u0):
+        mk, mu = 3, u0.size
+        zero = Lagrangian(value=lambda x, u, y: 0.0,
+                          grad_u=lambda x, u, y: np.zeros(mu),
+                          grad_y=lambda x, u, y: np.zeros((mk, 1)),
+                          hess_yy=lambda x, u, y: np.zeros((mk, mk)),
+                          hess_yu=lambda x, u, y: np.zeros((mk, mu)),
+                          autonomous=True)
+        total = lag + zero
+        assert total.hess_yy is not None and total.hess_yu is not None
+        assert total.autonomous
+        assert not (lag + dataclasses.replace(zero, autonomous=False)).autonomous
+        assert (lag + dataclasses.replace(zero, hess_yy=None)).hess_yy is None
+        state = MechanicsState(0.0, u0, np.array([0.3, -0.5, 0.9]))
+        trajs = [integrate_mechanics(pair, lg, state, t_end=1.0, dt=1e-2)
+                 for lg in (lag, total)]
+        assert np.array_equal(trajs[0].y, trajs[1].y)
+        assert np.array_equal(trajs[0].u, trajs[1].u)
+
+    def test_u_dependent_hessian_is_inverted_at_every_stage(self):
+        # L = 1/2 m(u) |y|^2: the analytic velocity Hessian m(u) I changes at
+        # every stage, so a reused inverse would part from the reference below
+        def mass(u):
+            return 1.5 + np.sin(u[0]) * np.cos(u[1])
+
+        def mass_gradient(u):
+            return np.array([np.cos(u[0]) * np.cos(u[1]), -np.sin(u[0]) * np.sin(u[1])])
+
+        lag = Lagrangian(value=lambda x, u, y: 0.5 * mass(u) * float(np.sum(y ** 2)),
+                         grad_u=lambda x, u, y: 0.5 * float(np.sum(y ** 2)) * mass_gradient(u),
+                         grad_y=lambda x, u, y: mass(u) * y,
+                         hess_yy=lambda x, u, y: mass(u) * np.eye(2),
+                         hess_yu=lambda x, u, y: np.outer(y[:, 0], mass_gradient(u)),
+                         autonomous=True)
+        state = MechanicsState(0.0, np.array([0.2, -0.3]), np.array([1.0, 0.7]))
+        fallback = dataclasses.replace(lag, hess_yy=None, hess_yu=None)
+        trajs = [integrate_mechanics(free_particle_pair(2), lg, state, t_end=2.0, dt=1e-2)
+                 for lg in (lag, fallback)]
+        masses = [mass(u) for u in trajs[0].u]
+        assert max(masses) - min(masses) > 0.5
+        npt.assert_allclose(trajs[1].y, trajs[0].y, atol=1e-8)
+        npt.assert_allclose(trajs[1].u, trajs[0].u, atol=1e-8)
+
+        # independent reference: u' = y, m y' = 1/2 |y|^2 dm/du - (dm/du . y) y
+        # with a separately coded RK4
+        def rhs(z):
+            u, y = z[:2], z[2:]
+            dm = mass_gradient(u)
+            return np.concatenate([y, (0.5 * (y @ y) * dm - (dm @ y) * y) / mass(u)])
+
+        z = np.concatenate([state.u, state.y])
+        for _ in range(200):
+            k1 = rhs(z)
+            k2 = rhs(z + 0.005 * k1)
+            k3 = rhs(z + 0.005 * k2)
+            k4 = rhs(z + 0.01 * k3)
+            z = z + 0.01 / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        npt.assert_allclose(np.concatenate([trajs[0].u[-1], trajs[0].y[-1]]), z, atol=1e-10)
+
+    def test_hessian_degenerating_late_is_rejected(self):
+        # L = 1/2 (y_1^2 + exp(-t) y_2^2): the velocity Hessian has condition
+        # number exp(t), which passes the limit 1e3 until t = ln 1e3 = 6.9
+        def hess_yy(x, u, y):
+            return np.diag([1.0, np.exp(-x[0])])
+
+        lag = Lagrangian(value=lambda x, u, y: 0.5 * float(y[:, 0] @ hess_yy(x, u, y) @ y[:, 0]),
+                         grad_u=lambda x, u, y: np.zeros(2),
+                         grad_y=lambda x, u, y: hess_yy(x, u, y) @ y,
+                         hess_yy=hess_yy,
+                         hess_yu=lambda x, u, y: np.zeros((2, 2)))
+        state = MechanicsState(0.0, np.zeros(2), np.array([1.0, 1.0]))
+        pair = free_particle_pair(2)
+        integrate_mechanics(pair, lag, state, t_end=6.5, dt=0.1, cond_limit=1e3)
+        with pytest.raises(DegenerateLagrangianError, match="ill-conditioned"):
+            integrate_mechanics(pair, lag, state, t_end=8.0, dt=0.1, cond_limit=1e3)
 
     def test_time_dependent_mass_conserves_momentum(self):
         # L = 1/2 m(t) |y|^2 on the free particle conserves m(t) y; only the
@@ -313,10 +404,15 @@ class TestMechanicsIntegrator:
                          grad_u=lambda x, u, y: np.zeros(2),
                          grad_y=lambda x, u, y: mass(x) * y)
         y0 = np.array([1.0, -0.4])
-        traj = integrate_mechanics(free_particle_pair(2), lag,
-                                   MechanicsState(0.0, np.zeros(2), y0), t_end=2.0, dt=1e-2)
+        state = MechanicsState(0.0, np.zeros(2), y0)
+        traj = integrate_mechanics(free_particle_pair(2), lag, state, t_end=2.0, dt=1e-2)
         expected = y0 * (mass([0.0]) / mass([traj.times]))[:, None]
         npt.assert_allclose(traj.y, expected, atol=1e-9)
+        # the time derivative is dropped only on declaration: a wrong one loses m'(t)
+        wrong = integrate_mechanics(free_particle_pair(2),
+                                    dataclasses.replace(lag, autonomous=True), state,
+                                    t_end=2.0, dt=1e-2)
+        assert np.max(np.abs(wrong.y - expected)) > 1e-3
 
     def test_degenerate_lagrangian_rejected(self):
         pair = free_particle_pair(2)
