@@ -539,13 +539,17 @@ def _write_residual_csv(ctx, outdir: Path) -> list:
               + [f"adm_{a}_{i}" for a in range(mu) for i in range(r)]
               + [f"mor_{k}_{a}_{b}" for k in range(mk)
                  for a in range(r) for b in range(a + 1, r)])
+    # one row per node in C order; csv writes each float with repr, and the
+    # rows become lists one at a time (a whole-table list costs ~1 MB at 12^3)
+    nodes = int(np.prod(grid.extents))
+    table = np.concatenate([grid.points().reshape(nodes, r),
+                            report.admissibility.reshape(nodes, mu * r),
+                            report.morphism[..., upper[0], upper[1]].reshape(nodes, -1)],
+                           axis=1)
     with open(outdir / "residuals.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for idx in grid.nodes():
-            row = np.concatenate([grid.coords(idx), report.admissibility[idx].ravel(),
-                                  report.morphism[idx][:, upper[0], upper[1]].ravel()])
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(row.tolist() for row in table)
     return ["residuals.csv"]
 
 

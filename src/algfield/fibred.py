@@ -18,6 +18,11 @@ functions of ``y``, total derivatives, the affine coefficients
 ``Z`` and the complete lift of a projectable section are implemented
 here; all of it reduces to classical jet-bundle calculus when the
 kernel is a coordinate fibre.
+
+Every coefficient is a per-point callable.  Grid passes evaluate one at
+stacked points with :func:`sample_points`, which calls it once per point,
+checks the shape of each result and stacks the results along the
+leading axes of the points.
 """
 
 from __future__ import annotations
@@ -32,7 +37,32 @@ from .differentiation import STEP, gradient, partial_derivative_two_slot
 
 
 def _antisym01(c: np.ndarray) -> np.ndarray:
-    return 0.5 * (c - np.swapaxes(c, 0, 1))
+    """Antisymmetric part in the first two point axes of a (stacked) 3-index array."""
+    return 0.5 * (c - np.swapaxes(c, -3, -2))
+
+
+def sample_points(fn: Callable, name: str, shape: tuple, x: np.ndarray,
+                  *args: np.ndarray) -> np.ndarray:
+    """``fn(x, *args)`` at every point, stacked: shape ``lead + shape``.
+
+    ``x`` has shape ``lead + (dim,)`` and each of ``args`` ``lead`` plus
+    its own point shape; ``fn`` is called once per point, with the point's
+    rows (``lead = ()`` is one call on the arrays themselves).  A result of
+    any other shape than ``shape`` raises a ``ValueError`` naming ``name``,
+    also where it would have broadcast.
+    """
+    lead = x.shape[:-1]
+    count = int(np.prod(lead))
+    out = np.empty(lead + shape)
+    flat = out.reshape((count,) + shape)
+    rows = [a.reshape((count,) + a.shape[len(lead):]) for a in (x, *args)]
+    for i, point in enumerate(zip(*rows)):
+        value = np.asarray(fn(*point), dtype=float)
+        if value.shape != shape:
+            raise ValueError(f"{name} returned shape {value.shape} at x = {point[0]}, "
+                             f"expected {shape}")
+        flat[i] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -45,15 +75,22 @@ class FibredAlgebroidPair:
     (identity anchor, vanishing bracket), which is the setting of the
     variational operations.
 
-    Index conventions for the coefficient callables:
+    Index conventions for the coefficient callables, with ``r``, ``m``
+    and ``k`` the base dimension, fibre dimension and kernel rank:
 
-    * ``rho_f(x)[a, i] = rho_a^i``
-    * ``c_f(x)[b, c, a] = C_bc^a`` (antisym in first two axes)
-    * ``rho_base_u(x, u)[a, A] = rho_a^A``
-    * ``rho_kernel_u(x, u)[alpha, A] = rho_alpha^A``
-    * ``c_base_kernel(x, u)[a, b, gamma] = C_ab^gamma`` (antisym first two)
-    * ``c_mixed(x, u)[a, beta, gamma] = C_{a beta}^gamma``
-    * ``c_kernel(x, u)[alpha, beta, gamma]`` (antisym first two)
+    * ``rho_f(x)[a, i] = rho_a^i``, shape ``(r, r)``
+    * ``c_f(x)[b, c, a] = C_bc^a``, ``(r, r, r)`` (antisym in first two axes)
+    * ``rho_base_u(x, u)[a, A] = rho_a^A``, ``(r, m)``
+    * ``rho_kernel_u(x, u)[alpha, A] = rho_alpha^A``, ``(k, m)``
+    * ``c_base_kernel(x, u)[a, b, gamma] = C_ab^gamma``, ``(r, r, k)``
+      (antisym first two)
+    * ``c_mixed(x, u)[a, beta, gamma] = C_{a beta}^gamma``, ``(r, k, k)``
+    * ``c_kernel(x, u)[alpha, beta, gamma]``, ``(k, k, k)`` (antisym first two)
+
+    Each callable takes one point, ``x`` of shape ``(r,)`` and ``u`` of
+    shape ``(m,)``, and must return exactly its shape: grid passes call
+    it once per node through :meth:`coefficient`, which raises on any
+    other shape.  An unset (``None``) coefficient is never called.
     """
 
     base_dim: int
@@ -72,7 +109,27 @@ class FibredAlgebroidPair:
         """True when the base algebroid is the coordinate tangent frame."""
         return self.rho_f is None and self.c_f is None
 
-    # -- coefficient accessors (shape-checked, antisymmetrized) -----------
+    # -- coefficient accessors (antisymmetrized) ---------------------------
+
+    def coefficient(self, name: str, x: np.ndarray, u: Optional[np.ndarray] = None) -> np.ndarray:
+        """Coefficient ``name`` at stacked points, antisymmetrized where its
+        convention says so.
+
+        ``x`` has shape ``lead + (r,)`` and ``u`` (for the coefficients
+        that take it) ``lead + (m,)``; the result has shape ``lead`` plus
+        the coefficient's point shape, checked at every point.  An unset
+        coefficient is not called and stays point-shaped (identity anchor
+        or zeros), so it broadcasts against stacked operands.
+        """
+        r, m, k = self.base_dim, self.fibre_dim, self.kernel_rank
+        shape = {"rho_f": (r, r), "c_f": (r, r, r), "rho_base_u": (r, m),
+                 "rho_kernel_u": (k, m), "c_base_kernel": (r, r, k),
+                 "c_mixed": (r, k, k), "c_kernel": (k, k, k)}[name]
+        fn = getattr(self, name)
+        if fn is None:
+            return np.eye(r) if name == "rho_f" else np.zeros(shape)
+        out = sample_points(fn, name, shape, x, *(() if u is None else (u,)))
+        return _antisym01(out) if name in ("c_f", "c_base_kernel", "c_kernel") else out
 
     def rho_f_at(self, x) -> np.ndarray:
         r = self.base_dim
@@ -213,7 +270,10 @@ class ProjectableSection:
     ``base_coeffs(x)[a] = sigma^a`` (``None`` for a vertical section) and
     ``vertical_coeffs(x, u)[alpha] = sigma^alpha``.  Optional analytic
     derivatives follow the usual layout (value indices first,
-    differentiation index last).
+    differentiation index last).  Like the pair coefficients,
+    ``vertical_coeffs`` takes one point and returns shape
+    ``(kernel_rank,)``; the grid passes call it once per node through
+    :meth:`vertical_points`, which raises on any other shape.
     """
 
     base_coeffs: Optional[Callable] = None
@@ -235,6 +295,14 @@ class ProjectableSection:
         if self.vertical_coeffs is None:
             return np.zeros(kernel_rank)
         return np.asarray(self.vertical_coeffs(x, u), dtype=float)
+
+    def vertical_points(self, x: np.ndarray, u: np.ndarray, kernel_rank: int) -> np.ndarray:
+        """``vertical_coeffs`` at stacked points (``x`` of shape ``lead + (r,)``,
+        ``u`` of shape ``lead + (m,)``): shape ``lead + (kernel_rank,)``, or a
+        point-shaped zero when unset."""
+        if self.vertical_coeffs is None:
+            return np.zeros(kernel_rank)
+        return sample_points(self.vertical_coeffs, "vertical_coeffs", (kernel_rank,), x, u)
 
     def base_jacobian(self, x, base_dim: int) -> np.ndarray:
         if self.base_coeffs is None:
@@ -316,14 +384,19 @@ def z_functions(pair: FibredAlgebroidPair, p: JetPoint):
     ``y``; at ``y = 0`` they reduce to the plain bracket coefficients.
     """
     x, u, y = p.x, p.u, p.y
-    cm = pair.c_mixed_at(x, u)
-    ck = pair.c_kernel_at(x, u)
-    cbk = pair.c_base_kernel_at(x, u)
-    z_mixed = np.einsum("agk->kag", cm).copy()
-    z_mixed += np.einsum("bgk,ba->kag", ck, y)
-    z_base = np.einsum("ack->kac", cbk).copy()
+    cm = pair.coefficient("c_mixed", x, u)
+    z_base = np.einsum("ack->kac", pair.coefficient("c_base_kernel", x, u)).copy()
     z_base -= np.einsum("cbk,ba->kac", cm, y)
-    return z_mixed, z_base
+    return z_mixed(cm, pair.coefficient("c_kernel", x, u), y), z_base
+
+
+def z_mixed(c_mixed: np.ndarray, c_kernel: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``z_mixed`` of :func:`z_functions` from the (antisymmetrized) ``c_mixed``
+    and ``c_kernel`` coefficients, at stacked points: every operand has the
+    leading axes of the points or none, and the result has them."""
+    out = np.einsum("...bgk,...ba->...kag", c_kernel, y)
+    out += np.einsum("...agk->...kag", c_mixed)
+    return out
 
 
 def complete_lift(pair: FibredAlgebroidPair, sigma: ProjectableSection, p: JetPoint):

@@ -11,9 +11,14 @@ the variational problem:
 
 All derivatives come from ``grid_derivative``: second-order central
 differences, with periodic wrap or one-sided second-order stencils at
-the boundary.  ``residual_report`` forms them once per grid and
-evaluates the pointwise residual formulas at every node; the single-node
-functions differentiate the whole grid and read their node, so sweeps
+the boundary.  Each pointwise residual formula is written once, over
+node data with any leading axes.  The single-node functions call it on
+one node (after differentiating the whole grid and reading their node);
+``residual_report`` forms the derivatives once per grid and calls it on
+blocks of ``BLOCK_NODES`` nodes through ``block_pass``, so its
+temporaries scale with the block, not the grid.  Within a block each
+coefficient callable of the pair is still called once per node (see
+``FibredAlgebroidPair``), and must return its documented shape.  Sweeps
 call ``residual_report``.  Closed-form or integrated fields come from
 the scenario builders.
 """
@@ -26,10 +31,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fibred import FibredAlgebroidPair, JetPoint
+from .fibred import FibredAlgebroidPair, JetPoint, sample_points
 
 _FORMAT_NAME = "algfield-section"
 _FORMAT_VERSION = 1
+
+# nodes per block of the grid passes (``block_pass``)
+BLOCK_NODES = 512
 
 
 class StencilError(ValueError):
@@ -129,6 +137,25 @@ def _difference_into(out: np.ndarray, values: np.ndarray, grid: GridSpec, axis: 
     return out
 
 
+def block_pass(grid: GridSpec, step: Callable, *arrays: np.ndarray) -> None:
+    """Call ``step(x, *blocks)`` on consecutive blocks of at most ``BLOCK_NODES`` nodes.
+
+    Nodes are taken in C order.  ``x`` holds the coordinates of the
+    block's nodes, shape ``(n, dim)``, equal to ``grid.coords`` of each;
+    each block is the rows of one of ``arrays`` (shape ``extents +
+    point shape``) flattened to ``(n,) + point shape``.  For a
+    C-contiguous array the rows are views, so ``step`` may overwrite a
+    block in place, as the grid passes do with their derivative arrays.
+    """
+    total = int(np.prod(grid.extents))
+    rows = [a.reshape((total,) + a.shape[grid.dim:]) for a in arrays]
+    origin, spacing = np.asarray(grid.origin), np.asarray(grid.spacing)
+    for start in range(0, total, BLOCK_NODES):
+        stop = min(start + BLOCK_NODES, total)
+        idx = np.stack(np.unravel_index(np.arange(start, stop), grid.extents), axis=-1)
+        step(origin + idx * spacing, *(r[start:stop] for r in rows))
+
+
 @dataclass(frozen=True)
 class DiscretizedSection:
     """Grid of first-order field data: ``u[idx, A]`` and ``y[idx, alpha, a]``."""
@@ -165,15 +192,22 @@ class DiscretizedSection:
     def from_functions(grid: GridSpec, fibre_dim: int, kernel_rank: int,
                        u_fn: Optional[Callable] = None,
                        y_fn: Optional[Callable] = None) -> "DiscretizedSection":
-        """Sample closed-form ``u(x)`` and ``y(x)`` on the grid."""
+        """Sample closed-form ``u(x)`` and ``y(x)`` on the grid.
+
+        Both take one node's coordinates ``x`` (shape ``(dim,)``) and
+        return shape ``(fibre_dim,)`` and ``(kernel_rank, dim)``; any other
+        shape raises.  An unset function leaves its array zero.
+        """
         u = np.zeros(grid.extents + (fibre_dim,))
         y = np.zeros(grid.extents + (kernel_rank, grid.dim))
-        for idx in grid.nodes():
-            x = grid.coords(idx)
+
+        def step(x, u_rows, y_rows):
             if u_fn is not None:
-                u[idx] = u_fn(x)
+                u_rows[...] = sample_points(u_fn, "u_fn", u_rows.shape[1:], x)
             if y_fn is not None:
-                y[idx] = y_fn(x)
+                y_rows[...] = sample_points(y_fn, "y_fn", y_rows.shape[1:], x)
+
+        block_pass(grid, step, u, y)
         return DiscretizedSection(grid=grid, u=u, y=y)
 
 
@@ -216,7 +250,9 @@ def admissibility_residual(pair: FibredAlgebroidPair, section: DiscretizedSectio
     Shape ``(fibre_dim, base_dim)``; identically empty when the pair has
     no fibre coordinates.
     """
-    return _admissibility(pair, section, idx, grid_gradient(section.u, section.grid))
+    idx = tuple(idx)
+    return _admissibility(pair, section.grid.coords(idx), section.u[idx], section.y[idx],
+                          grid_gradient(section.u, section.grid)[idx])
 
 
 def morphism_residual(pair: FibredAlgebroidPair, section: DiscretizedSection,
@@ -233,44 +269,41 @@ def morphism_residual(pair: FibredAlgebroidPair, section: DiscretizedSection,
     and under which the flat-reference case forces
     ``d_a y_b - d_b y_a = Omega_ab`` (see the scenario tests).
     """
-    return _morphism(pair, section, idx, grid_gradient(section.y, section.grid))
+    idx = tuple(idx)
+    return _morphism(pair, section.grid.coords(idx), section.u[idx], section.y[idx],
+                     grid_gradient(section.y, section.grid)[idx])
 
 
-def _admissibility(pair: FibredAlgebroidPair, section: DiscretizedSection, idx,
+def _admissibility(pair: FibredAlgebroidPair, x: np.ndarray, u: np.ndarray, y: np.ndarray,
                    du: np.ndarray) -> np.ndarray:
-    """Admissibility residual at one node from the grid array ``du[..., A, i] = d_i u^A``."""
-    p = section.jet_point(idx)
-    if section.fibre_dim == 0:
-        return np.zeros((0, pair.base_dim))
-    rho_f = pair.rho_f_at(p.x)
-    out = np.einsum("ai,Ai->Aa", rho_f, du[tuple(idx)])
-    out -= pair.rho_base_u_at(p.x, p.u).T
-    out -= np.einsum("kA,ka->Aa", pair.rho_kernel_u_at(p.x, p.u), p.y)
+    """Admissibility residual at nodes with coordinates ``x`` (shape
+    ``lead + (dim,)``), jet data ``u``, ``y`` and ``du[..., A, i] = d_i u^A``."""
+    if u.shape[-1] == 0:
+        return np.zeros(du.shape)
+    out = np.einsum("...ai,...Ai->...Aa", pair.coefficient("rho_f", x), du)
+    out -= np.swapaxes(pair.coefficient("rho_base_u", x, u), -1, -2)
+    out -= np.einsum("...kA,...ka->...Aa", pair.coefficient("rho_kernel_u", x, u), y)
     return out
 
 
-def _morphism(pair: FibredAlgebroidPair, section: DiscretizedSection, idx,
+def _morphism(pair: FibredAlgebroidPair, x: np.ndarray, u: np.ndarray, y: np.ndarray,
               dy: np.ndarray) -> np.ndarray:
-    """Flatness residual at one node from the grid array ``dy[..., al, a, i] = d_i y^al_a``."""
-    p = section.jet_point(idx)
-    y = p.y
-    dy = dy[tuple(idx)]
-    rho_f = pair.rho_f_at(p.x)
-    cm = pair.c_mixed_at(p.x, p.u)
-    ck = pair.c_kernel_at(p.x, p.u)
-    cbk = pair.c_base_kernel_at(p.x, p.u)
-    cf = pair.c_f_at(p.x)
+    """Flatness residual at nodes with coordinates ``x`` (shape ``lead + (dim,)``),
+    jet data ``u``, ``y`` and ``dy[..., al, a, i] = d_i y^al_a``."""
+    rho_f = pair.coefficient("rho_f", x)
+    cm = pair.coefficient("c_mixed", x, u)
+    ck = pair.coefficient("c_kernel", x, u)
 
-    out = np.einsum("bi,kai->kab", rho_f, dy)
-    out -= np.einsum("ai,kbi->kab", rho_f, dy)
-    out += np.einsum("bgk,ga->kab", cm, y)
-    out -= np.einsum("agk,gb->kab", cm, y)
-    out += np.einsum("mgk,mb,ga->kab", ck, y, y)
-    out += np.einsum("abc,kc->kab", cf, y)
-    out -= np.einsum("abk->kab", cbk)
+    out = np.einsum("...bi,...kai->...kab", rho_f, dy)
+    out -= np.einsum("...ai,...kbi->...kab", rho_f, dy)
+    out += np.einsum("...bgk,...ga->...kab", cm, y)
+    out -= np.einsum("...agk,...gb->...kab", cm, y)
+    out += np.einsum("...mgk,...mb,...ga->...kab", ck, y, y)
+    out += np.einsum("...abc,...kc->...kab", pair.coefficient("c_f", x), y)
+    out -= np.einsum("...abk->...kab", pair.coefficient("c_base_kernel", x, u))
     # enforce exact antisymmetry in the base pair (summation order in the
     # quadratic term can otherwise leave last-bit asymmetry)
-    return 0.5 * (out - np.swapaxes(out, 1, 2))
+    return 0.5 * (out - np.swapaxes(out, -2, -1))
 
 
 def residual_report(pair: FibredAlgebroidPair, section: DiscretizedSection,
@@ -284,9 +317,12 @@ def residual_report(pair: FibredAlgebroidPair, section: DiscretizedSection,
     # reads only its own derivatives, so its residuals overwrite them
     adm = grid_gradient(section.u, section.grid)
     mor = grid_gradient(section.y, section.grid)
-    for idx in section.grid.nodes():
-        adm[idx] = _admissibility(pair, section, idx, adm)
-        mor[idx] = _morphism(pair, section, idx, mor)
+
+    def step(x, u, y, du, dy):
+        du[...] = _admissibility(pair, x, u, y, du)
+        dy[...] = _morphism(pair, x, u, y, dy)
+
+    block_pass(section.grid, step, section.u, section.y, adm, mor)
     fieldres = ResidualField(admissibility=adm, morphism=mor,
                              cell_volume=section.grid.cell_volume)
     return fieldres, bool(fieldres.max_norm <= tol)

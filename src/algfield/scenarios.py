@@ -204,19 +204,17 @@ class MechanicsTrajectory:
 
     def energy_series(self, lagrangian: Lagrangian, momentum: np.ndarray) -> np.ndarray:
         """``momentum . y - L`` per sample, with ``momentum`` the
-        ``momentum_series(lagrangian)`` of this trajectory."""
-        out = np.zeros(self.times.size)
-        for i, t in enumerate(self.times):
-            x, ycol = np.array([t]), self.y[i][:, None]
-            out[i] = float(momentum[i] @ self.y[i]) - float(lagrangian.value(x, self.u[i], ycol))
-        return out
+        ``momentum_series(lagrangian)`` of this trajectory.  ``value`` is
+        still called once per sample; the stacked product keeps each
+        sample's dot product bit for bit."""
+        values = lagrangian.value_points(self.times[:, None], self.u, self.y[:, :, None])
+        return (momentum[:, None, :] @ self.y[:, :, None])[:, 0, 0] - values
 
     def momentum_series(self, lagrangian: Lagrangian) -> np.ndarray:
-        out = np.zeros_like(self.y)
-        for i, t in enumerate(self.times):
-            out[i] = lagrangian.partial_y_arrays(np.array([t]), self.u[i],
-                                                 self.y[i][:, None])[:, 0]
-        return out
+        """``dL/dy`` per sample, shape ``(samples, kernel_rank)`` (``grad_y``
+        is called once per sample)."""
+        return lagrangian.partial_y_points(self.times[:, None], self.u,
+                                           self.y[:, :, None])[:, :, 0]
 
     def el_residual_series(self, pair: FibredAlgebroidPair,
                            lagrangian: Lagrangian) -> np.ndarray:

@@ -26,6 +26,15 @@ sections whose vertical components depend on ``u``, the identity holds
 along admissible fields (only then does the total derivative of the
 section match its chain rule through ``u``); for sections depending on
 ``x`` alone it holds for arbitrary fields.
+
+The pointwise formulas (the Euler-Lagrange residual from a node's
+momentum and its divergence, and the current of a vertical section) are
+written once over node data with any leading axes.  The single-node
+functions call them on one node; the whole-grid fields (momentum,
+Euler-Lagrange residual, current) call them on blocks of nodes through
+``fields.block_pass``.  The Lagrangian and section callables keep a
+per-point contract: each is called once per node with that node's
+``(x, u, y)`` and must return its documented shape, which is checked.
 """
 
 from __future__ import annotations
@@ -36,17 +45,21 @@ from typing import Callable, Optional
 import numpy as np
 
 from .differentiation import FINE_STEP, gradient
-from .fibred import FibredAlgebroidPair, JetPoint, ProjectableSection, complete_lift, z_functions
-from .fields import DiscretizedSection, GridSpec, grid_derivative
+from .fibred import FibredAlgebroidPair, ProjectableSection, complete_lift, sample_points, z_mixed
+from .fields import DiscretizedSection, GridSpec, block_pass, grid_derivative
 
 
 @dataclass(frozen=True)
 class Lagrangian:
     """Scalar action density on jet data, with optional analytic partials.
 
-    ``value(x, u, y) -> float``; ``grad_u -> (fibre_dim,)`` and
-    ``grad_y -> (kernel_rank, base_dim)`` when supplied, else central
-    differences.  ``hess_yy``/``hess_yu`` are used by the
+    Every callable takes one point: ``x`` of shape ``(base_dim,)``, ``u``
+    of shape ``(fibre_dim,)`` and ``y`` of shape ``(kernel_rank,
+    base_dim)``.  ``value(x, u, y) -> float``; ``grad_u -> (fibre_dim,)``
+    and ``grad_y -> (kernel_rank, base_dim)`` when supplied, else central
+    differences.  The whole-grid passes call them once per node through
+    the ``*_points`` methods, which raise on a result of any other shape.
+    ``hess_yy``/``hess_yu`` are used by the
     mechanics integrator (one-dimensional base) and may be omitted.
 
     ``autonomous`` declares that ``value`` and every partial do not
@@ -63,15 +76,6 @@ class Lagrangian:
     hess_yu: Optional[Callable] = None
     autonomous: bool = False
 
-    def at(self, p: JetPoint) -> float:
-        return float(self.value(p.x, p.u, p.y))
-
-    def partial_u(self, p: JetPoint) -> np.ndarray:
-        return self.partial_u_arrays(p.x, p.u, p.y)
-
-    def partial_y(self, p: JetPoint) -> np.ndarray:
-        return self.partial_y_arrays(p.x, p.u, p.y)
-
     def partial_u_arrays(self, x, u, y) -> np.ndarray:
         if self.grad_u is not None:
             return np.asarray(self.grad_u(x, u, y), dtype=float)
@@ -81,6 +85,19 @@ class Lagrangian:
         if self.grad_y is not None:
             return np.asarray(self.grad_y(x, u, y), dtype=float)
         return gradient(lambda v: self.value(x, u, v), y, FINE_STEP)
+
+    def value_points(self, x, u, y) -> np.ndarray:
+        """``value`` at stacked points (``x`` of shape ``lead + (base_dim,)``,
+        ``u`` and ``y`` with the same leading axes): shape ``lead``."""
+        return sample_points(self.value, "value", (), x, u, y)
+
+    def partial_u_points(self, x, u, y) -> np.ndarray:
+        """``dL/du`` at stacked points: shape ``lead + (fibre_dim,)``."""
+        return sample_points(self.partial_u_arrays, "grad_u", u.shape[x.ndim - 1:], x, u, y)
+
+    def partial_y_points(self, x, u, y) -> np.ndarray:
+        """``dL/dy`` at stacked points: shape ``lead + (kernel_rank, base_dim)``."""
+        return sample_points(self.partial_y_arrays, "grad_y", y.shape[x.ndim - 1:], x, u, y)
 
     def __add__(self, other: "Lagrangian") -> "Lagrangian":
         def add2(f, g):
@@ -113,9 +130,12 @@ def _require_vertical(sigma: ProjectableSection) -> None:
 
 def _momentum_field(lagrangian: Lagrangian, section: DiscretizedSection) -> np.ndarray:
     """``dL/dy`` at every node, shape ``extents + (kernel_rank, base_dim)``."""
-    out = np.zeros(section.y.shape)
-    for idx in section.grid.nodes():
-        out[idx] = lagrangian.partial_y(section.jet_point(idx))
+    out = np.empty(section.y.shape)
+
+    def step(x, u, y, mom):
+        mom[...] = lagrangian.partial_y_points(x, u, y)
+
+    block_pass(section.grid, step, section.u, section.y, out)
     return out
 
 
@@ -127,14 +147,23 @@ def _divergence(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _el_local(pair: FibredAlgebroidPair, lagrangian: Lagrangian, p: JetPoint,
+def _el_local(pair: FibredAlgebroidPair, lagrangian: Lagrangian, x, u, y,
               mom: np.ndarray, div: np.ndarray) -> np.ndarray:
-    """Euler-Lagrange residual at ``p`` from its momentum and momentum divergence."""
-    z_mixed, _ = z_functions(pair, p)
-    out = div - np.einsum("gak,ga->k", z_mixed, mom)
-    if p.u.size:
-        out -= np.einsum("kA,A->k", pair.rho_kernel_u_at(p.x, p.u), lagrangian.partial_u(p))
+    """Euler-Lagrange residual at nodes with coordinates ``x`` (shape
+    ``lead + (base_dim,)``) and jet data ``u``, ``y``, from their momenta
+    and momentum divergences."""
+    zm = z_mixed(pair.coefficient("c_mixed", x, u), pair.coefficient("c_kernel", x, u), y)
+    out = div - np.einsum("...gak,...ga->...k", zm, mom)
+    if u.shape[-1]:
+        out -= np.einsum("...kA,...A->...k", pair.coefficient("rho_kernel_u", x, u),
+                         lagrangian.partial_u_points(x, u, y))
     return out
+
+
+def _current(s: np.ndarray, mom: np.ndarray) -> np.ndarray:
+    """Current ``J^a = sigma^alpha dL/dy[alpha, a]`` from the section
+    components and momenta, over any leading axes."""
+    return np.einsum("...k,...ka->...a", s, mom)
 
 
 def el_residual(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
@@ -145,9 +174,10 @@ def el_residual(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
     to node (no chain-rule expansion, no second derivatives of L).
     """
     _require_coordinate_base(pair)
+    idx = tuple(idx)
     mom = _momentum_field(lagrangian, section)
-    return _el_local(pair, lagrangian, section.jet_point(idx), mom[tuple(idx)],
-                     _divergence(mom, section.grid)[tuple(idx)])
+    return _el_local(pair, lagrangian, section.grid.coords(idx), section.u[idx],
+                     section.y[idx], mom[idx], _divergence(mom, section.grid)[idx])
 
 
 def el_residual_field(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
@@ -156,8 +186,11 @@ def el_residual_field(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
     _require_coordinate_base(pair)
     mom = _momentum_field(lagrangian, section)
     out = _divergence(mom, section.grid)  # each node's residual overwrites its divergence
-    for idx in section.grid.nodes():
-        out[idx] = _el_local(pair, lagrangian, section.jet_point(idx), mom[idx], out[idx])
+
+    def step(x, u, y, m, div):
+        div[...] = _el_local(pair, lagrangian, x, u, y, m, div)
+
+    block_pass(section.grid, step, section.u, section.y, mom, out)
     return out
 
 
@@ -166,9 +199,10 @@ def noether_current(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
                     idx) -> np.ndarray:
     """Current ``J^a = sigma^alpha dL/dy[alpha, a]`` of a vertical section."""
     _require_vertical(sigma)
-    p = section.jet_point(idx)
-    s = sigma.vertical_at(p.x, p.u, section.kernel_rank)
-    return np.einsum("k,ka->a", s, lagrangian.partial_y(p))
+    idx = tuple(idx)
+    x, u, y = section.grid.coords(idx), section.u[idx], section.y[idx]
+    return _current(sigma.vertical_points(x, u, section.kernel_rank),
+                    lagrangian.partial_y_points(x, u, y))
 
 
 def invariance_defect(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
@@ -182,9 +216,9 @@ def invariance_defect(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
     _require_vertical(sigma)
     p = section.jet_point(idx)
     _, du, dy = complete_lift(pair, sigma, p)
-    out = float(np.sum(lagrangian.partial_y(p) * dy))
+    out = float(np.sum(lagrangian.partial_y_arrays(p.x, p.u, p.y) * dy))
     if section.fibre_dim:
-        out += float(lagrangian.partial_u(p) @ du)
+        out += float(lagrangian.partial_u_arrays(p.x, p.u, p.y) @ du)
     return out
 
 
@@ -205,10 +239,10 @@ def first_variation_identity_defect(pair: FibredAlgebroidPair, lagrangian: Lagra
     current_div = _divergence(_current_field(sigma, section, mom).values, section.grid)
     out = []
     for idx in map(tuple, nodes):
-        p = section.jet_point(idx)
+        x, u, y = section.grid.coords(idx), section.u[idx], section.y[idx]
         inv = invariance_defect(pair, lagrangian, sigma, section, idx)
-        el = _el_local(pair, lagrangian, p, mom[idx], el_div[idx])
-        s = sigma.vertical_at(p.x, p.u, section.kernel_rank)
+        el = _el_local(pair, lagrangian, x, u, y, mom[idx], el_div[idx])
+        s = sigma.vertical_at(x, u, section.kernel_rank)
         out.append(abs(inv + float(el @ s) - float(current_div[idx])))
     return out
 
@@ -242,8 +276,10 @@ def noether_current_field(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
 
 def _current_field(sigma: ProjectableSection, section: DiscretizedSection,
                    mom: np.ndarray) -> NoetherCurrent:
-    out = np.zeros(section.grid.extents + (section.grid.dim,))
-    for idx in section.grid.nodes():
-        p = section.jet_point(idx)
-        out[idx] = np.einsum("k,ka->a", sigma.vertical_at(p.x, p.u, mom.shape[-2]), mom[idx])
+    out = np.empty(section.grid.extents + (section.grid.dim,))
+
+    def step(x, u, m, current):
+        current[...] = _current(sigma.vertical_points(x, u, m.shape[-2]), m)
+
+    block_pass(section.grid, step, section.u, mom, out)
     return NoetherCurrent(grid=section.grid, values=out)

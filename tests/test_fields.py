@@ -1,6 +1,8 @@
 """Grids, stencils, constraint residuals and section serialization."""
 
+import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from algfield.fibred import FibredAlgebroidPair, ProjectableSection, z_functions
 from algfield.fields import (
+    BLOCK_NODES,
     DiscretizedSection,
     GridSpec,
     StencilError,
@@ -22,12 +25,15 @@ from algfield.fields import (
 from algfield.smoothfields import trig_polynomial, trig_vector
 from algfield.variational import (
     Lagrangian,
+    el_residual,
     el_residual_field,
     first_variation_identity_defect,
     invariance_defect,
+    noether_current,
+    noether_current_field,
 )
 
-from helpers import connection_pair, node_stencil, trivial_pair
+from helpers import connection_pair, heavy_top_style_pair, node_stencil, trivial_pair
 
 
 class TestGridSpec:
@@ -49,46 +55,68 @@ class TestGridSpec:
 
 
 class TestStencils:
-    @pytest.mark.parametrize("boundary", ["periodic", "one_sided"])
-    def test_grid_passes_match_node_reference(self, boundary):
+    @pytest.mark.parametrize("case", ["periodic", "one_sided", "periodic_3d_blocks",
+                                      "one_sided_1d_heavy_top"])
+    def test_grid_passes_match_node_reference(self, case):
         # every node of the whole-grid passes against the same formulas fed
-        # by the per-node reference stencil; u-dependent connection pair,
-        # Lagrangian of fourth order in y
+        # by the per-node reference stencil; u-dependent connection pair (or
+        # the heavy-top action on a 3-vector), Lagrangian of fourth order in
+        # y.  The 3d and 1d grids span more than one block, with a partial
+        # last block.
         rng = np.random.default_rng(17)
-        pair = connection_pair(rng)
-        grid = GridSpec(extents=(5, 6), spacing=(0.3, 0.2), boundary=boundary)
-        sec = DiscretizedSection(grid=grid, u=rng.standard_normal(grid.extents + (2,)),
-                                 y=rng.standard_normal(grid.extents + (2, 2)))
+        if case == "one_sided_1d_heavy_top":
+            pair = heavy_top_style_pair()
+            grid = GridSpec(extents=(BLOCK_NODES + 37,), spacing=(0.01,),
+                            boundary="one_sided")
+        elif case == "periodic_3d_blocks":
+            pair = connection_pair(rng, r=3)
+            grid = GridSpec(extents=(9, 8, 8), spacing=(0.3, 0.2, 0.25))
+        else:
+            pair = connection_pair(rng)
+            grid = GridSpec(extents=(5, 6), spacing=(0.3, 0.2), boundary=case)
+        if grid.dim != 2:
+            n_nodes = int(np.prod(grid.extents))
+            assert n_nodes > BLOCK_NODES and n_nodes % BLOCK_NODES
+        r, mu, mk = pair.base_dim, pair.fibre_dim, pair.kernel_rank
+        sec = DiscretizedSection(grid=grid, u=rng.standard_normal(grid.extents + (mu,)),
+                                 y=rng.standard_normal(grid.extents + (mk, r)))
+
+        def grad_y(x, u, y):
+            out = y ** 3
+            out[1, 0] += u[0]
+            return out
+
         lag = Lagrangian(
             value=lambda x, u, y: (0.25 * float(np.sum(y ** 4)) + float(u[0] * y[1, 0])
                                    - float(np.cos(u[1]))),
-            grad_u=lambda x, u, y: np.array([y[1, 0], np.sin(u[1])]),
-            grad_y=lambda x, u, y: y ** 3 + np.array([[0.0, 0.0], [u[0], 0.0]]))
-        sc = trig_vector(rng, 2, 2)
+            grad_u=lambda x, u, y: np.concatenate([[y[1, 0], np.sin(u[1])], np.zeros(mu - 2)]),
+            grad_y=grad_y)
+        sc = trig_vector(rng, r, mk)
         sigma = ProjectableSection(
             vertical_coeffs=lambda x, u: np.array([c(x) for c in sc]),
             d_vertical_x=lambda x, u: np.stack([c.gradient(x) for c in sc]),
-            d_vertical_u=lambda x, u: np.zeros((2, 2)))
+            d_vertical_u=lambda x, u: np.zeros((mk, mu)))
 
         def gradient_at(at, idx):
-            return np.stack([node_stencil(at, grid, a, idx) for a in range(2)], axis=-1)
+            return np.stack([node_stencil(at, grid, a, idx) for a in range(r)], axis=-1)
 
         def divergence_at(at, idx):  # at(jj) -> [..., a]
             return sum(node_stencil(lambda jj, a=a: at(jj)[..., a], grid, a, idx)
-                       for a in range(2))
+                       for a in range(r))
 
         def mom(jj):
-            return lag.partial_y(sec.jet_point(jj))
+            p = sec.jet_point(jj)
+            return lag.partial_y_arrays(p.x, p.u, p.y)
 
         def el_at(idx):
             p = sec.jet_point(idx)
             z_mixed, _ = z_functions(pair, p)
             return (divergence_at(mom, idx) - np.einsum("gak,ga->k", z_mixed, mom(idx))
-                    - pair.rho_kernel_u_at(p.x, p.u) @ lag.partial_u(p))
+                    - pair.rho_kernel_u_at(p.x, p.u) @ lag.partial_u_arrays(p.x, p.u, p.y))
 
         def current(jj):
             p = sec.jet_point(jj)
-            return sigma.vertical_at(p.x, p.u, 2) @ mom(jj)
+            return sigma.vertical_at(p.x, p.u, mk) @ mom(jj)
 
         nodes = list(grid.nodes())
         adm, mor, el, fv = [], [], [], []
@@ -108,7 +136,7 @@ class TestStencils:
                  - 0.5 * np.einsum("abk->kab", pair.c_base_kernel_at(p.x, p.u)))
             mor.append(m - np.swapaxes(m, 1, 2))
             el.append(el_at(idx))
-            s = sigma.vertical_at(p.x, p.u, 2)
+            s = sigma.vertical_at(p.x, p.u, mk)
             fv.append(abs(invariance_defect(pair, lag, sigma, sec, idx) + el[-1] @ s
                           - divergence_at(current, idx)))
 
@@ -119,9 +147,56 @@ class TestStencils:
                           (first_variation_identity_defect(pair, lag, sigma, sec, nodes), fv)]:
             want = np.reshape(want, shape + np.shape(want)[1:])
             scale = np.max(np.abs(want))
-            assert scale > 1e-3
+            # one base direction has no flatness residual: it must be exactly 0
+            assert scale > 1e-3 or (r == 1 and got is report.morphism)
             npt.assert_allclose(np.reshape(got, want.shape), want, rtol=0.0,
                                 atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("name, wrong", [
+        ("rho_f", (2, 1)), ("c_f", (2, 2, 1)), ("rho_base_u", (2, 1)),
+        ("rho_kernel_u", (2, 1)), ("c_base_kernel", (2, 2, 1)), ("c_mixed", (2, 2, 1)),
+        ("c_kernel", (2, 2, 1)), ("grad_u", (1,)), ("grad_y", (2, 1)),
+        ("vertical_coeffs", (1,))])
+    def test_wrongly_shaped_callable_raises(self, name, wrong):
+        # each wrong shape would broadcast against the right one, so only
+        # the shape check can catch it: at a single node and in a grid pass
+        rng = np.random.default_rng(29)
+        pair = connection_pair(rng)
+        grid = GridSpec(extents=(5, 6), spacing=(0.3, 0.2))
+        sec = DiscretizedSection(grid=grid, u=rng.standard_normal(grid.extents + (2,)),
+                                 y=rng.standard_normal(grid.extents + (2, 2)))
+        lag = Lagrangian(value=lambda x, u, y: 0.5 * float(np.sum(y ** 2) + np.sum(u ** 2)),
+                         grad_u=lambda x, u, y: u.copy(), grad_y=lambda x, u, y: y.copy())
+        sigma = ProjectableSection(vertical_coeffs=lambda x, u: np.array([1.0, -0.5]))
+
+        def bad(*args):
+            return np.ones(wrong)
+
+        if name in ("grad_u", "grad_y"):
+            lag = dataclasses.replace(lag, **{name: bad})
+        elif name == "vertical_coeffs":
+            sigma = ProjectableSection(vertical_coeffs=bad)
+        else:
+            pair = dataclasses.replace(pair, **{name: bad})
+        idx = (1, 2)
+        if name in ("rho_base_u", "rho_kernel_u"):
+            calls = (lambda: admissibility_residual(pair, sec, idx),
+                     lambda: residual_report(pair, sec, tol=1.0))
+        elif name == "grad_u":
+            calls = (lambda: el_residual(pair, lag, sec, idx),
+                     lambda: el_residual_field(pair, lag, sec))
+        elif name == "grad_y":
+            calls = (lambda: noether_current(pair, lag, sigma, sec, idx),
+                     lambda: el_residual_field(pair, lag, sec))
+        elif name == "vertical_coeffs":
+            calls = (lambda: noether_current(pair, lag, sigma, sec, idx),
+                     lambda: noether_current_field(pair, lag, sigma, sec))
+        else:
+            calls = (lambda: morphism_residual(pair, sec, idx),
+                     lambda: residual_report(pair, sec, tol=1.0))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{name} returned shape {re.escape(str(wrong))}"):
+                call()
 
     @pytest.mark.parametrize("boundary", ["periodic", "one_sided"])
     def test_grid_derivative_allocates_its_output_only(self, boundary):

@@ -297,6 +297,23 @@ class TestMechanicsIntegrator:
         assert np.max(np.abs(casimir - casimir[0])) < 1e-9
 
     @SHIPPED_MECHANICS
+    def test_series_match_per_sample_loop(self, pair, lag, u0):
+        # the stacked series keep every sample's bits: grad_y and value are
+        # called per sample, and the energy's dot product is a stacked matmul
+        traj = integrate_mechanics(pair, lag, MechanicsState(0.0, u0, np.array([0.3, -0.5, 0.9])),
+                                   t_end=1.0, dt=1e-2)
+        want_momentum = np.zeros_like(traj.y)
+        want_energy = np.zeros(traj.times.size)
+        for i, t in enumerate(traj.times):
+            x, ycol = np.array([t]), traj.y[i][:, None]
+            want_momentum[i] = lag.partial_y_arrays(x, traj.u[i], ycol)[:, 0]
+            want_energy[i] = (float(want_momentum[i] @ traj.y[i])
+                              - float(lag.value(x, traj.u[i], ycol)))
+        momentum = traj.momentum_series(lag)
+        assert np.array_equal(momentum, want_momentum)
+        assert np.array_equal(traj.energy_series(lag, momentum), want_energy)
+
+    @SHIPPED_MECHANICS
     def test_difference_hessians_match_analytic(self, pair, lag, u0):
         state = MechanicsState(0.0, u0, np.array([0.3, -0.5, 0.9]))
         fallback = dataclasses.replace(lag, hess_yy=None, hess_yu=None)
@@ -468,7 +485,8 @@ class TestChernSimons:
         fd = Lagrangian(value=lag.value)
         from algfield.fibred import JetPoint
         p = JetPoint(x=x, u=u, y=y)
-        npt.assert_allclose(lag.partial_y(p), fd.partial_y(p), atol=1e-8)
+        npt.assert_allclose(lag.partial_y_arrays(p.x, p.u, p.y),
+                            fd.partial_y_arrays(p.x, p.u, p.y), atol=1e-8)
 
     def test_identity_gauge_gives_zero_field(self):
         grid = GridSpec.periodic_box((4, 4, 4))
