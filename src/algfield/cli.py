@@ -367,7 +367,7 @@ def _scalar_section(pair, grid, f) -> DiscretizedSection:
         grid, 1, 1,
         u_fn=lambda x: np.array([f(x)]),
         y_fn=lambda x: (f.gradient(x)
-                        - pair.rho_base_u_at(x, np.array([f(x)]))[:, 0])[None, :])
+                        - pair.coefficient("rho_base_u", x, np.array([f(x)]))[:, 0])[None, :])
 
 
 def _standard_field_setup(ctx):

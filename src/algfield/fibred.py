@@ -19,15 +19,17 @@ functions of ``y``, total derivatives, the affine coefficients
 here; all of it reduces to classical jet-bundle calculus when the
 kernel is a coordinate fibre.
 
-Every coefficient is a per-point callable.  Grid passes evaluate one at
-stacked points with :func:`sample_points`, which calls it once per point,
-checks the shape of each result and stacks the results along the
-leading axes of the points.
+Every coefficient is a per-point callable, and every read of one goes
+through :func:`sample_points`: at stacked points it calls the callable
+once per point and stacks the results along the leading axes of the
+points, at a single point it calls it once, and either way a result of
+the wrong shape raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,22 +49,28 @@ def sample_points(fn: Callable, name: str, shape: tuple, x: np.ndarray,
 
     ``x`` has shape ``lead + (dim,)`` and each of ``args`` ``lead`` plus
     its own point shape; ``fn`` is called once per point, with the point's
-    rows (``lead = ()`` is one call on the arrays themselves).  A result of
-    any other shape than ``shape`` raises a ``ValueError`` naming ``name``,
-    also where it would have broadcast.
+    rows.  ``lead = ()`` is one call on the arrays themselves, whose
+    result is returned as is (no copy).  A result of any other shape than
+    ``shape`` raises a ``ValueError`` naming ``name``, also where it would
+    have broadcast.
     """
+    if x.ndim == 1:
+        return _checked(fn(x, *args), name, shape, x)
     lead = x.shape[:-1]
     count = int(np.prod(lead))
     out = np.empty(lead + shape)
     flat = out.reshape((count,) + shape)
     rows = [a.reshape((count,) + a.shape[len(lead):]) for a in (x, *args)]
     for i, point in enumerate(zip(*rows)):
-        value = np.asarray(fn(*point), dtype=float)
-        if value.shape != shape:
-            raise ValueError(f"{name} returned shape {value.shape} at x = {point[0]}, "
-                             f"expected {shape}")
-        flat[i] = value
+        flat[i] = _checked(fn(*point), name, shape, point[0])
     return out
+
+
+def _checked(value, name: str, shape: tuple, x: np.ndarray) -> np.ndarray:
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{name} returned shape {value.shape} at x = {x}, expected {shape}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -88,9 +96,11 @@ class FibredAlgebroidPair:
     * ``c_kernel(x, u)[alpha, beta, gamma]``, ``(k, k, k)`` (antisym first two)
 
     Each callable takes one point, ``x`` of shape ``(r,)`` and ``u`` of
-    shape ``(m,)``, and must return exactly its shape: grid passes call
-    it once per node through :meth:`coefficient`, which raises on any
-    other shape.  An unset (``None``) coefficient is never called.
+    shape ``(m,)``, and must return exactly its shape.  It is read through
+    :meth:`coefficient` (the mechanics integrator reads the raw kernel
+    constants through :func:`sample_points`), at one point or at stacked
+    points, which raises on any other shape.  An unset (``None``)
+    coefficient is never called.
     """
 
     base_dim: int
@@ -109,74 +119,32 @@ class FibredAlgebroidPair:
         """True when the base algebroid is the coordinate tangent frame."""
         return self.rho_f is None and self.c_f is None
 
-    # -- coefficient accessors (antisymmetrized) ---------------------------
+    # -- the coefficient reader (antisymmetrized) -------------------------
+
+    @cached_property
+    def _shapes(self) -> dict:
+        r, m, k = self.base_dim, self.fibre_dim, self.kernel_rank
+        return {"rho_f": (r, r), "c_f": (r, r, r), "rho_base_u": (r, m),
+                "rho_kernel_u": (k, m), "c_base_kernel": (r, r, k),
+                "c_mixed": (r, k, k), "c_kernel": (k, k, k)}
 
     def coefficient(self, name: str, x: np.ndarray, u: Optional[np.ndarray] = None) -> np.ndarray:
-        """Coefficient ``name`` at stacked points, antisymmetrized where its
-        convention says so.
+        """Coefficient ``name`` at one point or at stacked points,
+        antisymmetrized where its convention says so.
 
         ``x`` has shape ``lead + (r,)`` and ``u`` (for the coefficients
-        that take it) ``lead + (m,)``; the result has shape ``lead`` plus
-        the coefficient's point shape, checked at every point.  An unset
-        coefficient is not called and stays point-shaped (identity anchor
-        or zeros), so it broadcasts against stacked operands.
+        that take it) ``lead + (m,)``, with ``lead = ()`` for one point;
+        the result has shape ``lead`` plus the coefficient's point shape,
+        checked at every point.  An unset coefficient is not called and
+        stays point-shaped (identity anchor or zeros), so it broadcasts
+        against stacked operands.
         """
-        r, m, k = self.base_dim, self.fibre_dim, self.kernel_rank
-        shape = {"rho_f": (r, r), "c_f": (r, r, r), "rho_base_u": (r, m),
-                 "rho_kernel_u": (k, m), "c_base_kernel": (r, r, k),
-                 "c_mixed": (r, k, k), "c_kernel": (k, k, k)}[name]
+        shape = self._shapes[name]
         fn = getattr(self, name)
         if fn is None:
-            return np.eye(r) if name == "rho_f" else np.zeros(shape)
+            return np.eye(self.base_dim) if name == "rho_f" else np.zeros(shape)
         out = sample_points(fn, name, shape, x, *(() if u is None else (u,)))
         return _antisym01(out) if name in ("c_f", "c_base_kernel", "c_kernel") else out
-
-    def rho_f_at(self, x) -> np.ndarray:
-        r = self.base_dim
-        if self.rho_f is None:
-            return np.eye(r)
-        out = np.asarray(self.rho_f(np.asarray(x, dtype=float)), dtype=float)
-        if out.shape != (r, r):
-            raise ValueError(f"rho_f shape {out.shape} != ({r}, {r})")
-        return out
-
-    def c_f_at(self, x) -> np.ndarray:
-        r = self.base_dim
-        if self.c_f is None:
-            return np.zeros((r, r, r))
-        return _antisym01(np.asarray(self.c_f(np.asarray(x, dtype=float)), dtype=float))
-
-    def rho_base_u_at(self, x, u) -> np.ndarray:
-        if self.rho_base_u is None:
-            return np.zeros((self.base_dim, self.fibre_dim))
-        out = np.asarray(self.rho_base_u(x, u), dtype=float)
-        if out.shape != (self.base_dim, self.fibre_dim):
-            raise ValueError("rho_base_u has wrong shape")
-        return out
-
-    def rho_kernel_u_at(self, x, u) -> np.ndarray:
-        if self.rho_kernel_u is None:
-            return np.zeros((self.kernel_rank, self.fibre_dim))
-        out = np.asarray(self.rho_kernel_u(x, u), dtype=float)
-        if out.shape != (self.kernel_rank, self.fibre_dim):
-            raise ValueError("rho_kernel_u has wrong shape")
-        return out
-
-    def c_base_kernel_at(self, x, u) -> np.ndarray:
-        if self.c_base_kernel is None:
-            return np.zeros((self.base_dim, self.base_dim, self.kernel_rank))
-        return _antisym01(np.asarray(self.c_base_kernel(x, u), dtype=float))
-
-    def c_mixed_at(self, x, u) -> np.ndarray:
-        if self.c_mixed is None:
-            return np.zeros((self.base_dim, self.kernel_rank, self.kernel_rank))
-        return np.asarray(self.c_mixed(x, u), dtype=float)
-
-    def c_kernel_at(self, x, u) -> np.ndarray:
-        k = self.kernel_rank
-        if self.c_kernel is None:
-            return np.zeros((k, k, k))
-        return _antisym01(np.asarray(self.c_kernel(x, u), dtype=float))
 
     # -- assembled models --------------------------------------------------
 
@@ -192,20 +160,20 @@ class FibredAlgebroidPair:
         def anchor(z):
             x, u = z[:r], z[r:]
             out = np.zeros((r + mk, r + mu))
-            out[:r, :r] = self.rho_f_at(x)
-            out[:r, r:] = self.rho_base_u_at(x, u)
-            out[r:, r:] = self.rho_kernel_u_at(x, u)
+            out[:r, :r] = self.coefficient("rho_f", x)
+            out[:r, r:] = self.coefficient("rho_base_u", x, u)
+            out[r:, r:] = self.coefficient("rho_kernel_u", x, u)
             return out
 
         def coeffs(z):
             x, u = z[:r], z[r:]
             out = np.zeros((r + mk, r + mk, r + mk))
-            out[:r, :r, :r] = self.c_f_at(x)
-            out[:r, :r, r:] = self.c_base_kernel_at(x, u)
-            mixed = self.c_mixed_at(x, u)
+            out[:r, :r, :r] = self.coefficient("c_f", x)
+            out[:r, :r, r:] = self.coefficient("c_base_kernel", x, u)
+            mixed = self.coefficient("c_mixed", x, u)
             out[:r, r:, r:] = mixed
             out[r:, :r, r:] = -np.swapaxes(mixed, 0, 1)
-            out[r:, r:, r:] = self.c_kernel_at(x, u)
+            out[r:, r:, r:] = self.coefficient("c_kernel", x, u)
             return out
 
         return LieAlgebroid(
@@ -272,8 +240,9 @@ class ProjectableSection:
     derivatives follow the usual layout (value indices first,
     differentiation index last).  Like the pair coefficients,
     ``vertical_coeffs`` takes one point and returns shape
-    ``(kernel_rank,)``; the grid passes call it once per node through
-    :meth:`vertical_points`, which raises on any other shape.
+    ``(kernel_rank,)``; its values are read through
+    :meth:`vertical_points`, at one point or once per node of a grid
+    pass, which raises on any other shape.
     """
 
     base_coeffs: Optional[Callable] = None
@@ -291,15 +260,10 @@ class ProjectableSection:
             return np.zeros(base_dim)
         return np.asarray(self.base_coeffs(np.asarray(x, dtype=float)), dtype=float)
 
-    def vertical_at(self, x, u, kernel_rank: int) -> np.ndarray:
-        if self.vertical_coeffs is None:
-            return np.zeros(kernel_rank)
-        return np.asarray(self.vertical_coeffs(x, u), dtype=float)
-
     def vertical_points(self, x: np.ndarray, u: np.ndarray, kernel_rank: int) -> np.ndarray:
-        """``vertical_coeffs`` at stacked points (``x`` of shape ``lead + (r,)``,
-        ``u`` of shape ``lead + (m,)``): shape ``lead + (kernel_rank,)``, or a
-        point-shaped zero when unset."""
+        """``vertical_coeffs`` at one point or at stacked points (``x`` of
+        shape ``lead + (r,)``, ``u`` of shape ``lead + (m,)``): shape
+        ``lead + (kernel_rank,)``, or a point-shaped zero when unset."""
         if self.vertical_coeffs is None:
             return np.zeros(kernel_rank)
         return sample_points(self.vertical_coeffs, "vertical_coeffs", (kernel_rank,), x, u)
@@ -366,9 +330,9 @@ def total_derivative(pair: FibredAlgebroidPair, f: Callable, p: JetPoint,
     else:
         fu = partial_derivative_two_slot(f, x, u, 1, STEP)
 
-    rho_f = pair.rho_f_at(x)
-    vel = pair.rho_base_u_at(x, u) + np.einsum("kA,ka->aA", pair.rho_kernel_u_at(x, u), p.y)
-    out = rho_f @ fx + vel @ fu
+    vel = pair.coefficient("rho_base_u", x, u) + np.einsum(
+        "kA,ka->aA", pair.coefficient("rho_kernel_u", x, u), p.y)
+    out = pair.coefficient("rho_f", x) @ fx + vel @ fu
     return out if a is None else float(out[a])
 
 
@@ -418,13 +382,15 @@ def complete_lift(pair: FibredAlgebroidPair, sigma: ProjectableSection, p: JetPo
     x, u, y = p.x, p.u, p.y
 
     sa = sigma.base_at(x, r)
-    sk = sigma.vertical_at(x, u, mk)
-    rho_f = pair.rho_f_at(x)
+    sk = sigma.vertical_points(x, u, mk)
+    rho_f = pair.coefficient("rho_f", x)
+    rho_b = pair.coefficient("rho_base_u", x, u)
+    rho_k = pair.coefficient("rho_kernel_u", x, u)
     dx = np.einsum("ai,a->i", rho_f, sa)
-    du = pair.rho_base_u_at(x, u).T @ sa + pair.rho_kernel_u_at(x, u).T @ sk
+    du = rho_b.T @ sa + rho_k.T @ sk
 
     # total derivative of the vertical components along the jet
-    vel = pair.rho_base_u_at(x, u) + np.einsum("kA,ka->aA", pair.rho_kernel_u_at(x, u), y)
+    vel = rho_b + np.einsum("kA,ka->aA", rho_k, y)
     jac_x = sigma.vertical_jacobian_x(x, u, mk)
     jac_u = sigma.vertical_jacobian_u(x, u, mk)
     tdv = np.einsum("ai,ki->ka", rho_f, jac_x) + np.einsum("aA,kA->ka", vel, jac_u)
@@ -434,7 +400,7 @@ def complete_lift(pair: FibredAlgebroidPair, sigma: ProjectableSection, p: JetPo
 
     if not sigma.is_vertical:
         tdb = np.einsum("ai,bi->ba", rho_f, sigma.base_jacobian(x, r))
-        cc = np.einsum("c,acb->ba", sa, pair.c_f_at(x))
+        cc = np.einsum("c,acb->ba", sa, pair.coefficient("c_f", x))
         dy -= np.einsum("kb,ba->ka", y, tdb + cc)
     return dx, du, dy
 
@@ -456,7 +422,7 @@ def lie_derivative_affine_dual(pair: FibredAlgebroidPair, sigma: ProjectableSect
 
     def sigma_total(z):
         x, u = z[:r], z[r:]
-        return np.concatenate([sigma.base_at(x, r), sigma.vertical_at(x, u, mk)])
+        return np.concatenate([sigma.base_at(x, r), sigma.vertical_points(x, u, mk)])
 
     sig = Section(coeffs=sigma_total)
 
@@ -467,14 +433,15 @@ def lie_derivative_affine_dual(pair: FibredAlgebroidPair, sigma: ProjectableSect
         return PForm(degree=1, coeffs=coeffs)
 
     def derived_rows(x, u):
-        z = np.concatenate([np.asarray(x, dtype=float), np.asarray(u, dtype=float)])
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        z = np.concatenate([x, u])
         rows = np.stack([lie_derivative(total, sig, row_form(a), z) for a in range(r)])
         if not sigma.is_vertical:
             # rows mix through the bracket of the projected section with the
             # base frame: out row b -= mix[b, a] * theta row a
-            rho_f = pair.rho_f_at(x)
-            tdb = np.einsum("ai,bi->ba", rho_f, sigma.base_jacobian(x, r))
-            cc = np.einsum("c,acb->ba", sigma.base_at(x, r), pair.c_f_at(x))
+            tdb = np.einsum("ai,bi->ba", pair.coefficient("rho_f", x),
+                            sigma.base_jacobian(x, r))
+            cc = np.einsum("c,acb->ba", sigma.base_at(x, r), pair.coefficient("c_f", x))
             mix = tdb + cc
             all_rows = np.concatenate([theta.base_at(x, u), theta.kernel_at(x, u)], axis=1)
             rows -= np.einsum("ba,ac->bc", mix, all_rows)

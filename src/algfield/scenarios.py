@@ -30,7 +30,7 @@ import numpy as np
 
 from .differentiation import (
     FINE_STEP, HESSIAN_STEP, STEP, gradient, partial_derivative, partial_derivative_two_slot)
-from .fibred import FibredAlgebroidPair, _antisym01
+from .fibred import FibredAlgebroidPair, _antisym01, sample_points
 from .fields import DiscretizedSection, GridSpec, grid_gradient
 from .smoothfields import TrigPolynomial
 from .variational import Lagrangian, el_residual_field
@@ -61,19 +61,17 @@ class ProjectionError(ValueError):
 class StandardCaseData:
     """Connection coefficients ``G(x, u)[i, A]`` with derived quantities.
 
-    ``vertical_derivative(x, u)[i, A, B] = dG_i^A / du^B`` and
-    ``base_derivative(x, u)[i, A, j] = dG_i^A / dx^j`` fall back to
-    central differences.  ``curvature`` returns ``R[i, j, A]``,
-    antisymmetric in ``(i, j)``, defined as minus the frame commutator of
-    the adapted horizontal fields.
+    ``gamma`` takes one point and is the anchor block ``rho_base_u`` of
+    :func:`builder_standard`, so it is read (and its shape checked)
+    through the pair.  ``vertical_derivative(x, u)[i, A, B] = dG_i^A /
+    du^B`` and ``base_derivative(x, u)[i, A, j] = dG_i^A / dx^j`` fall
+    back to central differences.  The curvature of the connection is
+    minus :meth:`frame_bracket`.
     """
 
     gamma: Callable
     vertical_derivative: Optional[Callable] = None
     base_derivative: Optional[Callable] = None
-
-    def gamma_at(self, x, u) -> np.ndarray:
-        return np.asarray(self.gamma(x, u), dtype=float)
 
     def vertical_derivative_at(self, x, u) -> np.ndarray:
         if self.vertical_derivative is not None:
@@ -87,17 +85,13 @@ class StandardCaseData:
 
     def frame_bracket(self, x, u) -> np.ndarray:
         """``[e_i, e_j]`` components ``C[i, j, A]`` of the adapted frame."""
-        g = self.gamma_at(x, u)
+        g = np.asarray(self.gamma(x, u), dtype=float)
         dgx = self.base_derivative_at(x, u)      # [i, A, j]
         dgu = self.vertical_derivative_at(x, u)  # [i, A, B]
         out = np.einsum("jAi->ijA", dgx) - np.einsum("iAj->ijA", dgx)
         out += np.einsum("iB,jAB->ijA", g, dgu)
         out -= np.einsum("jB,iAB->ijA", g, dgu)
         return out
-
-    def curvature_at(self, x, u) -> np.ndarray:
-        """``R[i, j, A] = -[e_i, e_j]^A``, antisymmetric in the base pair."""
-        return -self.frame_bracket(x, u)
 
 
 def builder_standard(data: StandardCaseData, base_dim: int,
@@ -111,7 +105,7 @@ def builder_standard(data: StandardCaseData, base_dim: int,
     """
     return FibredAlgebroidPair(
         base_dim=base_dim, fibre_dim=fibre_dim, kernel_rank=fibre_dim,
-        rho_base_u=data.gamma_at,
+        rho_base_u=data.gamma,
         rho_kernel_u=lambda x, u: np.eye(fibre_dim),
         c_base_kernel=data.frame_bracket,
         c_mixed=lambda x, u: -np.einsum("iAB->iBA", data.vertical_derivative_at(x, u)),
@@ -160,7 +154,7 @@ def heavy_top_pair() -> FibredAlgebroidPair:
     """
     return builder_time_dependent(
         -EPSILON3,
-        rho_kernel_u=lambda x, u: -np.einsum("kAB,B->kA", EPSILON3, u),
+        rho_kernel_u=lambda x, u: -(EPSILON3 @ u),
         fibre_dim=3,
     )
 
@@ -230,14 +224,14 @@ def _mechanics_hessians(lagrangian: Lagrangian, x, u, y):
     if lagrangian.hess_yy is not None:
         hyy = np.asarray(lagrangian.hess_yy(x, u, y), dtype=float)
     else:
-        hyy = gradient(lambda v: lagrangian.partial_y_arrays(x, u, v[:, None])[:, 0],
+        hyy = gradient(lambda v: lagrangian.partial_y_points(x, u, v[:, None])[:, 0],
                        y[:, 0], HESSIAN_STEP)
     if u.size == 0:
         return hyy, np.zeros((y.shape[0], 0))
     if lagrangian.hess_yu is not None:
         hyu = np.asarray(lagrangian.hess_yu(x, u, y), dtype=float)
     else:
-        hyu = gradient(lambda v: lagrangian.partial_y_arrays(x, v, y)[:, 0], u, HESSIAN_STEP)
+        hyu = gradient(lambda v: lagrangian.partial_y_points(x, v, y)[:, 0], u, HESSIAN_STEP)
     return hyy, hyu
 
 
@@ -277,19 +271,21 @@ def _mechanics_rhs(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
     x = np.array([t])
     ycol = y[:, None]
     mk = y.shape[0]
-    rho_k = pair.rho_kernel_u_at(x, u)
-    udot = pair.rho_base_u_at(x, u)[0] + rho_k.T @ y if u.size else np.zeros(0)
+    udot = np.zeros(0)
+    if u.size:
+        rho_k = pair.coefficient("rho_kernel_u", x, u)
+        udot = pair.coefficient("rho_base_u", x, u)[0] + rho_k.T @ y
 
-    mom = lagrangian.partial_y_arrays(x, u, ycol)[:, 0]
+    mom = lagrangian.partial_y_points(x, u, ycol)[:, 0]
     # Z[al, ga] at the one base slot: C_{0 al}^ga + C_{be al}^ga y^be
     if pair.c_kernel is None:
-        ck = pair.c_kernel_at(x, u)
+        ck = pair.coefficient("c_kernel", x, u)
     else:
-        ck = kernel(np.asarray(pair.c_kernel(x, u), dtype=float))
-    zslice = pair.c_mixed_at(x, u)[0] + (y @ ck.reshape(mk, -1)).reshape(mk, mk)
+        ck = kernel(sample_points(pair.c_kernel, "c_kernel", (mk, mk, mk), x, u))
+    zslice = pair.coefficient("c_mixed", x, u)[0] + (y @ ck.reshape(mk, -1)).reshape(mk, mk)
     rhs = zslice @ mom
     if u.size:
-        rhs += rho_k @ lagrangian.partial_u_arrays(x, u, ycol)
+        rhs += rho_k @ lagrangian.partial_u_points(x, u, ycol)
 
     hyy, hyu = _mechanics_hessians(lagrangian, x, u, ycol)
     hinv, well_conditioned = inverse(hyy)
@@ -301,7 +297,7 @@ def _mechanics_rhs(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
         rhs -= hyu @ udot
     if not lagrangian.autonomous:
         # explicit time dependence of the momentum map
-        rhs -= partial_derivative(lambda z: lagrangian.partial_y_arrays(z, u, ycol),
+        rhs -= partial_derivative(lambda z: lagrangian.partial_y_points(z, u, ycol),
                                   x, 0, FINE_STEP)[:, 0]
     return udot, hinv @ rhs
 
@@ -364,14 +360,21 @@ def integrate_mechanics(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
 # mechanics Lagrangians
 # ---------------------------------------------------------------------------
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def quadratic_kinetic_lagrangian(weights) -> Lagrangian:
-    """``L = 1/2 sum_a w_al (y^al_a)^2`` with analytic derivatives."""
+    """``L = 1/2 sum_a w_al (y^al_a)^2`` with analytic derivatives (the
+    velocity Hessian is one read-only array, built here)."""
     w = np.asarray(weights, dtype=float)
+    hess_yy = _read_only(np.diag(w))
     return Lagrangian(
         value=lambda x, u, y: 0.5 * float(np.sum(w[:, None] * y ** 2)),
         grad_u=lambda x, u, y: np.zeros(np.asarray(u).shape),
         grad_y=lambda x, u, y: w[:, None] * y,
-        hess_yy=lambda x, u, y: np.diag(w),
+        hess_yy=lambda x, u, y: hess_yy,
         hess_yu=lambda x, u, y: np.zeros((w.size, np.asarray(u).size)),
         autonomous=True,
     )
@@ -382,16 +385,18 @@ def rigid_body_lagrangian(inertia) -> Lagrangian:
 
 
 def heavy_top_lagrangian(inertia, mgl: float, chi) -> Lagrangian:
-    """Kinetic form minus the potential ``mgl * <u, chi>``."""
+    """Kinetic form minus the potential ``mgl * <u, chi>`` (constant
+    Hessians built once, read-only)."""
     inertia = np.asarray(inertia, dtype=float)
     chi = np.asarray(chi, dtype=float)
+    hess_yy, hess_yu = _read_only(np.diag(inertia)), _read_only(np.zeros((3, 3)))
     return Lagrangian(
         value=lambda x, u, y: (0.5 * float(np.sum(inertia[:, None] * y ** 2))
                                - mgl * float(u @ chi)),
         grad_u=lambda x, u, y: -mgl * chi,
         grad_y=lambda x, u, y: inertia[:, None] * y,
-        hess_yy=lambda x, u, y: np.diag(inertia),
-        hess_yu=lambda x, u, y: np.zeros((3, 3)),
+        hess_yy=lambda x, u, y: hess_yy,
+        hess_yu=lambda x, u, y: hess_yu,
         autonomous=True,
     )
 

@@ -34,7 +34,11 @@ functions call them on one node; the whole-grid fields (momentum,
 Euler-Lagrange residual, current) call them on blocks of nodes through
 ``fields.block_pass``.  The Lagrangian and section callables keep a
 per-point contract: each is called once per node with that node's
-``(x, u, y)`` and must return its documented shape, which is checked.
+``(x, u, y)`` and must return its documented shape.  They are read only
+through the checked readers (``Lagrangian.*_points``,
+``ProjectableSection.vertical_points`` and
+``FibredAlgebroidPair.coefficient``), at one node or at a block of
+nodes, so a wrong shape raises either way.
 """
 
 from __future__ import annotations
@@ -57,9 +61,9 @@ class Lagrangian:
     of shape ``(fibre_dim,)`` and ``y`` of shape ``(kernel_rank,
     base_dim)``.  ``value(x, u, y) -> float``; ``grad_u -> (fibre_dim,)``
     and ``grad_y -> (kernel_rank, base_dim)`` when supplied, else central
-    differences.  The whole-grid passes call them once per node through
-    the ``*_points`` methods, which raise on a result of any other shape.
-    ``hess_yy``/``hess_yu`` are used by the
+    differences.  They are read through the ``*_points`` methods, at one
+    point or once per node of stacked points, which raise on a result of
+    any other shape.  ``hess_yy``/``hess_yu`` are used by the
     mechanics integrator (one-dimensional base) and may be omitted.
 
     ``autonomous`` declares that ``value`` and every partial do not
@@ -76,28 +80,29 @@ class Lagrangian:
     hess_yu: Optional[Callable] = None
     autonomous: bool = False
 
-    def partial_u_arrays(self, x, u, y) -> np.ndarray:
-        if self.grad_u is not None:
-            return np.asarray(self.grad_u(x, u, y), dtype=float)
-        return gradient(lambda v: self.value(x, v, y), u, FINE_STEP)
-
-    def partial_y_arrays(self, x, u, y) -> np.ndarray:
-        if self.grad_y is not None:
-            return np.asarray(self.grad_y(x, u, y), dtype=float)
-        return gradient(lambda v: self.value(x, u, v), y, FINE_STEP)
-
     def value_points(self, x, u, y) -> np.ndarray:
-        """``value`` at stacked points (``x`` of shape ``lead + (base_dim,)``,
-        ``u`` and ``y`` with the same leading axes): shape ``lead``."""
+        """``value`` at one point or at stacked points (``x`` of shape
+        ``lead + (base_dim,)``, ``u`` and ``y`` with the same leading axes):
+        shape ``lead``."""
         return sample_points(self.value, "value", (), x, u, y)
 
     def partial_u_points(self, x, u, y) -> np.ndarray:
-        """``dL/du`` at stacked points: shape ``lead + (fibre_dim,)``."""
-        return sample_points(self.partial_u_arrays, "grad_u", u.shape[x.ndim - 1:], x, u, y)
+        """``dL/du`` at one point or at stacked points: shape
+        ``lead + (fibre_dim,)``, by central differences of ``value`` when
+        ``grad_u`` is unset."""
+        fn = self.grad_u
+        if fn is None:
+            fn = lambda x, u, y: gradient(lambda v: self.value(x, v, y), u, FINE_STEP)
+        return sample_points(fn, "grad_u", u.shape[x.ndim - 1:], x, u, y)
 
     def partial_y_points(self, x, u, y) -> np.ndarray:
-        """``dL/dy`` at stacked points: shape ``lead + (kernel_rank, base_dim)``."""
-        return sample_points(self.partial_y_arrays, "grad_y", y.shape[x.ndim - 1:], x, u, y)
+        """``dL/dy`` at one point or at stacked points: shape
+        ``lead + (kernel_rank, base_dim)``, by central differences of
+        ``value`` when ``grad_y`` is unset."""
+        fn = self.grad_y
+        if fn is None:
+            fn = lambda x, u, y: gradient(lambda v: self.value(x, u, v), y, FINE_STEP)
+        return sample_points(fn, "grad_y", y.shape[x.ndim - 1:], x, u, y)
 
     def __add__(self, other: "Lagrangian") -> "Lagrangian":
         def add2(f, g):
@@ -216,9 +221,9 @@ def invariance_defect(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
     _require_vertical(sigma)
     p = section.jet_point(idx)
     _, du, dy = complete_lift(pair, sigma, p)
-    out = float(np.sum(lagrangian.partial_y_arrays(p.x, p.u, p.y) * dy))
+    out = float(np.sum(lagrangian.partial_y_points(p.x, p.u, p.y) * dy))
     if section.fibre_dim:
-        out += float(lagrangian.partial_u_arrays(p.x, p.u, p.y) @ du)
+        out += float(lagrangian.partial_u_points(p.x, p.u, p.y) @ du)
     return out
 
 
@@ -242,7 +247,7 @@ def first_variation_identity_defect(pair: FibredAlgebroidPair, lagrangian: Lagra
         x, u, y = section.grid.coords(idx), section.u[idx], section.y[idx]
         inv = invariance_defect(pair, lagrangian, sigma, section, idx)
         el = _el_local(pair, lagrangian, x, u, y, mom[idx], el_div[idx])
-        s = sigma.vertical_at(x, u, section.kernel_rank)
+        s = sigma.vertical_points(x, u, section.kernel_rank)
         out.append(abs(inv + float(el @ s) - float(current_div[idx])))
     return out
 

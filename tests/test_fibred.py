@@ -119,8 +119,9 @@ class TestTotalDerivative:
         p = random_jet_point(rng, pair)
         for a_idx in range(3):
             out = total_derivative(pair, lambda x, u, j=a_idx: u[j], p)
-            expected = (pair.rho_base_u_at(p.x, p.u)[:, a_idx]
-                        + np.einsum("k,ka->a", pair.rho_kernel_u_at(p.x, p.u)[:, a_idx], p.y))
+            rho_k = pair.coefficient("rho_kernel_u", p.x, p.u)
+            expected = (pair.coefficient("rho_base_u", p.x, p.u)[:, a_idx]
+                        + np.einsum("k,ka->a", rho_k[:, a_idx], p.y))
             npt.assert_allclose(out, expected, atol=1e-8)
 
     def test_heavy_top_contraction_oracle(self):
@@ -157,8 +158,8 @@ class TestZFunctions:
         u = rng.uniform(-1, 1, size=2)
         p = JetPoint(x=x, u=u, y=np.zeros((2, 2)))
         z_mixed, z_base = z_functions(pair, p)
-        cm = pair.c_mixed_at(x, u)
-        cbk = pair.c_base_kernel_at(x, u)
+        cm = pair.coefficient("c_mixed", x, u)
+        cbk = pair.coefficient("c_base_kernel", x, u)
         npt.assert_array_equal(z_mixed, np.einsum("agk->kag", cm))
         npt.assert_array_equal(z_base, np.einsum("ack->kac", cbk))
 
@@ -239,8 +240,8 @@ class TestCompleteLift:
         lam = 0.7
         combo = ProjectableSection(
             base_coeffs=lambda x: s1.base_at(x, 2) + lam * s2.base_at(x, 2),
-            vertical_coeffs=lambda x, u: (s1.vertical_at(x, u, 2)
-                                          + lam * s2.vertical_at(x, u, 2)),
+            vertical_coeffs=lambda x, u: (s1.vertical_points(x, u, 2)
+                                          + lam * s2.vertical_points(x, u, 2)),
         )
         out1 = complete_lift(pair, s1, p)
         out2 = complete_lift(pair, s2, p)
@@ -263,7 +264,7 @@ class TestCompleteLift:
         )
         total = pair.total_algebroid()
         sig_total = Section(coeffs=lambda z: np.concatenate(
-            [np.zeros(r), sigma.vertical_at(z[:r], z[r:], mk)]))
+            [np.zeros(r), sigma.vertical_points(z[:r], z[r:], mk)]))
 
         def jet_after_flow(s):
             z0 = np.concatenate([p.x, p.u])

@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from algfield.algebroid import structure_residual_max
 from algfield.fibred import FibredAlgebroidPair, ProjectableSection, z_functions
 from algfield.fields import (
     BLOCK_NODES,
@@ -106,37 +107,39 @@ class TestStencils:
 
         def mom(jj):
             p = sec.jet_point(jj)
-            return lag.partial_y_arrays(p.x, p.u, p.y)
+            return lag.partial_y_points(p.x, p.u, p.y)
 
         def el_at(idx):
             p = sec.jet_point(idx)
             z_mixed, _ = z_functions(pair, p)
             return (divergence_at(mom, idx) - np.einsum("gak,ga->k", z_mixed, mom(idx))
-                    - pair.rho_kernel_u_at(p.x, p.u) @ lag.partial_u_arrays(p.x, p.u, p.y))
+                    - pair.coefficient("rho_kernel_u", p.x, p.u)
+                    @ lag.partial_u_points(p.x, p.u, p.y))
 
         def current(jj):
             p = sec.jet_point(jj)
-            return sigma.vertical_at(p.x, p.u, mk) @ mom(jj)
+            return sigma.vertical_points(p.x, p.u, mk) @ mom(jj)
 
         nodes = list(grid.nodes())
         adm, mor, el, fv = [], [], [], []
         for idx in nodes:
             p = sec.jet_point(idx)
-            rho_f, y = pair.rho_f_at(p.x), p.y
+            rho_f, y = pair.coefficient("rho_f", p.x), p.y
             du = gradient_at(lambda jj: sec.u[jj], idx)
-            adm.append(du @ rho_f.T - pair.rho_base_u_at(p.x, p.u).T
-                       - pair.rho_kernel_u_at(p.x, p.u).T @ y)
+            adm.append(du @ rho_f.T - pair.coefficient("rho_base_u", p.x, p.u).T
+                       - pair.coefficient("rho_kernel_u", p.x, p.u).T @ y)
             dy = gradient_at(lambda jj: sec.y[jj], idx)
-            cm, ck = pair.c_mixed_at(p.x, p.u), pair.c_kernel_at(p.x, p.u)
+            cm = pair.coefficient("c_mixed", p.x, p.u)
+            ck = pair.coefficient("c_kernel", p.x, p.u)
             # the flatness residual is the antisymmetric part m - m^T of these terms
             m = (np.einsum("bi,kai->kab", rho_f, dy)
                  + np.einsum("bgk,ga->kab", cm, y)
                  + 0.5 * np.einsum("mgk,mb,ga->kab", ck, y, y)
-                 + 0.5 * np.einsum("abc,kc->kab", pair.c_f_at(p.x), y)
-                 - 0.5 * np.einsum("abk->kab", pair.c_base_kernel_at(p.x, p.u)))
+                 + 0.5 * np.einsum("abc,kc->kab", pair.coefficient("c_f", p.x), y)
+                 - 0.5 * np.einsum("abk->kab", pair.coefficient("c_base_kernel", p.x, p.u)))
             mor.append(m - np.swapaxes(m, 1, 2))
             el.append(el_at(idx))
-            s = sigma.vertical_at(p.x, p.u, mk)
+            s = sigma.vertical_points(p.x, p.u, mk)
             fv.append(abs(invariance_defect(pair, lag, sigma, sec, idx) + el[-1] @ s
                           - divergence_at(current, idx)))
 
@@ -159,7 +162,9 @@ class TestStencils:
         ("vertical_coeffs", (1,))])
     def test_wrongly_shaped_callable_raises(self, name, wrong):
         # each wrong shape would broadcast against the right one, so only
-        # the shape check can catch it: at a single node and in a grid pass
+        # the shape check can catch it: at a single node and in a grid pass,
+        # and for a pair coefficient also in the structure residuals of the
+        # total algebroid
         rng = np.random.default_rng(29)
         pair = connection_pair(rng)
         grid = GridSpec(extents=(5, 6), spacing=(0.3, 0.2))
@@ -194,6 +199,9 @@ class TestStencils:
         else:
             calls = (lambda: morphism_residual(pair, sec, idx),
                      lambda: residual_report(pair, sec, tol=1.0))
+        if name not in ("grad_u", "grad_y", "vertical_coeffs"):
+            pts = [np.concatenate([grid.coords(idx), sec.u[idx]])]
+            calls += (lambda: structure_residual_max(pair.total_algebroid(), pts),)
         for call in calls:
             with pytest.raises(ValueError, match=f"^{name} returned shape {re.escape(str(wrong))}"):
                 call()
@@ -301,7 +309,7 @@ class TestMorphismResidual:
 
         def y_fn(x):
             du = np.stack([f.gradient(x) for f in fu])  # [A, i]
-            gam = pair.rho_base_u_at(x, u_fn(x))        # [i, A]
+            gam = pair.coefficient("rho_base_u", x, u_fn(x))  # [i, A]
             return du - gam.T  # y[alpha=A, a=i] = du[A, i] - gam[i, A]
 
         errs = []

@@ -1,6 +1,7 @@
 """Scenario builders, the mechanics integrator and lattice gauge sampling."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from algfield.scenarios import (
     builder_atiyah,
     builder_chern_simons,
     builder_standard,
+    builder_time_dependent,
     chern_simons_lagrangian,
     chern_simons_lagrangian_difference,
     flat_connection_generator,
@@ -306,7 +308,7 @@ class TestMechanicsIntegrator:
         want_energy = np.zeros(traj.times.size)
         for i, t in enumerate(traj.times):
             x, ycol = np.array([t]), traj.y[i][:, None]
-            want_momentum[i] = lag.partial_y_arrays(x, traj.u[i], ycol)[:, 0]
+            want_momentum[i] = lag.partial_y_points(x, traj.u[i], ycol)[:, 0]
             want_energy[i] = (float(want_momentum[i] @ traj.y[i])
                               - float(lag.value(x, traj.u[i], ycol)))
         momentum = traj.momentum_series(lag)
@@ -444,6 +446,21 @@ class TestMechanicsIntegrator:
             integrate_mechanics(pair, lag, MechanicsState(0.0, np.zeros(2), np.ones(2)),
                                 t_end=1.0, dt=0.1)
 
+    @pytest.mark.parametrize("name, wrong", [("c_mixed", (1, 3, 1)), ("c_kernel", (3, 3, 1))])
+    def test_wrongly_shaped_bracket_raises(self, name, wrong):
+        # a (1, 3, 1) mixed block broadcasts against the (3,) momentum and
+        # would integrate silently, a (3, 3, 1) kernel block would fail on an
+        # unrelated reshape: every stage reads both through the checked sampler
+        if name == "c_mixed":
+            pair = builder_time_dependent(EPSILON3,
+                                          c_mixed_time=lambda x, u: np.full((3, 1), 0.1))
+        else:
+            pair = dataclasses.replace(rigid_body_pair(), c_kernel=lambda x, u: np.ones(wrong))
+        lag = rigid_body_lagrangian([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=f"^{name} returned shape {re.escape(str(wrong))}"):
+            integrate_mechanics(pair, lag, MechanicsState(0.0, np.zeros(0), np.ones(3)),
+                                t_end=0.1, dt=0.01)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_reported(self):
         pair = free_particle_pair(1)
@@ -485,8 +502,8 @@ class TestChernSimons:
         fd = Lagrangian(value=lag.value)
         from algfield.fibred import JetPoint
         p = JetPoint(x=x, u=u, y=y)
-        npt.assert_allclose(lag.partial_y_arrays(p.x, p.u, p.y),
-                            fd.partial_y_arrays(p.x, p.u, p.y), atol=1e-8)
+        npt.assert_allclose(lag.partial_y_points(p.x, p.u, p.y),
+                            fd.partial_y_points(p.x, p.u, p.y), atol=1e-8)
 
     def test_identity_gauge_gives_zero_field(self):
         grid = GridSpec.periodic_box((4, 4, 4))
@@ -682,8 +699,8 @@ class TestAtiyah:
         red = builder_atiyah(AtiyahData(constants=EPSILON3), base_dim=1)
         rb = rigid_body_pair()
         x, u = np.zeros(1), np.zeros(0)
-        npt.assert_array_equal(red.c_kernel_at(x, u), rb.c_kernel_at(x, u))
-        npt.assert_array_equal(red.c_mixed_at(x, u), rb.c_mixed_at(x, u))
+        for name in ("c_kernel", "c_mixed"):
+            npt.assert_array_equal(red.coefficient(name, x, u), rb.coefficient(name, x, u))
 
         lag = rigid_body_lagrangian([1.0, 2.0, 3.0])
         s0 = MechanicsState(0.0, np.zeros(0), np.array([0.7, -0.1, 0.4]))

@@ -75,10 +75,10 @@ class TestLagrangian:
         )
         from algfield.fibred import JetPoint
         p = JetPoint(x=np.zeros(2), u=rng.uniform(-1, 1, 2), y=rng.uniform(-1, 1, (2, 2)))
-        npt.assert_allclose(lag.partial_u_arrays(p.x, p.u, p.y),
-                            analytic.partial_u_arrays(p.x, p.u, p.y), atol=1e-8)
-        npt.assert_allclose(lag.partial_y_arrays(p.x, p.u, p.y),
-                            analytic.partial_y_arrays(p.x, p.u, p.y), atol=1e-8)
+        npt.assert_allclose(lag.partial_u_points(p.x, p.u, p.y),
+                            analytic.partial_u_points(p.x, p.u, p.y), atol=1e-8)
+        npt.assert_allclose(lag.partial_y_points(p.x, p.u, p.y),
+                            analytic.partial_y_points(p.x, p.u, p.y), atol=1e-8)
 
     def test_requires_coordinate_base(self):
         pair = FibredAlgebroidPair(base_dim=2, fibre_dim=0, kernel_rank=1,
