@@ -15,6 +15,13 @@ p-forms, Lie derivatives via the Cartan formula, and the one-parameter
 flow of morphisms generated by a section.  Everything is pointwise and
 pure; models may be shared freely across threads.
 
+Every structure function (and every coefficient callable of the fibred
+pairs built on top) takes one point, unless it is declared
+:func:`stacked`, and is read only through :func:`sample_points`, which
+checks the shape of each result.  :func:`structure_residual_max`
+reads a block of points per call: a stacked model is then called once
+per block, on every point the central differences need.
+
 Constructing a model whose structure functions violate the compatibility
 identities is allowed (negative tests rely on it); operations that are
 only meaningful on a true Lie algebroid say so in their docstrings.
@@ -30,6 +37,67 @@ from typing import Callable, Optional
 import numpy as np
 
 from .differentiation import STEP, gradient
+
+# points per block of the stacked passes (grid nodes in ``fields.block_pass``)
+BLOCK_NODES = 512
+_STACKED = "algfield_stacked"
+
+
+def stacked(fn: Callable) -> Callable:
+    """Declare ``fn`` stacked, and return it.
+
+    A stacked callable takes points with any leading axes, ``x`` of shape
+    ``lead + (r,)`` and each further argument ``lead`` plus its own point
+    shape, and returns ``lead`` plus its point shape; ``lead = ()`` is
+    one point.  :func:`sample_points` then calls it once per block of
+    points instead of once per point.  The mark is an attribute of
+    ``fn`` (of its function, for a method), so a wrapper of ``fn`` is
+    per-point again.
+    """
+    setattr(fn, _STACKED, True)
+    return fn
+
+
+def sample_points(fn: Callable, name: str, shape: tuple, x: np.ndarray,
+                  *args: np.ndarray) -> np.ndarray:
+    """``fn(x, *args)`` at every point, stacked: shape ``lead + shape``.
+
+    ``x`` has shape ``lead + (dim,)`` and each of ``args`` ``lead`` plus
+    its own point shape.  ``lead = ()`` is one call on the arrays
+    themselves, whose result is returned as is (no copy).  A
+    :func:`stacked` ``fn`` is called once on all the points; any other
+    ``fn`` once per point, with the point's rows.  A result of any other
+    shape than ``lead + shape`` (``shape`` for a per-point call) raises a
+    ``ValueError`` naming ``name``, also where it would have broadcast.
+    """
+    # the check is written out on each path: one-point reads sit in the
+    # mechanics integrator's inner loop, where a call more costs time
+    if x.ndim == 1:
+        value = np.asarray(fn(x, *args), dtype=float)
+        if value.shape != shape:
+            raise _shape_error(name, value, shape, x)
+        return value
+    lead = x.shape[:-1]
+    if getattr(fn, _STACKED, False):
+        value = np.asarray(fn(x, *args), dtype=float)
+        if value.shape != lead + shape:
+            raise _shape_error(name, value, lead + shape, x)
+        return value
+    count = int(np.prod(lead))
+    out = np.empty(lead + shape)
+    flat = out.reshape((count,) + shape)
+    rows = [a.reshape((count,) + a.shape[len(lead):]) for a in (x, *args)]
+    for i, point in enumerate(zip(*rows)):
+        value = np.asarray(fn(*point), dtype=float)
+        if value.shape != shape:
+            raise _shape_error(name, value, shape, point[0])
+        flat[i] = value
+    return out
+
+
+def _shape_error(name: str, value: np.ndarray, shape: tuple, x: np.ndarray) -> ValueError:
+    where = f"x = {x}" if x.ndim == 1 else f"points of shape {x.shape}"
+    return ValueError(f"{name} returned shape {value.shape} at {where}, expected {shape}")
 
 
 class FlowBlowupError(RuntimeError):
@@ -84,6 +152,9 @@ class LieAlgebroid:
         otherwise.
     bracket_derivative : optional map ``x -> (k, k, k, n)`` array,
         ``[alpha, beta, gamma, j] = d C_ab^g / d x^j``.
+
+    Each map takes one point unless it is declared :func:`stacked`, and
+    is read through :func:`sample_points`, which checks its shape.
     """
 
     base_dim: int
@@ -94,31 +165,37 @@ class LieAlgebroid:
     bracket_derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def anchor_at(self, x) -> np.ndarray:
-        rho = np.asarray(self.anchor(np.asarray(x, dtype=float)), dtype=float)
-        if rho.shape != (self.rank, self.base_dim):
-            raise ValueError(
-                f"anchor shape {rho.shape} != (rank, base_dim) = "
-                f"({self.rank}, {self.base_dim})"
-            )
-        return rho
+        """``rho`` at one point or at stacked points (``x`` of shape
+        ``lead + (n,)``): shape ``lead + (k, n)``."""
+        return sample_points(self.anchor, "anchor", (self.rank, self.base_dim),
+                             np.asarray(x, dtype=float))
 
     def bracket_at(self, x) -> np.ndarray:
-        c = np.asarray(self.bracket_coeffs(np.asarray(x, dtype=float)), dtype=float)
-        if c.shape != (self.rank,) * 3:
-            raise ValueError(f"bracket coefficient shape {c.shape} != (k, k, k)")
-        return 0.5 * (c - np.swapaxes(c, 0, 1))
+        """``C``, antisymmetrized, at one point or at stacked points: shape
+        ``lead + (k, k, k)``."""
+        c = sample_points(self.bracket_coeffs, "bracket_coeffs", (self.rank,) * 3,
+                          np.asarray(x, dtype=float))
+        return 0.5 * (c - np.swapaxes(c, -3, -2))
 
     def anchor_jacobian(self, x) -> np.ndarray:
-        """``[alpha, i, j] = d rho_alpha^i / d x^j``, analytic or central-difference."""
+        """``[alpha, i, j] = d rho_alpha^i / d x^j``, analytic or central-difference.
+
+        An analytic ``anchor_derivative`` is read like the anchor, at one
+        point or at stacked points; the fallback takes one point.
+        """
         if self.anchor_derivative is not None:
-            return np.asarray(self.anchor_derivative(np.asarray(x, dtype=float)), dtype=float)
+            return sample_points(self.anchor_derivative, "anchor_derivative",
+                                 (self.rank, self.base_dim, self.base_dim),
+                                 np.asarray(x, dtype=float))
         return gradient(self.anchor_at, x, STEP)
 
     def bracket_jacobian(self, x) -> np.ndarray:
-        """``[alpha, beta, gamma, j] = d C_ab^g / d x^j``."""
+        """``[alpha, beta, gamma, j] = d C_ab^g / d x^j``, read like
+        :meth:`anchor_jacobian`."""
         if self.bracket_derivative is not None:
-            d = np.asarray(self.bracket_derivative(np.asarray(x, dtype=float)), dtype=float)
-            return 0.5 * (d - np.swapaxes(d, 0, 1))
+            d = sample_points(self.bracket_derivative, "bracket_derivative",
+                              (self.rank,) * 3 + (self.base_dim,), np.asarray(x, dtype=float))
+            return 0.5 * (d - np.swapaxes(d, -4, -3))
         return gradient(self.bracket_at, x, STEP)
 
     @staticmethod
@@ -352,28 +429,71 @@ def structure_equation_residuals(model: LieAlgebroid, x):
         ``jacobi_residual[a, b, g, n] = sum_cyc(a,b,g)
                                      [rho_a^i d_i C_bg^n + C_am^n C_bg^m]``
 
-    Both vanish identically on a true Lie algebroid.
+    Both vanish identically on a true Lie algebroid.  This is the
+    one-point reference of :func:`structure_residual_max`.
     """
-    rho = model.anchor_at(x)
-    drho = model.anchor_jacobian(x)
-    c = model.bracket_at(x)
-    dc = model.bracket_jacobian(x)
+    return _structure_residuals(model.anchor_at(x), model.anchor_jacobian(x),
+                                model.bracket_at(x), model.bracket_jacobian(x))
 
-    anchor_res = np.einsum("aj,bij->abi", rho, drho)
-    anchor_res -= np.einsum("bj,aij->abi", rho, drho)
-    anchor_res -= np.einsum("gi,abg->abi", rho, c)
 
-    term = np.einsum("ai,bgni->abgn", rho, dc) + np.einsum("amn,bgm->abgn", c, c)
-    jacobi_res = term + term.transpose(1, 2, 0, 3) + term.transpose(2, 0, 1, 3)
+def _structure_residuals(rho, drho, c, dc):
+    """Both defects of :func:`structure_equation_residuals` from the anchor,
+    the bracket and their Jacobians at points with any leading axes."""
+    anchor_res = np.einsum("...aj,...bij->...abi", rho, drho)
+    anchor_res -= np.einsum("...bj,...aij->...abi", rho, drho)
+    anchor_res -= np.einsum("...gi,...abg->...abi", rho, c)
+
+    term = (np.einsum("...ai,...bgni->...abgn", rho, dc)
+            + np.einsum("...amn,...bgm->...abgn", c, c))
+    # the cyclic sum: [a, b, g] <- [g, a, b] and [b, g, a]
+    jacobi_res = term + np.moveaxis(term, -4, -2) + np.moveaxis(term, -2, -4)
     return anchor_res, jacobi_res
 
 
+def _with_jacobian(read: Callable, jacobian: Optional[Callable], x: np.ndarray):
+    """``read(x)`` and its Jacobian (differentiation axis last) at stacked
+    points ``x`` of shape ``(P, n)``.
+
+    ``jacobian(x)`` when given (an analytic derivative); otherwise the
+    central differences of ``gradient`` at ``STEP``, with each point and
+    its ``2 n`` shifted copies read in one call of ``read``.
+    """
+    if jacobian is not None:
+        return read(x), jacobian(x)
+    n = x.shape[-1]
+    shifted = np.repeat(x[:, None, :], 2 * n + 1, axis=1)
+    for i in range(n):
+        shifted[:, 1 + i, i] += STEP
+        shifted[:, 1 + n + i, i] -= STEP
+    values = read(shifted)
+    jac = (values[:, 1:n + 1] - values[:, n + 1:]) / (2.0 * STEP)
+    return values[:, 0], np.moveaxis(jac, 1, -1)
+
+
 def structure_residual_max(model: LieAlgebroid, points) -> float:
-    """Max-norm of both structure-equation residuals over sample points."""
+    """Max-norm of both structure-equation residuals over sample points.
+
+    Equal to the max over ``points`` of :func:`structure_equation_residuals`,
+    but formed on blocks of points: per block the anchor and the bracket
+    are read once (a :func:`~algfield.algebroid.stacked` model is called
+    once, at the points and at all the shifted points their central
+    differences need), and so are analytic derivatives.  A block holds
+    at most ``BLOCK_NODES * 8 // rank**4`` points, so that its
+    ``(points, k, k, k, k)`` Jacobi temporary has at most ``BLOCK_NODES *
+    8`` entries; the bracket at the shifted points is of the same order.
+    A NaN residual makes the result NaN.
+    """
+    pts = np.asarray(points, dtype=float)
+    size = max(1, BLOCK_NODES * 8 // model.rank ** 4)
+    anchor_jac = model.anchor_jacobian if model.anchor_derivative is not None else None
+    bracket_jac = model.bracket_jacobian if model.bracket_derivative is not None else None
     worst = 0.0
-    for x in points:
-        a, j = structure_equation_residuals(model, x)
-        worst = max(worst, float(np.max(np.abs(a))), float(np.max(np.abs(j))))
+    for start in range(0, len(pts), size):
+        x = pts[start:start + size]
+        rho, drho = _with_jacobian(model.anchor_at, anchor_jac, x)
+        c, dc = _with_jacobian(model.bracket_at, bracket_jac, x)
+        a, j = _structure_residuals(rho, drho, c, dc)
+        worst = float(np.max([worst, np.max(np.abs(a)), np.max(np.abs(j))]))
     return worst
 
 

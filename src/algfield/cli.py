@@ -33,7 +33,7 @@ import numpy as np
 
 from . import scenarios as sc
 from .algebroid import structure_residual_max
-from .fibred import ProjectableSection
+from .fibred import ProjectableSection, stacked
 from .fields import DiscretizedSection, GridSpec, grid_derivative, residual_report
 from .smoothfields import TrigPolynomial, trig_polynomial, trig_vector
 from .variational import el_residual_field, first_variation_identity_defect
@@ -351,10 +351,13 @@ def _standard_connection(ctx):
     fibre_dim = _param(ctx, "fibre_dim", 1, _integer, lambda v: v == 1, "1")
     kind = ctx.params.get("connection", "zero")
     if kind == "zero":
-        data = sc.StandardCaseData(gamma=lambda x, u: np.zeros((r, fibre_dim)))
+        data = sc.StandardCaseData(
+            gamma=stacked(lambda x, u: np.zeros(x.shape[:-1] + (r, fibre_dim))))
     elif kind == "linear_u":
         coeffs = _vector(ctx, "connection_coeffs", [0.4, -0.7])
-        data = sc.StandardCaseData(gamma=lambda x, u: np.outer(coeffs, u))
+        # np.outer(coeffs, u) at every point
+        data = sc.StandardCaseData(
+            gamma=stacked(lambda x, u: coeffs[:, None] * u[..., None, :]))
     else:
         raise ConfigError(f"unknown connection kind {kind!r}")
     _needs(ctx, "el_vs_classical", kind == "zero", "the zero connection")
@@ -518,13 +521,13 @@ def _write_trajectory_csv(ctx, outdir: Path) -> list:
     names = sorted(conserved)
     header = (["t"] + [f"u_{i}" for i in range(traj.u.shape[1])]
               + [f"y_{i}" for i in range(traj.y.shape[1])] + names)
-    series = np.stack([conserved[name] for name in names], axis=1)
+    # csv writes each float with repr, as for residuals.csv
+    table = np.concatenate([traj.times[:, None], traj.u, traj.y]
+                           + [conserved[name][:, None] for name in names], axis=1)
     with open(outdir / "trajectory.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, t in enumerate(traj.times):
-            row = np.concatenate([[t], traj.u[i], traj.y[i], series[i]])
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(row.tolist() for row in table)
     return ["trajectory.csv"]
 
 

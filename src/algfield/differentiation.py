@@ -58,9 +58,26 @@ def gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
 
 def partial_derivative_two_slot(f: Callable, x: np.ndarray, u: np.ndarray, slot: int,
                                 h: float) -> np.ndarray:
-    """Partial derivatives of ``f(x, u)`` in argument ``slot`` (0 or 1), axes last."""
-    a = np.array(x, dtype=float)
-    b = np.array(u, dtype=float)
-    if slot == 0:
-        return gradient(lambda z: f(z, b), a, h)
-    return gradient(lambda z: f(a, z), b, h)
+    """Partial derivatives of ``f(x, u)`` in argument ``slot`` (0 or 1), axes last.
+
+    At one point (``x`` and ``u`` 1-d) this is :func:`gradient` in that
+    argument.  At stacked points (``x`` of shape ``lead + (r,)``, ``u`` of
+    shape ``lead + (m,)``) ``f`` must take stacked points, and the last
+    axis of the slot argument is differenced: each of its columns is
+    shifted at all points at once, and the result has shape ``lead`` plus
+    the point shape of ``f`` plus the length of that axis.
+    """
+    args = [np.array(x, dtype=float), np.array(u, dtype=float)]
+    z = args[slot]
+    cols = []
+    for i in range(z.shape[-1]):
+        plus, minus = z.copy(), z.copy()
+        plus[..., i] += h
+        minus[..., i] -= h
+        args[slot] = plus
+        value = np.asarray(f(*args))
+        args[slot] = minus
+        cols.append((value - np.asarray(f(*args))) / (2.0 * h))
+    if not cols:
+        return np.zeros(np.shape(f(*args)) + (0,))
+    return np.stack(cols, axis=-1)

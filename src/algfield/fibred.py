@@ -19,11 +19,12 @@ functions of ``y``, total derivatives, the affine coefficients
 here; all of it reduces to classical jet-bundle calculus when the
 kernel is a coordinate fibre.
 
-Every coefficient is a per-point callable, and every read of one goes
-through :func:`sample_points`: at stacked points it calls the callable
-once per point and stacks the results along the leading axes of the
-points, at a single point it calls it once, and either way a result of
-the wrong shape raises.
+Every coefficient is a callable that takes one point, or, declared
+:func:`stacked`, points with any leading axes.  Every read of one goes
+through :func:`sample_points`: at stacked points it calls a stacked
+callable once and any other once per point, stacking the results along
+the leading axes of the points; at a single point it calls either once;
+and either way a result of the wrong shape raises.
 """
 
 from __future__ import annotations
@@ -34,43 +35,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebroid import LieAlgebroid, PForm, Section, lie_derivative
+from .algebroid import LieAlgebroid, PForm, Section, lie_derivative, sample_points, stacked
 from .differentiation import STEP, gradient, partial_derivative_two_slot
 
 
 def _antisym01(c: np.ndarray) -> np.ndarray:
     """Antisymmetric part in the first two point axes of a (stacked) 3-index array."""
     return 0.5 * (c - np.swapaxes(c, -3, -2))
-
-
-def sample_points(fn: Callable, name: str, shape: tuple, x: np.ndarray,
-                  *args: np.ndarray) -> np.ndarray:
-    """``fn(x, *args)`` at every point, stacked: shape ``lead + shape``.
-
-    ``x`` has shape ``lead + (dim,)`` and each of ``args`` ``lead`` plus
-    its own point shape; ``fn`` is called once per point, with the point's
-    rows.  ``lead = ()`` is one call on the arrays themselves, whose
-    result is returned as is (no copy).  A result of any other shape than
-    ``shape`` raises a ``ValueError`` naming ``name``, also where it would
-    have broadcast.
-    """
-    if x.ndim == 1:
-        return _checked(fn(x, *args), name, shape, x)
-    lead = x.shape[:-1]
-    count = int(np.prod(lead))
-    out = np.empty(lead + shape)
-    flat = out.reshape((count,) + shape)
-    rows = [a.reshape((count,) + a.shape[len(lead):]) for a in (x, *args)]
-    for i, point in enumerate(zip(*rows)):
-        flat[i] = _checked(fn(*point), name, shape, point[0])
-    return out
-
-
-def _checked(value, name: str, shape: tuple, x: np.ndarray) -> np.ndarray:
-    value = np.asarray(value, dtype=float)
-    if value.shape != shape:
-        raise ValueError(f"{name} returned shape {value.shape} at x = {x}, expected {shape}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -96,7 +67,9 @@ class FibredAlgebroidPair:
     * ``c_kernel(x, u)[alpha, beta, gamma]``, ``(k, k, k)`` (antisym first two)
 
     Each callable takes one point, ``x`` of shape ``(r,)`` and ``u`` of
-    shape ``(m,)``, and must return exactly its shape.  It is read through
+    shape ``(m,)``, and must return exactly its shape; a :func:`stacked`
+    one also takes ``x`` of shape ``lead + (r,)`` and ``u`` of shape
+    ``lead + (m,)`` and returns ``lead`` plus its shape.  It is read through
     :meth:`coefficient` (the mechanics integrator reads the raw kernel
     constants through :func:`sample_points`), at one point or at stacked
     points, which raises on any other shape.  An unset (``None``)
@@ -135,7 +108,8 @@ class FibredAlgebroidPair:
         ``x`` has shape ``lead + (r,)`` and ``u`` (for the coefficients
         that take it) ``lead + (m,)``, with ``lead = ()`` for one point;
         the result has shape ``lead`` plus the coefficient's point shape,
-        checked at every point.  An unset coefficient is not called and
+        checked at every point (for a stacked coefficient, on the whole
+        block).  An unset coefficient is not called and
         stays point-shaped (identity anchor or zeros), so it broadcasts
         against stacked operands.
         """
@@ -153,27 +127,31 @@ class FibredAlgebroidPair:
 
         Rank ``r + m_k`` with frame ordered base-first; used to run the
         single-chart calculus (structure residuals, Lie derivatives,
-        flows) on the ambient bundle.
+        flows) on the ambient bundle.  Its anchor and bracket are
+        :func:`stacked`: each reads every pair coefficient once for all
+        the points it is given.
         """
         r, mu, mk = self.base_dim, self.fibre_dim, self.kernel_rank
 
+        @stacked
         def anchor(z):
-            x, u = z[:r], z[r:]
-            out = np.zeros((r + mk, r + mu))
-            out[:r, :r] = self.coefficient("rho_f", x)
-            out[:r, r:] = self.coefficient("rho_base_u", x, u)
-            out[r:, r:] = self.coefficient("rho_kernel_u", x, u)
+            x, u = z[..., :r], z[..., r:]
+            out = np.zeros(z.shape[:-1] + (r + mk, r + mu))
+            out[..., :r, :r] = self.coefficient("rho_f", x)
+            out[..., :r, r:] = self.coefficient("rho_base_u", x, u)
+            out[..., r:, r:] = self.coefficient("rho_kernel_u", x, u)
             return out
 
+        @stacked
         def coeffs(z):
-            x, u = z[:r], z[r:]
-            out = np.zeros((r + mk, r + mk, r + mk))
-            out[:r, :r, :r] = self.coefficient("c_f", x)
-            out[:r, :r, r:] = self.coefficient("c_base_kernel", x, u)
+            x, u = z[..., :r], z[..., r:]
+            out = np.zeros(z.shape[:-1] + (r + mk,) * 3)
+            out[..., :r, :r, :r] = self.coefficient("c_f", x)
+            out[..., :r, :r, r:] = self.coefficient("c_base_kernel", x, u)
             mixed = self.coefficient("c_mixed", x, u)
-            out[:r, r:, r:] = mixed
-            out[r:, :r, r:] = -np.swapaxes(mixed, 0, 1)
-            out[r:, r:, r:] = self.coefficient("c_kernel", x, u)
+            out[..., :r, r:, r:] = mixed
+            out[..., r:, :r, r:] = -np.swapaxes(mixed, -3, -2)
+            out[..., r:, r:, r:] = self.coefficient("c_kernel", x, u)
             return out
 
         return LieAlgebroid(
@@ -238,11 +216,15 @@ class ProjectableSection:
     ``base_coeffs(x)[a] = sigma^a`` (``None`` for a vertical section) and
     ``vertical_coeffs(x, u)[alpha] = sigma^alpha``.  Optional analytic
     derivatives follow the usual layout (value indices first,
-    differentiation index last).  Like the pair coefficients,
-    ``vertical_coeffs`` takes one point and returns shape
-    ``(kernel_rank,)``; its values are read through
-    :meth:`vertical_points`, at one point or once per node of a grid
-    pass, which raises on any other shape.
+    differentiation index last).  Like the pair coefficients, each
+    callable takes one point, or is :func:`stacked`, and is read through
+    :func:`sample_points`, which raises on any other shape than
+    ``base_coeffs`` ``(r,)``, ``d_base`` ``(r, r)``, ``vertical_coeffs``
+    ``(kernel_rank,)``, ``d_vertical_x`` ``(kernel_rank, r)`` and
+    ``d_vertical_u`` ``(kernel_rank, m)``.  ``vertical_coeffs`` is read
+    at one point or at a block of grid nodes (:meth:`vertical_points`),
+    the others at one point; missing derivatives are central differences
+    of the checked values.
     """
 
     base_coeffs: Optional[Callable] = None
@@ -256,9 +238,11 @@ class ProjectableSection:
         return self.base_coeffs is None
 
     def base_at(self, x, base_dim: int) -> np.ndarray:
+        """``base_coeffs`` at one point: shape ``(base_dim,)``, zero when unset."""
         if self.base_coeffs is None:
             return np.zeros(base_dim)
-        return np.asarray(self.base_coeffs(np.asarray(x, dtype=float)), dtype=float)
+        return sample_points(self.base_coeffs, "base_coeffs", (base_dim,),
+                             np.asarray(x, dtype=float))
 
     def vertical_points(self, x: np.ndarray, u: np.ndarray, kernel_rank: int) -> np.ndarray:
         """``vertical_coeffs`` at one point or at stacked points (``x`` of
@@ -269,25 +253,34 @@ class ProjectableSection:
         return sample_points(self.vertical_coeffs, "vertical_coeffs", (kernel_rank,), x, u)
 
     def base_jacobian(self, x, base_dim: int) -> np.ndarray:
+        """``d sigma^a / d x^i`` at one point: shape ``(base_dim, r)``, from
+        ``d_base`` or by central differences of :meth:`base_at`."""
+        x = np.asarray(x, dtype=float)
         if self.base_coeffs is None:
-            return np.zeros((base_dim, np.asarray(x).size))
+            return np.zeros((base_dim, x.size))
         if self.d_base is not None:
-            return np.asarray(self.d_base(np.asarray(x, dtype=float)), dtype=float)
+            return sample_points(self.d_base, "d_base", (base_dim, x.size), x)
         return gradient(lambda z: self.base_at(z, base_dim), x, STEP)
 
     def vertical_jacobian_x(self, x, u, kernel_rank: int) -> np.ndarray:
-        if self.vertical_coeffs is None:
-            return np.zeros((kernel_rank, np.asarray(x).size))
-        if self.d_vertical_x is not None:
-            return np.asarray(self.d_vertical_x(x, u), dtype=float)
-        return partial_derivative_two_slot(self.vertical_coeffs, x, u, 0, STEP)
+        """``d sigma^alpha / d x^i`` at one point: shape ``(kernel_rank, r)``,
+        from ``d_vertical_x`` or by central differences of :meth:`vertical_points`."""
+        return self._vertical_jacobian(self.d_vertical_x, "d_vertical_x", 0, x, u, kernel_rank)
 
     def vertical_jacobian_u(self, x, u, kernel_rank: int) -> np.ndarray:
+        """``d sigma^alpha / d u^A`` at one point: shape ``(kernel_rank, m)``,
+        read like :meth:`vertical_jacobian_x`."""
+        return self._vertical_jacobian(self.d_vertical_u, "d_vertical_u", 1, x, u, kernel_rank)
+
+    def _vertical_jacobian(self, derivative, name, slot, x, u, kernel_rank):
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        shape = (kernel_rank, (x, u)[slot].size)
         if self.vertical_coeffs is None:
-            return np.zeros((kernel_rank, np.asarray(u).size))
-        if self.d_vertical_u is not None:
-            return np.asarray(self.d_vertical_u(x, u), dtype=float)
-        return partial_derivative_two_slot(self.vertical_coeffs, x, u, 1, STEP)
+            return np.zeros(shape)
+        if derivative is not None:
+            return sample_points(derivative, name, shape, x, u)
+        return partial_derivative_two_slot(
+            lambda x, u: self.vertical_points(x, u, kernel_rank), x, u, slot, STEP)
 
     @staticmethod
     def vertical_constant(values) -> "ProjectableSection":

@@ -16,9 +16,10 @@ node data with any leading axes.  The single-node functions call it on
 one node (after differentiating the whole grid and reading their node);
 ``residual_report`` forms the derivatives once per grid and calls it on
 blocks of ``BLOCK_NODES`` nodes through ``block_pass``, so its
-temporaries scale with the block, not the grid.  Within a block each
-coefficient callable of the pair is still called once per node (see
-``FibredAlgebroidPair``), and must return its documented shape.  Sweeps
+temporaries scale with the block, not the grid.  Within a block a
+:func:`~algfield.fibred.stacked` coefficient callable of the pair is
+called once, and any other once per node (see ``FibredAlgebroidPair``);
+either must return its documented shape.  Sweeps
 call ``residual_report``.  Closed-form or integrated fields come from
 the scenario builders.
 """
@@ -31,13 +32,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .algebroid import BLOCK_NODES
 from .fibred import FibredAlgebroidPair, JetPoint, sample_points
 
 _FORMAT_NAME = "algfield-section"
 _FORMAT_VERSION = 1
-
-# nodes per block of the grid passes (``block_pass``)
-BLOCK_NODES = 512
 
 
 class StencilError(ValueError):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .differentiation import (
     FINE_STEP, HESSIAN_STEP, STEP, gradient, partial_derivative, partial_derivative_two_slot)
-from .fibred import FibredAlgebroidPair, _antisym01, sample_points
+from .fibred import FibredAlgebroidPair, _antisym01, sample_points, stacked
 from .fields import DiscretizedSection, GridSpec, grid_gradient
 from .smoothfields import TrigPolynomial
 from .variational import Lagrangian, el_residual_field
@@ -61,36 +61,51 @@ class ProjectionError(ValueError):
 class StandardCaseData:
     """Connection coefficients ``G(x, u)[i, A]`` with derived quantities.
 
-    ``gamma`` takes one point and is the anchor block ``rho_base_u`` of
-    :func:`builder_standard`, so it is read (and its shape checked)
-    through the pair.  ``vertical_derivative(x, u)[i, A, B] = dG_i^A /
-    du^B`` and ``base_derivative(x, u)[i, A, j] = dG_i^A / dx^j`` fall
-    back to central differences.  The curvature of the connection is
-    minus :meth:`frame_bracket`.
+    ``gamma`` takes one point, or is :func:`~algfield.fibred.stacked`, and
+    is the anchor block ``rho_base_u`` of :func:`builder_standard`.
+    ``vertical_derivative(x, u)[i, A, B] = dG_i^A / du^B`` and
+    ``base_derivative(x, u)[i, A, j] = dG_i^A / dx^j`` fall back to
+    central differences of ``gamma``.  All three are read through
+    :func:`~algfield.fibred.sample_points`, with the shapes given by the
+    lengths of ``x`` and ``u``, so the derived quantities, themselves
+    stacked, take one point or stacked points.  The curvature of the
+    connection is minus :meth:`frame_bracket`.
     """
 
     gamma: Callable
     vertical_derivative: Optional[Callable] = None
     base_derivative: Optional[Callable] = None
 
+    def gamma_points(self, x, u) -> np.ndarray:
+        """``G`` at one point or at stacked points: shape ``lead + (r, m)``."""
+        return sample_points(self.gamma, "gamma", (x.shape[-1], u.shape[-1]), x, u)
+
     def vertical_derivative_at(self, x, u) -> np.ndarray:
-        if self.vertical_derivative is not None:
-            return np.asarray(self.vertical_derivative(x, u), dtype=float)
-        return partial_derivative_two_slot(self.gamma, x, u, 1, STEP)
+        """``dG/du`` at one point or at stacked points: ``lead + (r, m, m)``."""
+        return self._derivative(self.vertical_derivative, "vertical_derivative", 1, x, u)
 
     def base_derivative_at(self, x, u) -> np.ndarray:
-        if self.base_derivative is not None:
-            return np.asarray(self.base_derivative(x, u), dtype=float)
-        return partial_derivative_two_slot(self.gamma, x, u, 0, STEP)
+        """``dG/dx`` at one point or at stacked points: ``lead + (r, m, r)``."""
+        return self._derivative(self.base_derivative, "base_derivative", 0, x, u)
 
+    def _derivative(self, derivative, name, slot, x, u):
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        if derivative is not None:
+            shape = (x.shape[-1], u.shape[-1], (x, u)[slot].shape[-1])
+            return sample_points(derivative, name, shape, x, u)
+        return partial_derivative_two_slot(self.gamma_points, x, u, slot, STEP)
+
+    @stacked
     def frame_bracket(self, x, u) -> np.ndarray:
-        """``[e_i, e_j]`` components ``C[i, j, A]`` of the adapted frame."""
-        g = np.asarray(self.gamma(x, u), dtype=float)
-        dgx = self.base_derivative_at(x, u)      # [i, A, j]
-        dgu = self.vertical_derivative_at(x, u)  # [i, A, B]
-        out = np.einsum("jAi->ijA", dgx) - np.einsum("iAj->ijA", dgx)
-        out += np.einsum("iB,jAB->ijA", g, dgu)
-        out -= np.einsum("jB,iAB->ijA", g, dgu)
+        """``[e_i, e_j]`` components ``C[..., i, j, A]`` of the adapted frame,
+        at one point or at stacked points."""
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        g = self.gamma_points(x, u)
+        dgx = self.base_derivative_at(x, u)      # [..., i, A, j]
+        dgu = self.vertical_derivative_at(x, u)  # [..., i, A, B]
+        out = np.einsum("...jAi->...ijA", dgx) - np.einsum("...iAj->...ijA", dgx)
+        out += np.einsum("...iB,...jAB->...ijA", g, dgu)
+        out -= np.einsum("...jB,...iAB->...ijA", g, dgu)
         return out
 
 
@@ -101,14 +116,17 @@ def builder_standard(data: StandardCaseData, base_dim: int,
     Kernel indices coincide with the fibre indices; the anchor carries
     the connection (``rho_i^A = G_i^A``, kernel acting by translations)
     and the bracket blocks are the frame commutators, so the structure
-    equations hold by construction for any smooth connection.
+    equations hold by construction for any smooth connection.  The
+    kernel anchor and both bracket blocks are stacked callables.
     """
+    eye = np.eye(fibre_dim)
     return FibredAlgebroidPair(
         base_dim=base_dim, fibre_dim=fibre_dim, kernel_rank=fibre_dim,
         rho_base_u=data.gamma,
-        rho_kernel_u=lambda x, u: np.eye(fibre_dim),
+        rho_kernel_u=stacked(lambda x, u: np.broadcast_to(eye, u.shape[:-1] + eye.shape)),
         c_base_kernel=data.frame_bracket,
-        c_mixed=lambda x, u: -np.einsum("iAB->iBA", data.vertical_derivative_at(x, u)),
+        c_mixed=stacked(
+            lambda x, u: -np.einsum("...iAB->...iBA", data.vertical_derivative_at(x, u))),
     )
 
 
@@ -221,15 +239,19 @@ class MechanicsTrajectory:
 
 
 def _mechanics_hessians(lagrangian: Lagrangian, x, u, y):
+    """Velocity Hessians ``(d2L/dy dy, d2L/dy du)`` at one point, shapes
+    ``(k, k)`` and ``(k, m)``: analytic (read through ``sample_points``)
+    or differences of the momentum."""
+    mk = y.shape[0]
     if lagrangian.hess_yy is not None:
-        hyy = np.asarray(lagrangian.hess_yy(x, u, y), dtype=float)
+        hyy = sample_points(lagrangian.hess_yy, "hess_yy", (mk, mk), x, u, y)
     else:
         hyy = gradient(lambda v: lagrangian.partial_y_points(x, u, v[:, None])[:, 0],
                        y[:, 0], HESSIAN_STEP)
     if u.size == 0:
         return hyy, np.zeros((y.shape[0], 0))
     if lagrangian.hess_yu is not None:
-        hyu = np.asarray(lagrangian.hess_yu(x, u, y), dtype=float)
+        hyu = sample_points(lagrangian.hess_yu, "hess_yu", (mk, u.size), x, u, y)
     else:
         hyu = gradient(lambda v: lagrangian.partial_y_points(x, v, y)[:, 0], u, HESSIAN_STEP)
     return hyy, hyu

@@ -32,9 +32,9 @@ momentum and its divergence, and the current of a vertical section) are
 written once over node data with any leading axes.  The single-node
 functions call them on one node; the whole-grid fields (momentum,
 Euler-Lagrange residual, current) call them on blocks of nodes through
-``fields.block_pass``.  The Lagrangian and section callables keep a
-per-point contract: each is called once per node with that node's
-``(x, u, y)`` and must return its documented shape.  They are read only
+``fields.block_pass``.  The Lagrangian and section callables take one
+node's ``(x, u, y)``, or, declared :func:`~algfield.fibred.stacked`, a
+block of nodes, and must return their documented shape.  They are read only
 through the checked readers (``Lagrangian.*_points``,
 ``ProjectableSection.vertical_points`` and
 ``FibredAlgebroidPair.coefficient``), at one node or at a block of
@@ -62,8 +62,10 @@ class Lagrangian:
     base_dim)``.  ``value(x, u, y) -> float``; ``grad_u -> (fibre_dim,)``
     and ``grad_y -> (kernel_rank, base_dim)`` when supplied, else central
     differences.  They are read through the ``*_points`` methods, at one
-    point or once per node of stacked points, which raise on a result of
-    any other shape.  ``hess_yy``/``hess_yu`` are used by the
+    point or at stacked points (once per point, or once for a
+    :func:`~algfield.fibred.stacked` callable), which raise on a result
+    of any other shape.  ``hess_yy -> (kernel_rank, kernel_rank)`` and
+    ``hess_yu -> (kernel_rank, fibre_dim)`` are used, and checked, by the
     mechanics integrator (one-dimensional base) and may be omitted.
 
     ``autonomous`` declares that ``value`` and every partial do not

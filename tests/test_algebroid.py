@@ -17,8 +17,12 @@ from algfield.algebroid import (
     flow_of_section,
     flow_pullback_form,
     lie_derivative,
+    sample_points,
+    stacked,
     structure_equation_residuals,
+    structure_residual_max,
 )
+from algfield.differentiation import partial_derivative_two_slot
 from algfield.smoothfields import trig_polynomial
 
 from helpers import (
@@ -344,3 +348,67 @@ class TestFlow:
             fm, _ = flow_of_section(model, sigma, s, xm, steps=200)
             jac[:, j] = (fp - fm) / (2 * h)
         npt.assert_allclose(m, jac, atol=1e-7)
+
+
+class TestStackedPoints:
+    @staticmethod
+    def _f(x, u):
+        return np.stack([x[..., 0] * u[..., 1], x[..., 1] * x[..., 1] - u[..., 0],
+                         u[..., 0] * u[..., 1] * x[..., 0]], axis=-1)
+
+    def test_stacked_callable_is_called_once_per_block(self):
+        calls = []
+
+        def f(x, u):
+            calls.append(x.shape)
+            return self._f(x, u)
+
+        rng = np.random.default_rng(2)
+        x, u = rng.uniform(-1, 1, (4, 3, 2)), rng.uniform(-1, 1, (4, 3, 2))
+        per_point = sample_points(f, "f", (3,), x, u)
+        assert len(calls) == 12
+        calls.clear()
+        block = sample_points(stacked(f), "f", (3,), x, u)
+        assert calls == [(4, 3, 2)]
+        npt.assert_array_equal(block, per_point)
+        calls.clear()
+        npt.assert_array_equal(sample_points(stacked(f), "f", (3,), x[1, 2], u[1, 2]),
+                               per_point[1, 2])
+        assert calls == [(2,)]
+
+    def test_wrongly_shaped_stacked_result_raises(self):
+        # a point-shaped result would broadcast against the block
+        fn = stacked(lambda x: np.zeros(2))
+        with pytest.raises(ValueError, match=r"^anchor returned shape \(2,\) at points of "
+                                             r"shape \(4, 3\), expected \(4, 2\)$"):
+            sample_points(fn, "anchor", (2,), np.zeros((4, 3)))
+        model = LieAlgebroid(base_dim=3, rank=2, anchor=stacked(lambda x: np.zeros((2, 3))),
+                             bracket_coeffs=lambda x: np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match=r"^anchor returned shape \(2, 3\) at points"):
+            structure_residual_max(model, np.zeros((5, 3)))
+
+    def test_stacked_method_keeps_its_mark(self):
+        calls = []
+
+        class Holder:
+            @stacked
+            def value(self, x):
+                calls.append(x.shape)
+                return x * 2.0
+
+        out = sample_points(Holder().value, "value", (3,), np.ones((5, 3)))
+        npt.assert_array_equal(out, np.full((5, 3), 2.0))
+        assert calls == [(5, 3)]
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_two_slot_difference_at_stacked_points(self, slot):
+        # each point's columns are differenced as at one point, bit for bit
+        rng = np.random.default_rng(3)
+        x, u = rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (6, 2))
+        block = partial_derivative_two_slot(self._f, x, u, slot, 1e-4)
+        assert block.shape == (6, 3, 2)
+        for i in range(6):
+            npt.assert_array_equal(block[i], partial_derivative_two_slot(
+                self._f, x[i], u[i], slot, 1e-4))
+        empty = partial_derivative_two_slot(lambda x, u: x[..., :1] * 1.0, x, u[:, :0], 1, 1e-4)
+        assert empty.shape == (6, 1, 0)

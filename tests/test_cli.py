@@ -1,13 +1,16 @@
 """CLI front end: config validation, reports, exit codes, determinism."""
 
+import csv
 import gc
+import io
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from algfield import scenarios
+from algfield import cli, scenarios
 from algfield.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_IO_ERROR,
@@ -285,6 +288,28 @@ class TestRun:
         assert main(["run", str(cfg), str(out_a)]) == EXIT_OK
         assert main(["run", str(cfg), str(out_b)]) == EXIT_OK
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
+    def test_trajectory_csv_writes_each_float_with_repr(self, tmp_path):
+        # every field is written as repr(float(v)), row by row, so the file
+        # is byte-identical to this reference writer
+        ctx = CheckContext({"checks": []}, np.random.default_rng(0))
+        ctx.dt = 0.1
+        traj = scenarios.MechanicsTrajectory(
+            times=np.array([0.0, 0.1, 0.30000000000000004]),
+            u=np.array([[1e-05], [-0.0], [1.0 / 3.0]]),
+            y=np.array([[1e16, 2.5], [5e-324, -1.0], [123456.789, 0.1 + 0.2]]))
+        conserved = {"energy": np.array([0.5, np.nextafter(0.5, 1.0), -7.0]),
+                     "casimir": np.array([2.0 ** -30, 1e300, -1e-300])}
+        ctx._cache[("trajectory", 0.1)] = (traj, conserved)
+        assert cli._write_trajectory_csv(ctx, tmp_path) == ["trajectory.csv"]
+
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["t", "u_0", "y_0", "y_1", "casimir", "energy"])
+        for i, t in enumerate(traj.times):
+            row = [t, *traj.u[i], *traj.y[i], conserved["casimir"][i], conserved["energy"][i]]
+            writer.writerow([repr(float(v)) for v in row])
+        assert (tmp_path / "trajectory.csv").read_bytes() == expected.getvalue().encode()
 
     def test_seed_flag_changes_report_seed(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)

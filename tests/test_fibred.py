@@ -1,5 +1,7 @@
 """Jet data over fibred pairs: affine functions, total derivatives, lifts."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -211,6 +213,29 @@ class TestCompleteLift:
         npt.assert_allclose(dx, 0.0, atol=1e-14)
         npt.assert_allclose(du, 0.0, atol=1e-14)
         npt.assert_allclose(dy, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name, wrong", [
+        ("d_vertical_x", (2, 1)), ("d_vertical_u", (2, 1)), ("d_base", (2, 1)),
+        ("base_coeffs", (1,)), ("vertical_coeffs", (2, 1))])
+    def test_wrongly_shaped_section_data_raises(self, name, wrong):
+        # a (2, 1) d_vertical_x would broadcast in the lift's einsum and move
+        # dy silently; every section reader checks its shape
+        rng = np.random.default_rng(51)
+        pair = connection_pair(rng)
+        p = random_jet_point(rng, pair)
+        fields = dict(base_coeffs=lambda x: np.array([x[0], 0.5]),
+                      vertical_coeffs=lambda x, u: np.array([x[1], u[0]]),
+                      d_base=lambda x: np.array([[1.0, 0.0], [0.0, 0.0]]),
+                      d_vertical_x=lambda x, u: np.array([[0.0, 1.0], [0.0, 0.0]]),
+                      d_vertical_u=lambda x, u: np.array([[0.0, 0.0], [1.0, 0.0]]))
+        correct = complete_lift(pair, ProjectableSection(**fields), p)
+        fallback = complete_lift(pair, ProjectableSection(
+            base_coeffs=fields["base_coeffs"], vertical_coeffs=fields["vertical_coeffs"]), p)
+        for a, b in zip(correct, fallback):
+            npt.assert_allclose(a, b, atol=1e-8)
+        fields[name] = lambda *args: np.ones(wrong)
+        with pytest.raises(ValueError, match=f"^{name} returned shape {re.escape(str(wrong))}"):
+            complete_lift(pair, ProjectableSection(**fields), p)
 
     def test_vertical_constant_on_abelian_kernel(self):
         rng = np.random.default_rng(53)

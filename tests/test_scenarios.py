@@ -8,7 +8,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from algfield.algebroid import structure_residual_max
+from algfield import cli
+from algfield.algebroid import LieAlgebroid, structure_equation_residuals, structure_residual_max
+from algfield.fibred import FibredAlgebroidPair, stacked
 from algfield.fields import (
     DiscretizedSection,
     GridSpec,
@@ -47,6 +49,8 @@ from algfield.scenarios import (
 )
 from algfield.smoothfields import TrigPolynomial, trig_polynomial, trig_vector
 from algfield.variational import Lagrangian, el_residual, el_residual_field
+
+from helpers import broken_so3_algebroid, frame_algebroid
 
 
 def sample_points(rng, n, count=20, scale=1.0):
@@ -95,6 +99,72 @@ class TestBuilderStructureEquations:
             base_dim=2)
         assert structure_residual_max(abelian.total_algebroid(),
                                       sample_points(rng, 2, 5)) < 1e-12
+
+    @staticmethod
+    def _cli_standard_pair(connection):
+        ctx = cli.CheckContext({"params": {"connection": connection}, "checks": []},
+                               np.random.default_rng(0))
+        return cli._standard_connection(ctx)
+
+    @staticmethod
+    def _curved_standard_pair():
+        g = trig_vector(np.random.default_rng(3), 2, 4, amplitude=0.4)
+        return builder_standard(StandardCaseData(
+            gamma=lambda x, u: (np.array([[g[0](x), g[1](x)], [g[2](x), g[3](x)]])
+                                + 0.3 * np.outer(np.ones(2), u))), 2, 2)
+
+    @staticmethod
+    def _mismatched_heavy_top_pair():
+        # +epsilon kernel constants with the rotation action: nonzero residuals
+        return FibredAlgebroidPair(
+            base_dim=1, fibre_dim=3, kernel_rank=3,
+            rho_kernel_u=lambda x, u: -np.einsum("kAB,B->kA", EPSILON3, u),
+            c_kernel=lambda x, u: EPSILON3)
+
+    @pytest.mark.parametrize("name", [
+        "standard_zero", "standard_linear_u", "standard_curved", "rigid_body", "heavy_top",
+        "mismatched_heavy_top", "chern_simons", "atiyah_flat", "atiyah_abelian",
+        "frame_algebroid", "broken_so3", "tangent"])
+    def test_structure_residual_max_matches_per_point_residuals(self, name):
+        # blocks of stacked points against the one-point oracle, bit for bit,
+        # over more points than one block holds; the last two models and the
+        # anchor of frame_algebroid have analytic derivatives
+        omega = np.zeros((2, 2, 1))
+        omega[0, 1, 0], omega[1, 0, 0] = 0.7, -0.7
+        models = {
+            "standard_zero": lambda: self._cli_standard_pair("zero").total_algebroid(),
+            "standard_linear_u": lambda: self._cli_standard_pair("linear_u").total_algebroid(),
+            "standard_curved": lambda: self._curved_standard_pair().total_algebroid(),
+            "rigid_body": lambda: rigid_body_pair().total_algebroid(),
+            "heavy_top": lambda: heavy_top_pair().total_algebroid(),
+            "mismatched_heavy_top": lambda: self._mismatched_heavy_top_pair().total_algebroid(),
+            "chern_simons": lambda: builder_chern_simons(
+                ChernSimonsData.su2(), GridSpec.periodic_box((4, 4, 4)))[0].total_algebroid(),
+            "atiyah_flat": lambda: builder_atiyah(
+                AtiyahData(constants=EPSILON3), base_dim=2).total_algebroid(),
+            "atiyah_abelian": lambda: builder_atiyah(
+                AtiyahData(constants=np.zeros((1, 1, 1)), curvature=lambda x: omega),
+                base_dim=2).total_algebroid(),
+            "frame_algebroid": lambda: frame_algebroid(np.random.default_rng(4)),
+            "broken_so3": lambda: broken_so3_algebroid(),
+            "tangent": lambda: LieAlgebroid.standard_tangent(3),
+        }
+        model = models[name]()
+        pts = np.random.default_rng(17).uniform(-1, 1, (70, model.base_dim))
+        expected = 0.0
+        for x in pts:
+            a, j = structure_equation_residuals(model, x)
+            expected = max(expected, float(np.max(np.abs(a))), float(np.max(np.abs(j))))
+        assert structure_residual_max(model, pts) == expected
+        if name in ("mismatched_heavy_top", "broken_so3"):
+            assert expected > 0.1
+
+    def test_structure_residual_max_propagates_nan(self):
+        model = dataclasses.replace(
+            LieAlgebroid.standard_tangent(2),
+            anchor=lambda x: np.full((2, 2), np.nan) if x[0] > 0.5 else np.eye(2))
+        pts = np.array([[0.0, 0.0], [0.9, 0.0], [-0.3, 0.2]])
+        assert np.isnan(structure_residual_max(model, pts))
 
     def test_atiyah_horizontal_anchor_is_coordinate_vector(self):
         # the base frame directions of the reduced pair anchor to unit
@@ -197,6 +267,83 @@ class TestStandardScenario:
             npt.assert_allclose(fallback.base_derivative_at(x, u), base(x, u), atol=1e-7)
             npt.assert_allclose(fallback.frame_bracket(x, u), analytic.frame_bracket(x, u),
                                 atol=1e-7)
+
+    _A = np.array([[0.3, -0.5], [0.8, 0.2]])
+
+    @staticmethod
+    @stacked
+    def _polynomial_gamma(x, u):
+        # products and sums only, so one point and a stack round alike:
+        # G[i, A] = A[i, A] x_i u_A + 0.4 x_0 x_1 + 0.6 u_A^2
+        a = TestStandardScenario._A
+        return (a * x[..., :, None] * u[..., None, :]
+                + 0.4 * (x[..., 0] * x[..., 1])[..., None, None]
+                + 0.6 * (u * u)[..., None, :])
+
+    @pytest.mark.parametrize("kind", ["per_point", "stacked", "analytic"])
+    def test_stacked_bracket_blocks_match_per_point(self, kind):
+        # c_base_kernel (frame_bracket) and c_mixed at stacked points against
+        # their one-point calls, bit for bit
+        g = trig_vector(np.random.default_rng(41), 2, 4, amplitude=0.4)
+        a = self._A
+        if kind == "per_point":
+            data = StandardCaseData(gamma=lambda x, u: (
+                np.array([[g[0](x), g[1](x)], [g[2](x), g[3](x)]]) * u[None, :]))
+        elif kind == "stacked":
+            data = StandardCaseData(gamma=self._polynomial_gamma)
+        else:
+            # a per-point dG/du and a stacked dG/dx
+            data = StandardCaseData(
+                gamma=self._polynomial_gamma,
+                vertical_derivative=lambda x, u: np.einsum(
+                    "iA,AB->iAB", a * x[:, None] + 1.2 * u[None, :], np.eye(2)),
+                base_derivative=stacked(lambda x, u: (
+                    np.einsum("...iA,ij->...iAj", a * u[..., None, :], np.eye(2))
+                    + 0.4 * x[..., None, None, ::-1])))
+        pair = builder_standard(data, base_dim=2, fibre_dim=2)
+        rng = np.random.default_rng(42)
+        x, u = rng.uniform(-1, 1, (3, 5, 2)), rng.uniform(-1, 1, (3, 5, 2))
+        for name in ("c_base_kernel", "c_mixed", "rho_base_u", "rho_kernel_u"):
+            block = pair.coefficient(name, x, u)
+            points = np.array([[pair.coefficient(name, x[i, j], u[i, j]) for j in range(5)]
+                               for i in range(3)])
+            npt.assert_array_equal(block, points)
+        if kind == "analytic":
+            fallback = builder_standard(StandardCaseData(gamma=self._polynomial_gamma), 2, 2)
+            for name in ("c_base_kernel", "c_mixed"):
+                npt.assert_allclose(pair.coefficient(name, x, u),
+                                    fallback.coefficient(name, x, u), atol=1e-8)
+
+    def test_cli_connections_match_their_per_point_forms(self):
+        # the CLI's stacked gammas against np.outer and np.zeros at each point
+        rng = np.random.default_rng(44)
+        x, u = rng.uniform(-1, 1, (40, 2)), rng.uniform(-1, 1, (40, 1))
+        per_point = {"zero": lambda x, u: np.zeros((2, 1)),
+                     "linear_u": lambda x, u: np.outer([0.4, -0.7], u)}
+        for connection, gamma in per_point.items():
+            ctx = cli.CheckContext({"params": {"connection": connection}, "checks": []}, rng)
+            shipped = cli._standard_connection(ctx)
+            reference = builder_standard(StandardCaseData(gamma=gamma), 2, 1)
+            for name in ("rho_base_u", "c_base_kernel", "c_mixed"):
+                npt.assert_array_equal(shipped.coefficient(name, x, u),
+                                       reference.coefficient(name, x, u))
+
+    @pytest.mark.parametrize("name", ["gamma", "vertical_derivative", "base_derivative"])
+    def test_wrongly_shaped_stacked_connection_raises(self, name):
+        # a point-shaped result from a stacked callable would broadcast
+        # against a block; it raises, naming the callable
+        point_shaped = {"gamma": (2, 1), "vertical_derivative": (2, 1, 1),
+                        "base_derivative": (2, 1, 2)}[name]
+        fields = {"gamma": stacked(lambda x, u: np.zeros(x.shape[:-1] + (2, 1)))}
+        fields[name] = stacked(lambda x, u: np.zeros(point_shaped))
+        pair = builder_standard(StandardCaseData(**fields), base_dim=2, fibre_dim=1)
+        x, u = np.zeros((4, 2)), np.zeros((4, 1))
+        message = (f"^{name} returned shape {re.escape(str(point_shaped))} at points of "
+                   f"shape \\(4, [12]\\), expected {re.escape(str((4,) + point_shaped))}")
+        with pytest.raises(ValueError, match=message):
+            pair.coefficient("c_base_kernel", x, u)
+        # one point is still one call, which may return the point shape
+        assert pair.coefficient("c_base_kernel", x[0], u[0]).shape == (2, 2, 1)
 
 
 SHIPPED_MECHANICS = pytest.mark.parametrize("pair, lag, u0", [
@@ -460,6 +607,18 @@ class TestMechanicsIntegrator:
         with pytest.raises(ValueError, match=f"^{name} returned shape {re.escape(str(wrong))}"):
             integrate_mechanics(pair, lag, MechanicsState(0.0, np.zeros(0), np.ones(3)),
                                 t_end=0.1, dt=0.01)
+
+    @pytest.mark.parametrize("name, wrong", [("hess_yy", (1, 3)), ("hess_yy", (1, 1)),
+                                             ("hess_yu", (3, 1))])
+    def test_wrongly_shaped_hessian_raises(self, name, wrong):
+        # a (1, 3) velocity Hessian would read as a singular Lagrangian and a
+        # (1, 1) one fail on a bare matmul; both go through the checked sampler
+        pair = heavy_top_pair()
+        lag = dataclasses.replace(heavy_top_lagrangian([2.0, 2.0, 1.0], 1.0, [0.0, 0.0, 1.0]),
+                                  **{name: lambda x, u, y: np.ones(wrong)})
+        state = MechanicsState(0.0, np.array([0.6, 0.0, 0.8]), np.ones(3))
+        with pytest.raises(ValueError, match=f"^{name} returned shape {re.escape(str(wrong))}"):
+            integrate_mechanics(pair, lag, state, t_end=0.1, dt=0.01)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_reported(self):
