@@ -18,9 +18,9 @@ pure; models may be shared freely across threads.
 Every structure function (and every coefficient callable of the fibred
 pairs built on top) takes one point, unless it is declared
 :func:`stacked`, and is read only through :func:`sample_points`, which
-checks the shape of each result.  :func:`structure_residual_max`
-reads a block of points per call: a stacked model is then called once
-per block, on every point the central differences need.
+checks the shape of each result.  The readers and their Jacobians take
+one point or stacked points, and a missing Jacobian is one
+:func:`~algfield.differentiation.central_difference` of the reader.
 
 Constructing a model whose structure functions violate the compatibility
 identities is allowed (negative tests rely on it); operations that are
@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .differentiation import STEP, gradient
+from .differentiation import STEP, central_difference, gradient
 
 # points per block of the stacked passes (grid nodes in ``fields.block_pass``)
 BLOCK_NODES = 512
@@ -178,25 +178,23 @@ class LieAlgebroid:
         return 0.5 * (c - np.swapaxes(c, -3, -2))
 
     def anchor_jacobian(self, x) -> np.ndarray:
-        """``[alpha, i, j] = d rho_alpha^i / d x^j``, analytic or central-difference.
-
-        An analytic ``anchor_derivative`` is read like the anchor, at one
-        point or at stacked points; the fallback takes one point.
-        """
+        """``[..., alpha, i, j] = d rho_alpha^i / d x^j`` at one point or at
+        stacked points: ``anchor_derivative`` read like the anchor, or central
+        differences of :meth:`anchor_at`."""
         if self.anchor_derivative is not None:
             return sample_points(self.anchor_derivative, "anchor_derivative",
                                  (self.rank, self.base_dim, self.base_dim),
                                  np.asarray(x, dtype=float))
-        return gradient(self.anchor_at, x, STEP)
+        return central_difference(self.anchor_at, (x,), 0, STEP)
 
     def bracket_jacobian(self, x) -> np.ndarray:
-        """``[alpha, beta, gamma, j] = d C_ab^g / d x^j``, read like
+        """``[..., alpha, beta, gamma, j] = d C_ab^g / d x^j``, read like
         :meth:`anchor_jacobian`."""
         if self.bracket_derivative is not None:
             d = sample_points(self.bracket_derivative, "bracket_derivative",
                               (self.rank,) * 3 + (self.base_dim,), np.asarray(x, dtype=float))
             return 0.5 * (d - np.swapaxes(d, -4, -3))
-        return gradient(self.bracket_at, x, STEP)
+        return central_difference(self.bracket_at, (x,), 0, STEP)
 
     @staticmethod
     def standard_tangent(n: int) -> "LieAlgebroid":
@@ -241,9 +239,11 @@ class Section:
         return np.asarray(self.coeffs(np.asarray(x, dtype=float)), dtype=float)
 
     def jacobian(self, x) -> np.ndarray:
-        """``[gamma, i] = d sigma^gamma / d x^i``."""
+        """``[gamma, i] = d sigma^gamma / d x^i``: ``derivative``, of the shape
+        of the coefficients plus that of ``x``, or central differences."""
+        x = np.asarray(x, dtype=float)
         if self.derivative is not None:
-            return np.asarray(self.derivative(np.asarray(x, dtype=float)), dtype=float)
+            return sample_points(self.derivative, "derivative", self.at(x).shape + x.shape, x)
         return gradient(self.at, x, STEP)
 
     @staticmethod
@@ -271,16 +271,14 @@ class PForm:
 
     def at(self, x) -> np.ndarray:
         w = np.asarray(self.coeffs(np.asarray(x, dtype=float)), dtype=float)
-        if self.degree == 0:
-            return w
-        return antisymmetrize(w)
+        return antisymmetrize(w, naxes=self.degree)
 
     def coeff_jacobian(self, x) -> np.ndarray:
-        """Coefficient derivatives, shape ``(k,)*degree + (n,)`` (diff index last)."""
+        """Coefficient derivatives, shape ``(k,)*degree + (n,)`` (diff index
+        last), read like :meth:`Section.jacobian`."""
+        x = np.asarray(x, dtype=float)
         if self.derivative is not None:
-            d = np.asarray(self.derivative(np.asarray(x, dtype=float)), dtype=float)
-            if self.degree <= 1:
-                return d
+            d = sample_points(self.derivative, "derivative", self.at(x).shape + x.shape, x)
             return antisymmetrize(d, naxes=self.degree)
         return gradient(self.at, x, STEP)
 
@@ -419,26 +417,21 @@ def lie_derivative(model: LieAlgebroid, sigma: Section, omega: PForm, x) -> np.n
 
 
 def structure_equation_residuals(model: LieAlgebroid, x):
-    """Defects of the two structure equations at ``x``.
+    """Defects of the two structure equations at one point or at stacked
+    points ``x`` (shape ``lead + (n,)``).
 
     Returns ``(anchor_residual, jacobi_residual)`` with shapes
-    ``(k, k, n)`` and ``(k, k, k, k)``:
+    ``lead + (k, k, n)`` and ``lead + (k, k, k, k)``:
 
         ``anchor_residual[a, b, i] = rho_a^j d_j rho_b^i - rho_b^j d_j rho_a^i
                                      - rho_g^i C_ab^g``
         ``jacobi_residual[a, b, g, n] = sum_cyc(a,b,g)
                                      [rho_a^i d_i C_bg^n + C_am^n C_bg^m]``
 
-    Both vanish identically on a true Lie algebroid.  This is the
-    one-point reference of :func:`structure_residual_max`.
+    Both vanish identically on a true Lie algebroid.
     """
-    return _structure_residuals(model.anchor_at(x), model.anchor_jacobian(x),
-                                model.bracket_at(x), model.bracket_jacobian(x))
-
-
-def _structure_residuals(rho, drho, c, dc):
-    """Both defects of :func:`structure_equation_residuals` from the anchor,
-    the bracket and their Jacobians at points with any leading axes."""
+    rho, drho = model.anchor_at(x), model.anchor_jacobian(x)
+    c, dc = model.bracket_at(x), model.bracket_jacobian(x)
     anchor_res = np.einsum("...aj,...bij->...abi", rho, drho)
     anchor_res -= np.einsum("...bj,...aij->...abi", rho, drho)
     anchor_res -= np.einsum("...gi,...abg->...abi", rho, c)
@@ -450,49 +443,22 @@ def _structure_residuals(rho, drho, c, dc):
     return anchor_res, jacobi_res
 
 
-def _with_jacobian(read: Callable, jacobian: Optional[Callable], x: np.ndarray):
-    """``read(x)`` and its Jacobian (differentiation axis last) at stacked
-    points ``x`` of shape ``(P, n)``.
-
-    ``jacobian(x)`` when given (an analytic derivative); otherwise the
-    central differences of ``gradient`` at ``STEP``, with each point and
-    its ``2 n`` shifted copies read in one call of ``read``.
-    """
-    if jacobian is not None:
-        return read(x), jacobian(x)
-    n = x.shape[-1]
-    shifted = np.repeat(x[:, None, :], 2 * n + 1, axis=1)
-    for i in range(n):
-        shifted[:, 1 + i, i] += STEP
-        shifted[:, 1 + n + i, i] -= STEP
-    values = read(shifted)
-    jac = (values[:, 1:n + 1] - values[:, n + 1:]) / (2.0 * STEP)
-    return values[:, 0], np.moveaxis(jac, 1, -1)
-
-
 def structure_residual_max(model: LieAlgebroid, points) -> float:
     """Max-norm of both structure-equation residuals over sample points.
 
-    Equal to the max over ``points`` of :func:`structure_equation_residuals`,
-    but formed on blocks of points: per block the anchor and the bracket
-    are read once (a :func:`~algfield.algebroid.stacked` model is called
-    once, at the points and at all the shifted points their central
-    differences need), and so are analytic derivatives.  A block holds
-    at most ``BLOCK_NODES * 8 // rank**4`` points, so that its
-    ``(points, k, k, k, k)`` Jacobi temporary has at most ``BLOCK_NODES *
-    8`` entries; the bracket at the shifted points is of the same order.
-    A NaN residual makes the result NaN.
+    :func:`structure_equation_residuals` on blocks of points, so that a
+    :func:`~algfield.algebroid.stacked` model is called once per block
+    for its values and once for all the shifted points of each central
+    difference.  A block holds at most ``BLOCK_NODES * 8 // rank**4``
+    points, so that its ``(points, k, k, k, k)`` Jacobi temporary has at
+    most ``BLOCK_NODES * 8`` entries; the bracket at the shifted points
+    is of the same order.  A NaN residual makes the result NaN.
     """
     pts = np.asarray(points, dtype=float)
     size = max(1, BLOCK_NODES * 8 // model.rank ** 4)
-    anchor_jac = model.anchor_jacobian if model.anchor_derivative is not None else None
-    bracket_jac = model.bracket_jacobian if model.bracket_derivative is not None else None
     worst = 0.0
     for start in range(0, len(pts), size):
-        x = pts[start:start + size]
-        rho, drho = _with_jacobian(model.anchor_at, anchor_jac, x)
-        c, dc = _with_jacobian(model.bracket_at, bracket_jac, x)
-        a, j = _structure_residuals(rho, drho, c, dc)
+        a, j = structure_equation_residuals(model, pts[start:start + size])
         worst = float(np.max([worst, np.max(np.abs(a)), np.max(np.abs(j))]))
     return worst
 

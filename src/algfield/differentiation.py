@@ -1,12 +1,13 @@
-"""Central finite differences for pointwise callables.
+"""Central finite differences for callables.
 
 All structure functions, section coefficients and Lagrangians in this
 package accept optional analytic derivative callbacks.  When a callback is
-missing, the operations fall back to the second-order central differences
-implemented here, and this is the only module that forms them (the grid
-stencils of :mod:`algfield.fields` difference nodal arrays, not
-callables).  The steps are fixed per kind of quantity; no model object
-carries its own:
+missing, the operations fall back to one :func:`central_difference` of
+the callable's checked reader, and this is the only module that forms
+differences of callables (the grid stencils of :mod:`algfield.fields`
+difference nodal arrays).  :func:`gradient` serves the callables of one
+point that have no checked reader: sections and forms, flows and gauges.
+The steps are fixed per kind of quantity; no model object carries its own:
 
 * ``STEP`` for structure functions, sections and connection coefficients;
 * ``FINE_STEP`` for Lagrangian partials, the gauge derivative of a
@@ -20,8 +21,8 @@ carries its own:
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable
+import math
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,54 +31,49 @@ FINE_STEP = 1e-6
 HESSIAN_STEP = 1e-5
 
 
-def partial_derivative(f: Callable, x: np.ndarray, axis, h: float) -> np.ndarray:
-    """Central difference of ``f`` along coordinate ``axis`` (an index into ``x``).
+def central_difference(read: Callable, args: Sequence, slot: int, h: float,
+                       ndim: int = 1) -> np.ndarray:
+    """Derivatives of ``read(*args)`` in the last ``ndim`` axes of ``args[slot]``.
 
-    ``f`` may be scalar or array valued, real or complex; the result keeps
-    the dtype of its values.
+    The arguments share leading axes ``lead`` (``()`` at one point).  All
+    ``+h`` and ``-h`` shifts go along one new axis after ``lead``, and
+    ``read``, which takes stacked points, is called once on them.  The
+    result has shape ``lead`` plus the point shape of ``read`` plus the
+    differentiated shape; each entry is ``(read(z + h) - read(z - h)) /
+    (2 h)`` of one point, bit for bit.
     """
-    xp = np.array(x, dtype=float)
-    xm = xp.copy()
-    xp[axis] += h
-    xm[axis] -= h
-    return (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
-
-
-def gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
-    """All partial derivatives of ``f`` at ``x``.
-
-    For ``f`` with values of shape ``S`` and ``x`` of any shape ``X`` the
-    result has shape ``S + X``: the differentiation axes come last.
-    """
-    x = np.asarray(x, dtype=float)
-    cols = [partial_derivative(f, x, i, h) for i in itertools.product(*map(range, x.shape))]
-    if not cols:
-        return np.zeros(np.shape(f(x)) + x.shape)
-    return np.stack(cols, axis=-1).reshape(np.shape(cols[0]) + x.shape)
+    args = [np.asarray(a, dtype=float) for a in args]
+    z = args[slot]
+    axis = z.ndim - ndim
+    lead, size = z.shape[:axis], math.prod(z.shape[axis:])
+    args = [np.repeat(a.reshape(lead + (1,) + a.shape[axis:]), 2 * size, axis=axis)
+            for a in args]
+    # the diagonals of the (size, size) blocks of +h and -h shifts
+    shifted = args[slot].reshape(lead + (2 * size * size,))
+    shifted[..., :size * size:size + 1] += h
+    shifted[..., size * size::size + 1] -= h
+    values = np.asarray(read(*args))
+    point = values.shape[axis + 1:]
+    v = values.reshape((math.prod(lead), 2, size, math.prod(point)))
+    jac = (v[:, 0] - v[:, 1]) / (2.0 * h)
+    return jac.transpose(0, 2, 1).reshape(lead + point + z.shape[axis:])
 
 
 def partial_derivative_two_slot(f: Callable, x: np.ndarray, u: np.ndarray, slot: int,
                                 h: float) -> np.ndarray:
-    """Partial derivatives of ``f(x, u)`` in argument ``slot`` (0 or 1), axes last.
+    """:func:`central_difference` of a stacked ``f(x, u)`` in argument ``slot``."""
+    return central_difference(f, (x, u), slot, h)
 
-    At one point (``x`` and ``u`` 1-d) this is :func:`gradient` in that
-    argument.  At stacked points (``x`` of shape ``lead + (r,)``, ``u`` of
-    shape ``lead + (m,)``) ``f`` must take stacked points, and the last
-    axis of the slot argument is differenced: each of its columns is
-    shifted at all points at once, and the result has shape ``lead`` plus
-    the point shape of ``f`` plus the length of that axis.
+
+def gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
+    """All partial derivatives at ``x`` of ``f``, which takes one point.
+
+    ``f`` may be scalar or array valued, real or complex; the result keeps
+    the dtype of its values.  For ``f`` with values of shape ``S`` and
+    ``x`` of any shape ``X`` the result has shape ``S + X``: the
+    differentiation axes come last (:func:`central_difference`).
     """
-    args = [np.array(x, dtype=float), np.array(u, dtype=float)]
-    z = args[slot]
-    cols = []
-    for i in range(z.shape[-1]):
-        plus, minus = z.copy(), z.copy()
-        plus[..., i] += h
-        minus[..., i] -= h
-        args[slot] = plus
-        value = np.asarray(f(*args))
-        args[slot] = minus
-        cols.append((value - np.asarray(f(*args))) / (2.0 * h))
-    if not cols:
-        return np.zeros(np.shape(f(*args)) + (0,))
-    return np.stack(cols, axis=-1)
+    x = np.asarray(x, dtype=float)
+    if not x.size:
+        return np.zeros(np.shape(f(x)) + x.shape)
+    return central_difference(lambda z: np.array([f(p) for p in z]), (x,), 0, h, x.ndim)

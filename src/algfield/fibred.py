@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebroid import LieAlgebroid, PForm, Section, lie_derivative, sample_points, stacked
-from .differentiation import STEP, gradient, partial_derivative_two_slot
+from .differentiation import STEP, central_difference, partial_derivative_two_slot
 
 
 def _antisym01(c: np.ndarray) -> np.ndarray:
@@ -221,10 +221,9 @@ class ProjectableSection:
     :func:`sample_points`, which raises on any other shape than
     ``base_coeffs`` ``(r,)``, ``d_base`` ``(r, r)``, ``vertical_coeffs``
     ``(kernel_rank,)``, ``d_vertical_x`` ``(kernel_rank, r)`` and
-    ``d_vertical_u`` ``(kernel_rank, m)``.  ``vertical_coeffs`` is read
-    at one point or at a block of grid nodes (:meth:`vertical_points`),
-    the others at one point; missing derivatives are central differences
-    of the checked values.
+    ``d_vertical_u`` ``(kernel_rank, m)``.  Each is read at one point or
+    at stacked points; a missing derivative is one central difference of
+    the checked values.
     """
 
     base_coeffs: Optional[Callable] = None
@@ -238,7 +237,8 @@ class ProjectableSection:
         return self.base_coeffs is None
 
     def base_at(self, x, base_dim: int) -> np.ndarray:
-        """``base_coeffs`` at one point: shape ``(base_dim,)``, zero when unset."""
+        """``base_coeffs`` at one point or at stacked points: shape
+        ``lead + (base_dim,)``, or a point-shaped zero when unset."""
         if self.base_coeffs is None:
             return np.zeros(base_dim)
         return sample_points(self.base_coeffs, "base_coeffs", (base_dim,),
@@ -253,28 +253,28 @@ class ProjectableSection:
         return sample_points(self.vertical_coeffs, "vertical_coeffs", (kernel_rank,), x, u)
 
     def base_jacobian(self, x, base_dim: int) -> np.ndarray:
-        """``d sigma^a / d x^i`` at one point: shape ``(base_dim, r)``, from
-        ``d_base`` or by central differences of :meth:`base_at`."""
+        """``d sigma^a / d x^i``: shape ``lead + (base_dim, r)``, from ``d_base``
+        or by central differences of :meth:`base_at`, zero when unset."""
         x = np.asarray(x, dtype=float)
         if self.base_coeffs is None:
-            return np.zeros((base_dim, x.size))
+            return np.zeros((base_dim, x.shape[-1]))
         if self.d_base is not None:
-            return sample_points(self.d_base, "d_base", (base_dim, x.size), x)
-        return gradient(lambda z: self.base_at(z, base_dim), x, STEP)
+            return sample_points(self.d_base, "d_base", (base_dim, x.shape[-1]), x)
+        return central_difference(lambda z: self.base_at(z, base_dim), (x,), 0, STEP)
 
     def vertical_jacobian_x(self, x, u, kernel_rank: int) -> np.ndarray:
-        """``d sigma^alpha / d x^i`` at one point: shape ``(kernel_rank, r)``,
-        from ``d_vertical_x`` or by central differences of :meth:`vertical_points`."""
+        """``d sigma^alpha / d x^i``: shape ``lead + (kernel_rank, r)``, from
+        ``d_vertical_x`` or by central differences of :meth:`vertical_points`."""
         return self._vertical_jacobian(self.d_vertical_x, "d_vertical_x", 0, x, u, kernel_rank)
 
     def vertical_jacobian_u(self, x, u, kernel_rank: int) -> np.ndarray:
-        """``d sigma^alpha / d u^A`` at one point: shape ``(kernel_rank, m)``,
-        read like :meth:`vertical_jacobian_x`."""
+        """``d sigma^alpha / d u^A``: shape ``lead + (kernel_rank, m)``, read
+        like :meth:`vertical_jacobian_x`."""
         return self._vertical_jacobian(self.d_vertical_u, "d_vertical_u", 1, x, u, kernel_rank)
 
     def _vertical_jacobian(self, derivative, name, slot, x, u, kernel_rank):
         x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-        shape = (kernel_rank, (x, u)[slot].size)
+        shape = (kernel_rank, (x, u)[slot].shape[-1])
         if self.vertical_coeffs is None:
             return np.zeros(shape)
         if derivative is not None:
@@ -306,22 +306,25 @@ def affine_eval(theta: AffineDualSection, p: JetPoint) -> float:
 def total_derivative(pair: FibredAlgebroidPair, f: Callable, p: JetPoint,
                      a: Optional[int] = None, grad_x: Optional[Callable] = None,
                      grad_u: Optional[Callable] = None) -> np.ndarray:
-    """Total derivative of ``f(x, u)`` at the jet point.
+    """Total derivative of a scalar ``f(x, u)`` at the jet point.
 
     ``f_{|a} = rho_a^i d_i f + (rho_a^A + rho_alpha^A y^alpha_a) d_A f``;
     the second slot carries the velocity that an admissible field with
     this jet would impose on ``u``.  Returns the full ``(r,)`` vector, or
-    the single component when ``a`` is given.
+    the single component when ``a`` is given.  ``f`` (shape ``()``) and
+    ``grad_x``/``grad_u`` (``(r,)``/``(m,)``, else differences of ``f``)
+    are read through :func:`sample_points`.
     """
     x, u = p.x, p.u
+    read = lambda x, u: sample_points(f, "f", (), x, u)
     if grad_x is not None:
-        fx = np.asarray(grad_x(x, u), dtype=float)
+        fx = sample_points(grad_x, "grad_x", x.shape, x, u)
     else:
-        fx = partial_derivative_two_slot(f, x, u, 0, STEP)
+        fx = partial_derivative_two_slot(read, x, u, 0, STEP)
     if grad_u is not None:
-        fu = np.asarray(grad_u(x, u), dtype=float)
+        fu = sample_points(grad_u, "grad_u", u.shape, x, u)
     else:
-        fu = partial_derivative_two_slot(f, x, u, 1, STEP)
+        fu = partial_derivative_two_slot(read, x, u, 1, STEP)
 
     vel = pair.coefficient("rho_base_u", x, u) + np.einsum(
         "kA,ka->aA", pair.coefficient("rho_kernel_u", x, u), p.y)

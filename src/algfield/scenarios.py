@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .differentiation import (
-    FINE_STEP, HESSIAN_STEP, STEP, gradient, partial_derivative, partial_derivative_two_slot)
+    FINE_STEP, HESSIAN_STEP, STEP, central_difference, gradient, partial_derivative_two_slot)
 from .fibred import FibredAlgebroidPair, _antisym01, sample_points, stacked
 from .fields import DiscretizedSection, GridSpec, grid_gradient
 from .smoothfields import TrigPolynomial
@@ -241,19 +241,19 @@ class MechanicsTrajectory:
 def _mechanics_hessians(lagrangian: Lagrangian, x, u, y):
     """Velocity Hessians ``(d2L/dy dy, d2L/dy du)`` at one point, shapes
     ``(k, k)`` and ``(k, m)``: analytic (read through ``sample_points``)
-    or differences of the momentum."""
+    or central differences of the momentum reader."""
     mk = y.shape[0]
     if lagrangian.hess_yy is not None:
         hyy = sample_points(lagrangian.hess_yy, "hess_yy", (mk, mk), x, u, y)
     else:
-        hyy = gradient(lambda v: lagrangian.partial_y_points(x, u, v[:, None])[:, 0],
-                       y[:, 0], HESSIAN_STEP)
+        hyy = central_difference(lagrangian.partial_y_points, (x, u, y), 2, HESSIAN_STEP,
+                                 ndim=2)[:, 0, :, 0]
     if u.size == 0:
         return hyy, np.zeros((y.shape[0], 0))
     if lagrangian.hess_yu is not None:
         hyu = sample_points(lagrangian.hess_yu, "hess_yu", (mk, u.size), x, u, y)
     else:
-        hyu = gradient(lambda v: lagrangian.partial_y_points(x, v, y)[:, 0], u, HESSIAN_STEP)
+        hyu = central_difference(lagrangian.partial_y_points, (x, u, y), 1, HESSIAN_STEP)[:, 0]
     return hyy, hyu
 
 
@@ -319,8 +319,8 @@ def _mechanics_rhs(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
         rhs -= hyu @ udot
     if not lagrangian.autonomous:
         # explicit time dependence of the momentum map
-        rhs -= partial_derivative(lambda z: lagrangian.partial_y_points(z, u, ycol),
-                                  x, 0, FINE_STEP)[:, 0]
+        rhs -= central_difference(lagrangian.partial_y_points, (x, u, ycol), 0,
+                                  FINE_STEP)[:, 0, 0]
     return udot, hinv @ rhs
 
 

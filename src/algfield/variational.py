@@ -48,8 +48,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .differentiation import FINE_STEP, gradient
-from .fibred import FibredAlgebroidPair, ProjectableSection, complete_lift, sample_points, z_mixed
+from .differentiation import FINE_STEP, central_difference
+from .fibred import (
+    FibredAlgebroidPair, ProjectableSection, complete_lift, sample_points, stacked, z_mixed)
 from .fields import DiscretizedSection, GridSpec, block_pass, grid_derivative
 
 
@@ -61,10 +62,11 @@ class Lagrangian:
     of shape ``(fibre_dim,)`` and ``y`` of shape ``(kernel_rank,
     base_dim)``.  ``value(x, u, y) -> float``; ``grad_u -> (fibre_dim,)``
     and ``grad_y -> (kernel_rank, base_dim)`` when supplied, else central
-    differences.  They are read through the ``*_points`` methods, at one
-    point or at stacked points (once per point, or once for a
-    :func:`~algfield.fibred.stacked` callable), which raise on a result
-    of any other shape.  ``hess_yy -> (kernel_rank, kernel_rank)`` and
+    differences of :meth:`value_points`.  They are read through the
+    ``*_points`` methods, at one point or at stacked points (once per
+    point, or once for a :func:`~algfield.fibred.stacked` callable, also
+    for the shifted points of a central difference), which raise on a
+    result of any other shape.  ``hess_yy -> (kernel_rank, kernel_rank)`` and
     ``hess_yu -> (kernel_rank, fibre_dim)`` are used, and checked, by the
     mechanics integrator (one-dimensional base) and may be omitted.
 
@@ -94,7 +96,8 @@ class Lagrangian:
         ``grad_u`` is unset."""
         fn = self.grad_u
         if fn is None:
-            fn = lambda x, u, y: gradient(lambda v: self.value(x, v, y), u, FINE_STEP)
+            fn = stacked(lambda x, u, y: central_difference(self.value_points, (x, u, y), 1,
+                                                            FINE_STEP))
         return sample_points(fn, "grad_u", u.shape[x.ndim - 1:], x, u, y)
 
     def partial_y_points(self, x, u, y) -> np.ndarray:
@@ -103,7 +106,8 @@ class Lagrangian:
         ``value`` when ``grad_y`` is unset."""
         fn = self.grad_y
         if fn is None:
-            fn = lambda x, u, y: gradient(lambda v: self.value(x, u, v), y, FINE_STEP)
+            fn = stacked(lambda x, u, y: central_difference(self.value_points, (x, u, y), 2,
+                                                            FINE_STEP, ndim=2))
         return sample_points(fn, "grad_y", y.shape[x.ndim - 1:], x, u, y)
 
     def __add__(self, other: "Lagrangian") -> "Lagrangian":

@@ -22,7 +22,6 @@ from algfield.algebroid import (
     structure_equation_residuals,
     structure_residual_max,
 )
-from algfield.differentiation import partial_derivative_two_slot
 from algfield.smoothfields import trig_polynomial
 
 from helpers import (
@@ -93,6 +92,22 @@ class TestBracket:
         rhs = f(x) * bracket(model, sigma, eta, x) + rho_sigma_f * eta.at(x)
         npt.assert_allclose(lhs, rhs, atol=1e-8)
 
+    def test_wrongly_shaped_section_derivative_raises(self):
+        # a (2, 1) derivative would broadcast against the (2, 2) Jacobian
+        model = LieAlgebroid.standard_tangent(2)
+        x = np.array([0.3, 0.5])
+        eta = Section(coeffs=lambda z: np.array([z[0] * z[1], 1.0]))
+
+        def sigma(derivative):
+            return Section(coeffs=lambda z: np.array([z[1], 0.0]), derivative=derivative)
+
+        wrong = sigma(lambda z: np.array([[1.0], [0.0]]))
+        with pytest.raises(ValueError, match=r"^derivative returned shape \(2, 1\) at x = "
+                                             r"\[0\.3 0\.5\], expected \(2, 2\)$"):
+            bracket(model, wrong, eta, x)
+        right = bracket(model, sigma(lambda z: np.array([[0.0, 1.0], [0.0, 0.0]])), eta, x)
+        npt.assert_allclose(right, bracket(model, sigma(None), eta, x), atol=1e-10)
+
     def test_anchor_is_bracket_homomorphism(self):
         # rho([sigma, eta]) equals the commutator of the anchored fields,
         # checked by finite differences on a valid algebroid.
@@ -124,6 +139,17 @@ class TestExteriorDifferential:
         f = PForm.function(lambda x: x[0], derivative=lambda x: np.array([1.0, 0.0]))
         npt.assert_allclose(exterior_differential(model, f, np.array([0.3, 0.4])),
                             [1.0, 0.0], atol=1e-12)
+
+    def test_wrongly_shaped_form_derivative_raises(self):
+        # a (1,) derivative of a 0-form would broadcast against the anchor
+        model = LieAlgebroid.standard_tangent(2)
+        x = np.array([0.3, 0.5])
+        wrong = PForm.function(lambda z: z[0] * z[1], derivative=lambda z: np.array([z[1]]))
+        with pytest.raises(ValueError, match=r"^derivative returned shape \(1,\) at x = "
+                                             r"\[0\.3 0\.5\], expected \(2,\)$"):
+            exterior_differential(model, wrong, x)
+        right = PForm.function(lambda z: z[0] * z[1], derivative=lambda z: z[::-1].copy())
+        npt.assert_allclose(exterior_differential(model, right, x), [0.5, 0.3], atol=1e-15)
 
     def test_so3_coframe_differential(self):
         # d e^1 = -e^2 ^ e^3: coefficient array entries (1,2) = -1, (2,1) = +1
@@ -399,16 +425,3 @@ class TestStackedPoints:
         out = sample_points(Holder().value, "value", (3,), np.ones((5, 3)))
         npt.assert_array_equal(out, np.full((5, 3), 2.0))
         assert calls == [(5, 3)]
-
-    @pytest.mark.parametrize("slot", [0, 1])
-    def test_two_slot_difference_at_stacked_points(self, slot):
-        # each point's columns are differenced as at one point, bit for bit
-        rng = np.random.default_rng(3)
-        x, u = rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (6, 2))
-        block = partial_derivative_two_slot(self._f, x, u, slot, 1e-4)
-        assert block.shape == (6, 3, 2)
-        for i in range(6):
-            npt.assert_array_equal(block[i], partial_derivative_two_slot(
-                self._f, x[i], u[i], slot, 1e-4))
-        empty = partial_derivative_two_slot(lambda x, u: x[..., :1] * 1.0, x, u[:, :0], 1, 1e-4)
-        assert empty.shape == (6, 1, 0)

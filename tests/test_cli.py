@@ -24,6 +24,7 @@ from algfield.cli import (
     load_config,
     main,
 )
+from algfield.fields import GridSpec, ResidualField
 
 FAST_CONFIG = {
     "schema": 1,
@@ -327,6 +328,41 @@ class TestRun:
     def test_builtin_config_name_resolution(self):
         # bare catalog names resolve to the shipped configs
         assert main(["check-config", "rigid_body"]) == EXIT_OK
+
+
+class TestMorphismConvergence:
+    @staticmethod
+    def _run(order, n=8):
+        """The check on a synthetic flatness residual ``h**order * s(x)`` of a
+        2d periodic lattice with spacing ``h``."""
+        def report(ctx, nn):
+            grid = GridSpec.periodic_box((nn, nn))
+            x = np.stack(np.meshgrid(*(np.arange(nn) * grid.spacing[0],) * 2, indexing="ij"),
+                         axis=-1)
+            s = 1.0 + 0.5 * np.sin(x[..., 0] + 2.0 * x[..., 1] + 0.3)
+            mor = np.zeros((nn, nn, 1, 2, 2))
+            mor[..., 0, 0, 1] = grid.spacing[0] ** order * s
+            mor[..., 0, 1, 0] = -mor[..., 0, 0, 1]
+            return ResidualField(admissibility=np.zeros((nn, nn, 0, 2)), morphism=mor)
+
+        ctx = CheckContext({"checks": []}, np.random.default_rng(0))
+        ctx.n = n
+        return cli._morphism_convergence(report)(
+            {"name": "order", "kind": "morphism_convergence"}, ctx)
+
+    def test_first_order_field_fails(self):
+        # the ratio at the shared nodes is 2 for a first-order error
+        result = self._run(1)
+        assert not result.passed
+        assert result.extra["ratio"] == pytest.approx(2.0, rel=1e-12)
+        assert result.extra["coarse"] / result.extra["fine"] == result.extra["ratio"]
+
+    def test_second_order_field_passes(self):
+        result = self._run(2)
+        assert result.passed
+        assert result.extra["ratio"] == pytest.approx(4.0, rel=1e-12)
+        # the fine maximum over all nodes is kept, and is at least the shared one
+        assert result.extra["fine_all_nodes"] >= result.extra["fine"]
 
 
 class TestShippedConfigs:
