@@ -208,10 +208,29 @@ def _seeded_sigma(rng, dim, pair) -> ProjectableSection:
     while comps and not any(np.any(c.waves) for c in comps):
         comps = trig_vector(rng, dim, mk)
     return ProjectableSection(
-        vertical_coeffs=lambda x, u: np.array([c(x) for c in comps]),
-        d_vertical_x=lambda x, u: np.stack([c.gradient(x) for c in comps]),
-        d_vertical_u=lambda x, u: np.zeros((mk, mu)),
+        vertical_coeffs=stacked(lambda x, u: np.stack([c(x) for c in comps], axis=-1)),
+        d_vertical_x=stacked(lambda x, u: np.stack([c.gradient(x) for c in comps], axis=-2)),
+        d_vertical_u=stacked(lambda x, u: np.zeros(x.shape[:-1] + (mk, mu))),
     )
+
+
+def _first_variation(chk, ctx, rng, grids, nodes, window) -> CheckResult:
+    """Coarse/fine ratio of the first-variation defect at ``nodes`` of ``grids[0]``
+    (indices doubled on ``grids[1]``) for seeded ``u``, ``y`` and ``sigma``."""
+    pair, dim = ctx.pair, grids[0].dim
+    mu, mk = pair.fibre_dim, pair.kernel_rank
+    fu = trig_vector(rng, dim, mu)
+    fy = trig_vector(rng, dim, mk * dim)
+    sigma = _seeded_sigma(rng, dim, pair)
+    u_fn = stacked(lambda x: np.stack([c(x) for c in fu], axis=-1)) if mu else None
+    y_fn = stacked(lambda x: np.stack([c(x) for c in fy], axis=-1).reshape(
+        x.shape[:-1] + (mk, dim)))
+    defects = []
+    for scale, grid in enumerate(grids, start=1):
+        sec = DiscretizedSection.from_functions(grid, mu, mk, u_fn=u_fn, y_fn=y_fn)
+        defects.append(max(first_variation_identity_defect(
+            pair, ctx.lag, sigma, sec, [tuple(scale * i for i in node) for node in nodes])))
+    return _ratio_result(chk, defects[0], defects[1], *window)
 
 
 def _morphism_convergence(report):
@@ -319,21 +338,10 @@ def _exact_solution(chk, ctx) -> CheckResult:
 
 
 def _mechanics_first_variation(chk, ctx) -> CheckResult:
-    # off-shell identity on seeded smooth non-solution data over time grids
-    pair, rng = ctx.pair, ctx.rng
-    uc = trig_vector(rng, 1, pair.fibre_dim)
-    yc = trig_vector(rng, 1, pair.kernel_rank)
-    sigma = _seeded_sigma(rng, 1, pair)
-    defects = []
-    for scale, n in ((1, 101), (2, 201)):
-        ts = np.linspace(0.0, 2.0, n)
-        grid = GridSpec(extents=(n,), spacing=(ts[1] - ts[0],), boundary="one_sided")
-        u = np.array([[c(np.array([t])) for c in uc] for t in ts])
-        y = np.array([[c(np.array([t])) for c in yc] for t in ts])[:, :, None]
-        sec = DiscretizedSection(grid=grid, u=u, y=y)
-        defects.append(max(first_variation_identity_defect(
-            pair, ctx.lag, sigma, sec, [(scale * i,) for i in (0, 10, 50, 100)])))
-    return _ratio_result(chk, defects[0], defects[1], 3.5, 4.5)
+    # off-shell identity on seeded smooth non-solution data over [0, 2]
+    grids = [GridSpec((n,), (2.0 / (n - 1),), "one_sided") for n in (101, 201)]
+    return _first_variation(chk, ctx, ctx.rng, grids, [(i,) for i in (0, 10, 50, 100)],
+                            (3.5, 4.5))
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +382,9 @@ def _scalar_section(pair, grid, f) -> DiscretizedSection:
     """Scalar field ``u = f`` with ``y_a = d_a f - Gamma_a(x, u)`` (admissible)."""
     return DiscretizedSection.from_functions(
         grid, 1, 1,
-        u_fn=lambda x: np.array([f(x)]),
-        y_fn=lambda x: (f.gradient(x)
-                        - pair.coefficient("rho_base_u", x, np.array([f(x)]))[:, 0])[None, :])
+        u_fn=stacked(lambda x: f(x)[..., None]),
+        y_fn=stacked(lambda x: (f.gradient(x) - pair.coefficient(
+            "rho_base_u", x, f(x)[..., None])[..., 0])[..., None, :]))
 
 
 def _standard_field_setup(ctx):
@@ -423,23 +431,10 @@ def _fixed_wave_report(ctx, nn):
 
 
 def _field_first_variation(chk, ctx) -> CheckResult:
-    pair, n = ctx.pair, ctx.n
-    rng = np.random.default_rng(ctx.seed + 23)
-    mu, mk = pair.fibre_dim, pair.kernel_rank
-    fu = trig_vector(rng, 2, mu)
-    fy = trig_vector(rng, 2, mk * 2)
-    sigma = _seeded_sigma(rng, 2, pair)
-    nodes = [(0, 0), (3, 5), (n - 2, 1), (n // 2, n // 2)]
-    defects = []
-    for scale, nn in ((1, n), (2, 2 * n)):
-        grid = GridSpec.periodic_box((nn, nn))
-        sec = DiscretizedSection.from_functions(
-            grid, mu, mk,
-            u_fn=lambda x: np.array([c(x) for c in fu]),
-            y_fn=lambda x: np.array([c(x) for c in fy]).reshape(mk, 2))
-        defects.append(max(first_variation_identity_defect(
-            pair, ctx.lag, sigma, sec, [(scale * i, scale * j) for i, j in nodes])))
-    return _ratio_result(chk, defects[0], defects[1], 3.0, 5.0)
+    n = ctx.n
+    return _first_variation(chk, ctx, np.random.default_rng(ctx.seed + 23),
+                            [GridSpec.periodic_box((nn, nn)) for nn in (n, 2 * n)],
+                            [(0, 0), (3, 5), (n - 2, 1), (n // 2, n // 2)], (3.0, 5.0))
 
 
 def _gauge_coords(kind, amplitude, rng, dim):

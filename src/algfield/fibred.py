@@ -188,7 +188,8 @@ class AffineDualSection:
     ``coeff_base(x, u)[a, b]`` pairs with the base block of a splitting
     (the identity), ``coeff_kernel(x, u)[a, alpha]`` with ``y[alpha, a]``;
     the associated function is the trace pairing evaluated by
-    :func:`affine_eval`.
+    :func:`affine_eval`.  Both are read through :func:`sample_points`, which
+    raises on any other shape than ``(r, r)`` and ``(r, k)``.
     """
 
     base_dim: int
@@ -197,16 +198,11 @@ class AffineDualSection:
     coeff_kernel: Callable
 
     def base_at(self, x, u) -> np.ndarray:
-        out = np.asarray(self.coeff_base(x, u), dtype=float)
-        if out.shape != (self.base_dim, self.base_dim):
-            raise ValueError("coeff_base has wrong shape")
-        return out
+        return sample_points(self.coeff_base, "coeff_base", (self.base_dim,) * 2, x, u)
 
     def kernel_at(self, x, u) -> np.ndarray:
-        out = np.asarray(self.coeff_kernel(x, u), dtype=float)
-        if out.shape != (self.base_dim, self.kernel_rank):
-            raise ValueError("coeff_kernel has wrong shape")
-        return out
+        return sample_points(self.coeff_kernel, "coeff_kernel",
+                             (self.base_dim, self.kernel_rank), x, u)
 
 
 @dataclass(frozen=True)

@@ -193,9 +193,9 @@ class DiscretizedSection:
                        y_fn: Optional[Callable] = None) -> "DiscretizedSection":
         """Sample closed-form ``u(x)`` and ``y(x)`` on the grid.
 
-        Both take one node's coordinates ``x`` (shape ``(dim,)``) and
-        return shape ``(fibre_dim,)`` and ``(kernel_rank, dim)``; any other
-        shape raises.  An unset function leaves its array zero.
+        Both take one node's coordinates ``x[dim]`` (or, if stacked, a block
+        ``x[n, dim]``) and return ``(fibre_dim,)`` and ``(kernel_rank, dim)``
+        per node; any other shape raises.  An unset function leaves its array zero.
         """
         u = np.zeros(grid.extents + (fibre_dim,))
         y = np.zeros(grid.extents + (kernel_rank, grid.dim))
@@ -358,13 +358,20 @@ def load_section(path) -> DiscretizedSection:
         header_line = fh.readline()
         payload = fh.read()
     header = json.loads(header_line.decode("utf-8"))
-    if header.get("format") != _FORMAT_NAME or header.get("version") != _FORMAT_VERSION:
+    if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
         raise ValueError("not a recognized section file")
+    # integers are checked by type: JSON true would pass as 1
+    if type(header.get("version")) is not int or header["version"] != _FORMAT_VERSION:
+        raise ValueError(f"section header 'version' must be {_FORMAT_VERSION}")
     if header.get("dtype") != "<f8" or header.get("order") != "C":
         raise ValueError("section payload must be little-endian float64 in C order")
-    ext = tuple(header["extents"])
-    mu = header["fibre_dim"]
-    mk = header["kernel_rank"]
+    ext, mu, mk = (header.get(key) for key in ("extents", "fibre_dim", "kernel_rank"))
+    for key, counts in (("extents", ext if isinstance(ext, list) else [None]),
+                        ("fibre_dim", [mu]), ("kernel_rank", [mk])):
+        if not all(type(n) is int and n >= 0 for n in counts):
+            raise ValueError(f"section header {key!r} must be a non-negative integer (a "
+                             f"list of them for 'extents'), got {header.get(key)!r}")
+    ext = tuple(ext)
     r = len(ext)
     grid = GridSpec(extents=ext, spacing=tuple(header["spacing"]),
                     boundary=header["boundary"], origin=tuple(header["origin"]))

@@ -109,6 +109,13 @@ class StandardCaseData:
         return out
 
 
+def _constant(value: np.ndarray) -> Callable:
+    """Stacked coefficient with the same ``value`` at every point: ``value``
+    itself at one point, a read-only broadcast view at stacked points."""
+    return stacked(lambda x, u: value if x.ndim == 1
+                   else np.broadcast_to(value, x.shape[:-1] + value.shape))
+
+
 def builder_standard(data: StandardCaseData, base_dim: int,
                      fibre_dim: int) -> FibredAlgebroidPair:
     """Fibred pair of the standard field theory in a connection-adapted frame.
@@ -119,11 +126,10 @@ def builder_standard(data: StandardCaseData, base_dim: int,
     equations hold by construction for any smooth connection.  The
     kernel anchor and both bracket blocks are stacked callables.
     """
-    eye = np.eye(fibre_dim)
     return FibredAlgebroidPair(
         base_dim=base_dim, fibre_dim=fibre_dim, kernel_rank=fibre_dim,
         rho_base_u=data.gamma,
-        rho_kernel_u=stacked(lambda x, u: np.broadcast_to(eye, u.shape[:-1] + eye.shape)),
+        rho_kernel_u=_constant(np.eye(fibre_dim)),
         c_base_kernel=data.frame_bracket,
         c_mixed=stacked(
             lambda x, u: -np.einsum("...iAB->...iBA", data.vertical_derivative_at(x, u))),
@@ -154,7 +160,7 @@ def builder_time_dependent(kernel_constants, rho_base_u: Optional[Callable] = No
         rho_base_u=rho_base_u,
         rho_kernel_u=rho_kernel_u,
         c_mixed=c_mixed,
-        c_kernel=lambda x, u: constants,
+        c_kernel=_constant(constants),
     )
 
 
@@ -181,7 +187,7 @@ def free_particle_pair(dim: int) -> FibredAlgebroidPair:
     """Abelian kernel translating ``dim`` fibre coordinates."""
     return builder_time_dependent(
         np.zeros((dim, dim, dim)),
-        rho_kernel_u=lambda x, u: np.eye(dim),
+        rho_kernel_u=_constant(np.eye(dim)),
         fibre_dim=dim,
     )
 
@@ -504,7 +510,7 @@ def builder_chern_simons(data: ChernSimonsData, grid: GridSpec):
     mk = data.constants.shape[0]
     pair = FibredAlgebroidPair(
         base_dim=3, fibre_dim=0, kernel_rank=mk,
-        c_kernel=lambda x, u: data.constants,
+        c_kernel=_constant(data.constants),
     )
     return pair, chern_simons_lagrangian(data)
 
@@ -633,7 +639,7 @@ def su2_exponential_gauge_field(coords: Sequence, grid: GridSpec) -> Discretized
     points = grid.points()
     for al, c in enumerate(coords):
         if isinstance(c, TrigPolynomial):
-            v[..., al], y[..., al, :] = c.on_points(points)
+            v[..., al], y[..., al, :] = c(points), c.gradient(points)
         elif not (np.isscalar(c) and c == 0):
             raise TypeError("an exponential coordinate is a TrigPolynomial or 0")
     del points
@@ -724,5 +730,5 @@ def builder_atiyah(data: AtiyahData, base_dim: int) -> FibredAlgebroidPair:
     return FibredAlgebroidPair(
         base_dim=base_dim, fibre_dim=0, kernel_rank=mk,
         c_base_kernel=c_base_kernel,
-        c_kernel=lambda x, u: data.constants,
+        c_kernel=_constant(data.constants),
     )

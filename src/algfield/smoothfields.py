@@ -5,6 +5,8 @@ are trigonometric polynomials with integer wave vectors, so they are
 exactly periodic on grids spanning ``[0, 2*pi)`` per axis and have
 analytic gradients.  Everything is drawn from a caller-supplied
 ``numpy.random.Generator``; the same seed reproduces the same field.
+A field and its gradient take one point or stacked points, bit for bit
+alike, so the CLI samples each seeded field once per block of nodes.
 """
 
 from __future__ import annotations
@@ -16,29 +18,23 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TrigPolynomial:
-    """``f(x) = sum_m amp_m * cos(<w_m, x> + phase_m)`` with analytic gradient."""
+    """``f(x) = sum_m amp_m * cos(<w_m, x> + phase_m)`` with analytic gradient, at
+    one point or at stacked points ``x[..., dim]`` (shapes ``(...)`` and ``(..., dim)``);
+    every product is one matrix product per point, so both round alike."""
 
     waves: np.ndarray      # (n_modes, dim) integer wave vectors
     amplitudes: np.ndarray  # (n_modes,)
     phases: np.ndarray      # (n_modes,)
 
-    def __call__(self, x) -> float:
-        arg = self.waves @ np.asarray(x, dtype=float) + self.phases
-        return float(np.dot(self.amplitudes, np.cos(arg)))
+    def __call__(self, x):
+        return (np.cos(self._argument(x))[..., None, :] @ self.amplitudes)[..., 0]
 
     def gradient(self, x) -> np.ndarray:
-        arg = self.waves @ np.asarray(x, dtype=float) + self.phases
-        return -(self.amplitudes * np.sin(arg)) @ self.waves
+        weights = self.amplitudes * np.sin(self._argument(x))
+        return -(weights[..., None, :] @ self.waves)[..., 0, :]
 
-    def on_points(self, x: np.ndarray) -> tuple:
-        """Values and gradients at stacked points ``x[..., dim]``: shapes ``(...)``
-        and ``(..., dim)``.  Agrees with ``__call__`` and ``gradient`` to rounding."""
-        arg = x @ self.waves.T
-        arg += self.phases
-        values = np.cos(arg) @ self.amplitudes
-        np.sin(arg, out=arg)
-        arg *= -self.amplitudes
-        return values, arg @ self.waves
+    def _argument(self, x) -> np.ndarray:
+        return (self.waves @ np.asarray(x, dtype=float)[..., None])[..., 0] + self.phases
 
 
 def trig_polynomial(rng: np.random.Generator, dim: int, n_modes: int = 3,

@@ -216,10 +216,12 @@ class TestCompleteLift:
 
     @pytest.mark.parametrize("name, wrong", [
         ("d_vertical_x", (2, 1)), ("d_vertical_u", (2, 1)), ("d_base", (2, 1)),
-        ("base_coeffs", (1,)), ("vertical_coeffs", (2, 1))])
+        ("base_coeffs", (1,)), ("vertical_coeffs", (2, 1)),
+        ("coeff_base", (2, 1)), ("coeff_kernel", (1, 2))])
     def test_wrongly_shaped_section_data_raises(self, name, wrong):
         # a (2, 1) d_vertical_x would broadcast in the lift's einsum and move
-        # dy silently; every section reader checks its shape
+        # dy silently; every section reader checks its shape, and so do the
+        # readers of an affine-dual section
         rng = np.random.default_rng(51)
         pair = connection_pair(rng)
         p = random_jet_point(rng, pair)
@@ -233,9 +235,15 @@ class TestCompleteLift:
             base_coeffs=fields["base_coeffs"], vertical_coeffs=fields["vertical_coeffs"]), p)
         for a, b in zip(correct, fallback):
             npt.assert_allclose(a, b, atol=1e-8)
-        fields[name] = lambda *args: np.ones(wrong)
+        bad = lambda *args: np.ones(wrong)
+        if name.startswith("coeff_"):
+            coeffs = {"coeff_base": lambda x, u: np.eye(2),
+                      "coeff_kernel": lambda x, u: np.ones((2, 2)), name: bad}
+            call = lambda: affine_eval(AffineDualSection(2, 2, **coeffs), p)
+        else:
+            call = lambda: complete_lift(pair, ProjectableSection(**{**fields, name: bad}), p)
         with pytest.raises(ValueError, match=f"^{name} returned shape {re.escape(str(wrong))}"):
-            complete_lift(pair, ProjectableSection(**fields), p)
+            call()
 
     def test_vertical_constant_on_abelian_kernel(self):
         rng = np.random.default_rng(53)

@@ -454,6 +454,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match="payload"):
             load_section(path)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: {k: v for k, v in h.items() if k != "extents"}, "'extents'"),
+        (lambda h: {**h, "extents": [3, 3.0]}, "'extents'"),
+        (lambda h: {**h, "fibre_dim": True}, "'fibre_dim'"),
+        (lambda h: {**h, "kernel_rank": -1}, "'kernel_rank'"),
+        (lambda h: {**h, "version": True}, "'version'"),
+        (lambda h: list(h.items()), "not a recognized section file")],
+        ids=["no_extents", "float_extent", "bool_fibre_dim", "negative_kernel_rank",
+             "bool_version", "list_header"])
+    def test_reject_malformed_header(self, tmp_path, edit, match):
+        # each of these once raised KeyError, TypeError or AttributeError, or
+        # loaded: JSON true is the integer 1 to a plain comparison
+        path, header, payload = self.saved_small_section(tmp_path)
+        path.write_bytes(json.dumps(edit(header)).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match=match):
+            load_section(path)
+
     @pytest.mark.parametrize("key, value", [("dtype", ">f8"), ("dtype", "<f4"),
                                             ("order", "F"), ("dtype", None)])
     def test_reject_unknown_layout(self, tmp_path, key, value):

@@ -1,15 +1,18 @@
 """Scenario builders, the mechanics integrator and lattice gauge sampling."""
 
 import dataclasses
+import functools
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from algfield import cli
-from algfield.algebroid import LieAlgebroid, structure_equation_residuals, structure_residual_max
+from algfield.algebroid import (
+    BLOCK_NODES, LieAlgebroid, structure_equation_residuals, structure_residual_max)
 from algfield.fibred import FibredAlgebroidPair, stacked
 from algfield.fields import (
     DiscretizedSection,
@@ -158,6 +161,44 @@ class TestBuilderStructureEquations:
         assert structure_residual_max(model, pts) == expected
         if name in ("mismatched_heavy_top", "broken_so3"):
             assert expected > 0.1
+
+    @pytest.mark.parametrize("build, name", [
+        (rigid_body_pair, "c_kernel"),
+        (lambda: free_particle_pair(2), "rho_kernel_u"),
+        (lambda: builder_chern_simons(ChernSimonsData.su2(),
+                                      GridSpec.periodic_box((4, 4, 4)))[0], "c_kernel"),
+        (lambda: builder_atiyah(AtiyahData(constants=EPSILON3), base_dim=2), "c_kernel"),
+        (lambda: builder_standard(StandardCaseData(
+            gamma=lambda x, u: np.zeros((2, 1))), 2, 1), "rho_kernel_u")],
+        ids=["time_dependent", "free_particle", "chern_simons", "atiyah", "standard"])
+    def test_constant_coefficients_are_read_once_per_block(self, build, name):
+        # a builder's constant is one call for a whole block of points (the
+        # counting wrapper keeps the stacked mark), equal to its one-point
+        # value at every point; the structure check reads it once for the
+        # values and once for all shifted points of each block
+        pair = build()
+        constant, calls = getattr(pair, name), []
+
+        @functools.wraps(constant)
+        def counted(x, u):
+            calls.append(x.shape)
+            return constant(x, u)
+
+        counted_pair = dataclasses.replace(pair, **{name: counted})
+        rng = np.random.default_rng(31)
+        x = rng.uniform(-1, 1, (4, 5, pair.base_dim))
+        u = rng.uniform(-1, 1, (4, 5, pair.fibre_dim))
+        block = counted_pair.coefficient(name, x, u)
+        assert calls == [x.shape]
+        for idx in np.ndindex(4, 5):
+            npt.assert_array_equal(block[idx], pair.coefficient(name, x[idx], u[idx]))
+        if name == "c_kernel":
+            calls.clear()
+            pts = rng.uniform(-1, 1, (9, pair.base_dim + pair.fibre_dim))
+            structure_residual_max(counted_pair.total_algebroid(), pts)
+            # blocks hold at least 3 points here; once per point and once
+            # per shifted point would be 7 calls per point on the 3d base
+            assert 1 <= len(calls) <= 2 * 3
 
     def test_structure_residual_max_propagates_nan(self):
         model = dataclasses.replace(
@@ -327,6 +368,30 @@ class TestStandardScenario:
             for name in ("rho_base_u", "c_base_kernel", "c_mixed"):
                 npt.assert_array_equal(shipped.coefficient(name, x, u),
                                        reference.coefficient(name, x, u))
+
+    @pytest.mark.parametrize("connection", ["zero", "linear_u"])
+    def test_cli_scalar_section_samples_once_per_block(self, connection, monkeypatch):
+        # u reads the polynomial once per block and y once more with its
+        # gradient, never once per node, and every node gets its per-point values
+        counts = Counter()
+        for attr in ("__call__", "gradient"):
+            def counted(f, x, original=getattr(TrigPolynomial, attr), attr=attr):
+                counts[attr] += 1
+                return original(f, x)
+            monkeypatch.setattr(TrigPolynomial, attr, counted)
+        rng = np.random.default_rng(46)
+        ctx = cli.CheckContext({"params": {"connection": connection}, "checks": []}, rng)
+        pair = cli._standard_connection(ctx)
+        f = trig_polynomial(rng, 2, amplitude=0.6)
+        grid = GridSpec.periodic_box((32, 32))
+        sec = cli._scalar_section(pair, grid, f)
+        blocks = -(-32 * 32 // BLOCK_NODES)
+        assert counts == {"__call__": 2 * blocks, "gradient": blocks}
+        for idx in [(0, 0), (5, 17), (31, 31)]:
+            x = grid.coords(idx)
+            assert sec.u[idx][0] == f(x)
+            rho = pair.coefficient("rho_base_u", x, np.array([f(x)]))
+            npt.assert_array_equal(sec.y[idx][0], f.gradient(x) - rho[:, 0])
 
     @pytest.mark.parametrize("name", ["gamma", "vertical_derivative", "base_derivative"])
     def test_wrongly_shaped_stacked_connection_raises(self, name):
@@ -796,20 +861,29 @@ class TestClosedFormGauge:
         npt.assert_allclose(closed.y, oracle.y, rtol=0, atol=1e-8 * np.max(np.abs(oracle.y)))
 
     def test_stacked_points_and_values(self):
-        grid = GridSpec(extents=(3, 4, 5), spacing=(0.3, 0.2, 0.1), origin=(1.0, -2.0, 0.5))
-        f = trig_polynomial(np.random.default_rng(73), 3, amplitude=0.7)
-        points = grid.points()
-        values, grads = f.on_points(points)
-        for idx in grid.nodes():
-            npt.assert_array_equal(points[idx], grid.coords(idx))
-            npt.assert_allclose(values[idx], f(points[idx]), rtol=0, atol=1e-15)
-            npt.assert_allclose(grads[idx], f.gradient(points[idx]), rtol=0, atol=1e-15)
+        # stacked and per-point evaluation agree bit for bit, and a point's
+        # value is the plain dot product of amplitudes and cosines
+        rng = np.random.default_rng(73)
+        for extents in [(7,), (4, 5), (3, 4, 5)]:
+            dim = len(extents)
+            grid = GridSpec(extents=extents, spacing=(0.3, 0.2, 0.1)[:dim],
+                            origin=(1.0, -2.0, 0.5)[:dim])
+            f = trig_polynomial(rng, dim, n_modes=4, max_freq=2, amplitude=0.7)
+            points = grid.points()
+            values, grads = f(points), f.gradient(points)
+            assert values.shape == extents and grads.shape == extents + (dim,)
+            for idx in grid.nodes():
+                x = points[idx]
+                npt.assert_array_equal(x, grid.coords(idx))
+                npt.assert_array_equal(values[idx], f(x))
+                npt.assert_array_equal(grads[idx], f.gradient(x))
+                assert f(x) == float(np.dot(f.amplitudes, np.cos(f.waves @ x + f.phases)))
 
     def test_single_generator_is_gradient(self):
         f = trig_polynomial(np.random.default_rng(23), 3, amplitude=0.7)
         grid = GridSpec.periodic_box((5, 5, 5))
         y = su2_exponential_gauge_field([0, 0, f], grid).y
-        npt.assert_array_equal(y[..., 2, :], f.on_points(grid.points())[1])
+        npt.assert_array_equal(y[..., 2, :], f.gradient(grid.points()))
         assert np.all(y[..., :2, :] == 0.0)
 
     def test_identity_gives_exact_zero(self):
@@ -829,12 +903,12 @@ class TestClosedFormGauge:
                   for n in direction]
         grid = GridSpec.periodic_box((8, 8, 8))
         y = su2_exponential_gauge_field(coords, grid).y
-        evaluated = [c.on_points(grid.points()) for c in coords]
-        v = np.stack([val for val, _ in evaluated], axis=-1)
+        points = grid.points()
+        v = np.stack([c(points) for c in coords], axis=-1)
         theta = np.linalg.norm(v, axis=-1)[..., None]
         assert np.any(theta < s) and np.any(theta > s)
         for a in range(3):
-            dv = np.stack([grad[..., a] for _, grad in evaluated], axis=-1)
+            dv = np.stack([c.gradient(points)[..., a] for c in coords], axis=-1)
             first = np.cross(v, dv)
             ref = (dv - (1 - np.cos(theta)) / theta ** 2 * first
                    + (theta - np.sin(theta)) / theta ** 3 * np.cross(v, first))
