@@ -113,26 +113,9 @@ def antisymmetrize(arr: np.ndarray, naxes: Optional[int] = None) -> np.ndarray:
     trailing = tuple(range(p, a.ndim))
     out = np.zeros_like(a)
     for perm in itertools.permutations(range(p)):
-        sign = _permutation_sign(perm)
+        sign = (-1) ** sum(i > j for i, j in itertools.combinations(perm, 2))
         out += sign * np.transpose(a, perm + trailing)
     return out / math.factorial(p)
-
-
-def _permutation_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @dataclass(frozen=True)
@@ -467,13 +450,13 @@ def structure_residual_max(model: LieAlgebroid, points) -> float:
 # flows
 # ---------------------------------------------------------------------------
 
-def _flow_rhs(model: LieAlgebroid, sigma: Section, x: np.ndarray, m: np.ndarray):
+def _flow_rhs(model: LieAlgebroid, sigma: Section, z: np.ndarray) -> np.ndarray:
+    x, m = z[:model.base_dim], z[model.base_dim:].reshape(model.rank, model.rank)
     rho = model.anchor_at(x)
     s = sigma.at(x)
-    xdot = np.einsum("ai,a->i", rho, s)
     d = np.einsum("gi,bi->bg", rho, sigma.jacobian(x))
     d += np.einsum("gab,a->bg", model.bracket_at(x), s)
-    return xdot, d @ m
+    return np.concatenate((np.einsum("ai,a->i", rho, s), (d @ m).ravel()))
 
 
 def flow_of_section(model: LieAlgebroid, sigma: Section, s: float, x0,
@@ -487,27 +470,27 @@ def flow_of_section(model: LieAlgebroid, sigma: Section, s: float, x0,
     ``d_sigma e^b``) and ``M(0) = I``.  For the tangent algebroid this is
     the Jacobian of the base flow, i.e. ``Phi_s = T phi_s``.
 
-    Integrated with classical RK4 in ``steps`` fixed substeps.  On a valid
-    algebroid each ``Phi_s`` is a morphism (see
-    :func:`flow_morphism_defect`).
+    Integrated with classical RK4 in ``steps`` fixed substeps, on one
+    state vector ``z = (x, M.ravel())``.  On a valid algebroid each
+    ``Phi_s`` is a morphism (see :func:`flow_morphism_defect`).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (model.base_dim,):
-        raise ValueError(f"base point has shape {x.shape}, expected ({model.base_dim},)")
-    m = np.eye(model.rank)
+    n = model.base_dim
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"base point has shape {x.shape}, expected ({n},)")
+    z = np.concatenate((x, np.eye(model.rank).ravel()))
     h = s / steps
     for _ in range(steps):
-        k1x, k1m = _flow_rhs(model, sigma, x, m)
-        k2x, k2m = _flow_rhs(model, sigma, x + 0.5 * h * k1x, m + 0.5 * h * k1m)
-        k3x, k3m = _flow_rhs(model, sigma, x + 0.5 * h * k2x, m + 0.5 * h * k2m)
-        k4x, k4m = _flow_rhs(model, sigma, x + h * k3x, m + h * k3m)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        m = m + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(m))):
+        k1 = _flow_rhs(model, sigma, z)
+        k2 = _flow_rhs(model, sigma, z + 0.5 * h * k1)
+        k3 = _flow_rhs(model, sigma, z + 0.5 * h * k2)
+        k4 = _flow_rhs(model, sigma, z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(z)):
             raise FlowBlowupError("flow integration produced non-finite values")
-    return x, m
+    return z[:n], z[n:].reshape(model.rank, model.rank)
 
 
 def flow_pullback_form(model: LieAlgebroid, sigma: Section, s: float, x0,

@@ -517,18 +517,23 @@ def _rigid_body_crosscheck(chk, ctx) -> CheckResult:
 # CSV writers (columns frozen per schema version, documented in the README)
 # ---------------------------------------------------------------------------
 
+def _write_csv(path: Path, header: list, table: np.ndarray) -> None:
+    # csv writes each float with repr, and the rows become lists one at a
+    # time (a whole-table list costs ~1 MB at 12^3)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(row.tolist() for row in table)
+
+
 def _write_trajectory_csv(ctx, outdir: Path) -> list:
     traj, conserved = _trajectory(ctx, ctx.dt)
     names = sorted(conserved)
     header = (["t"] + [f"u_{i}" for i in range(traj.u.shape[1])]
               + [f"y_{i}" for i in range(traj.y.shape[1])] + names)
-    # csv writes each float with repr, as for residuals.csv
     table = np.concatenate([traj.times[:, None], traj.u, traj.y]
                            + [conserved[name][:, None] for name in names], axis=1)
-    with open(outdir / "trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(row.tolist() for row in table)
+    _write_csv(outdir / "trajectory.csv", header, table)
     return ["trajectory.csv"]
 
 
@@ -543,17 +548,12 @@ def _write_residual_csv(ctx, outdir: Path) -> list:
               + [f"adm_{a}_{i}" for a in range(mu) for i in range(r)]
               + [f"mor_{k}_{a}_{b}" for k in range(mk)
                  for a in range(r) for b in range(a + 1, r)])
-    # one row per node in C order; csv writes each float with repr, and the
-    # rows become lists one at a time (a whole-table list costs ~1 MB at 12^3)
     nodes = int(np.prod(grid.extents))
     table = np.concatenate([grid.points().reshape(nodes, r),
                             report.admissibility.reshape(nodes, mu * r),
                             report.morphism[..., upper[0], upper[1]].reshape(nodes, -1)],
                            axis=1)
-    with open(outdir / "residuals.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(row.tolist() for row in table)
+    _write_csv(outdir / "residuals.csv", header, table)
     return ["residuals.csv"]
 
 
@@ -745,25 +745,40 @@ def apply_overrides(config: dict, overrides) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
+# exit code and check-config's stderr prefix of each error of the set-up
+_SET_UP_ERRORS = {UnknownScenarioError: (EXIT_UNKNOWN_SCENARIO, "invalid"),
+                  ConfigError: (EXIT_SCHEMA_VIOLATION, "invalid"),
+                  IOError: (EXIT_IO_ERROR, "error")}
+
+
+def _set_up(config_path: str, seed=None, overrides=None) -> tuple:
+    """Load, override, seed and validate a config, then run its scenario's set-up.
+
+    Returns ``(config, scenario, ctx)``; raises one of ``_SET_UP_ERRORS``.
+    """
+    config = apply_overrides(load_config(config_path), overrides)
+    if seed is not None:
+        config["seed"] = int(seed)
+    scenario = validate_config(config)
+    ctx = CheckContext(config, np.random.default_rng(int(config.get("seed", 0))))
+    scenario.setup(ctx)
+    return config, scenario, ctx
+
+
+def _set_up_failed(exc: Exception, prefix=None) -> int:
+    """Print a set-up error to stderr (under ``prefix``, or check-config's
+    prefix for its type) and return its exit code."""
+    code, default = next(v for kind, v in _SET_UP_ERRORS.items() if isinstance(exc, kind))
+    print(f"{prefix or default}: {exc}", file=sys.stderr)
+    return code
+
+
 def run_command(config_path: str, outdir: str, seed=None, overrides=None) -> int:
+    start = time.perf_counter()
     try:
-        config = load_config(config_path)
-        config = apply_overrides(config, overrides)
-        if seed is not None:
-            config["seed"] = int(seed)
-        scenario = validate_config(config)
-        ctx = CheckContext(config, np.random.default_rng(int(config.get("seed", 0))))
-        start = time.perf_counter()
-        scenario.setup(ctx)
-    except UnknownScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_SCENARIO
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA_VIOLATION
-    except IOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
+        config, scenario, ctx = _set_up(config_path, seed, overrides)
+    except tuple(_SET_UP_ERRORS) as exc:
+        return _set_up_failed(exc, "error")
 
     out = Path(outdir)
     try:
@@ -826,17 +841,9 @@ def list_command() -> int:
 
 def check_config_command(config_path: str) -> int:
     try:
-        config = load_config(config_path)
-        SCENARIOS[config["scenario"]].setup(CheckContext(config, np.random.default_rng(0)))
-    except UnknownScenarioError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_SCENARIO
-    except ConfigError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA_VIOLATION
-    except IOError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
+        _set_up(config_path)
+    except tuple(_SET_UP_ERRORS) as exc:
+        return _set_up_failed(exc)
     print("config ok")
     return EXIT_OK
 

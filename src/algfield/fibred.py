@@ -391,10 +391,17 @@ def complete_lift(pair: FibredAlgebroidPair, sigma: ProjectableSection, p: JetPo
     dy = tdv + np.einsum("kab,b->ka", z_base, sa) + np.einsum("kab,b->ka", z_mixed, sk)
 
     if not sigma.is_vertical:
-        tdb = np.einsum("ai,bi->ba", rho_f, sigma.base_jacobian(x, r))
-        cc = np.einsum("c,acb->ba", sa, pair.coefficient("c_f", x))
-        dy -= np.einsum("kb,ba->ka", y, tdb + cc)
+        dy -= np.einsum("kb,ba->ka", y, _base_mixing(pair, sigma, x))
     return dx, du, dy
+
+
+def _base_mixing(pair: FibredAlgebroidPair, sigma: ProjectableSection, x) -> np.ndarray:
+    """``mix[b, a] = rho_a^i d_i sigma^b + sigma^c C_ac^b`` of the base part of
+    ``sigma`` at one point: its bracket with the base frame."""
+    tdb = np.einsum("ai,bi->ba", pair.coefficient("rho_f", x),
+                    sigma.base_jacobian(x, pair.base_dim))
+    return tdb + np.einsum("c,acb->ba", sigma.base_at(x, pair.base_dim),
+                           pair.coefficient("c_f", x))
 
 
 def lie_derivative_affine_dual(pair: FibredAlgebroidPair, sigma: ProjectableSection,
@@ -431,12 +438,8 @@ def lie_derivative_affine_dual(pair: FibredAlgebroidPair, sigma: ProjectableSect
         if not sigma.is_vertical:
             # rows mix through the bracket of the projected section with the
             # base frame: out row b -= mix[b, a] * theta row a
-            tdb = np.einsum("ai,bi->ba", pair.coefficient("rho_f", x),
-                            sigma.base_jacobian(x, r))
-            cc = np.einsum("c,acb->ba", sigma.base_at(x, r), pair.coefficient("c_f", x))
-            mix = tdb + cc
             all_rows = np.concatenate([theta.base_at(x, u), theta.kernel_at(x, u)], axis=1)
-            rows -= np.einsum("ba,ac->bc", mix, all_rows)
+            rows -= np.einsum("ba,ac->bc", _base_mixing(pair, sigma, x), all_rows)
         return rows
 
     def coeff_base(x, u):

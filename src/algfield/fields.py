@@ -70,8 +70,8 @@ class GridSpec:
             raise ValueError("extents, spacing and origin must have equal length")
         if any(n < 3 for n in self.extents):
             raise StencilError("need at least 3 nodes per axis for central differences")
-        if any(h <= 0 for h in self.spacing):
-            raise ValueError("grid spacing must be positive")
+        if not (all(h > 0 for h in self.spacing) and np.isfinite(self.spacing + self.origin).all()):
+            raise ValueError("grid spacing must be positive, and spacing and origin finite")
         if self.boundary not in ("periodic", "one_sided"):
             raise ValueError(f"unknown boundary rule {self.boundary!r}")
 
@@ -360,7 +360,7 @@ def load_section(path) -> DiscretizedSection:
     header = json.loads(header_line.decode("utf-8"))
     if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
         raise ValueError("not a recognized section file")
-    # integers are checked by type: JSON true would pass as 1
+    # numbers are checked by type: JSON true would pass as 1
     if type(header.get("version")) is not int or header["version"] != _FORMAT_VERSION:
         raise ValueError(f"section header 'version' must be {_FORMAT_VERSION}")
     if header.get("dtype") != "<f8" or header.get("order") != "C":
@@ -372,6 +372,15 @@ def load_section(path) -> DiscretizedSection:
             raise ValueError(f"section header {key!r} must be a non-negative integer (a "
                              f"list of them for 'extents'), got {header.get(key)!r}")
     ext = tuple(ext)
+    for key in ("spacing", "origin"):
+        v = header.get(key)
+        if not (isinstance(v, list) and len(v) == len(ext) and all(
+                isinstance(h, (int, float)) and not isinstance(h, bool) for h in v)):
+            raise ValueError(f"section header {key!r} must be a list of {len(ext)} "
+                             f"numbers, got {v!r}")
+    if not isinstance(header.get("boundary"), str):
+        raise ValueError(f"section header 'boundary' must be a string, "
+                         f"got {header.get('boundary')!r}")
     r = len(ext)
     grid = GridSpec(extents=ext, spacing=tuple(header["spacing"]),
                     boundary=header["boundary"], origin=tuple(header["origin"]))

@@ -23,6 +23,7 @@ equations, which every builder output must satisfy exactly; see tests):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -293,12 +294,12 @@ def _inverse_and_verdict(hyy: np.ndarray, cond_limit: float) -> tuple:
 
 
 def _mechanics_rhs(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
-                   t: float, u: np.ndarray, y: np.ndarray,
-                   inverse: _LastValue, kernel: _LastValue,
-                   check_cond: bool = False) -> tuple:
+                   inverse: _LastValue, kernel: _LastValue, t: float, s: np.ndarray,
+                   check_cond: bool = False) -> np.ndarray:
+    mk = pair.kernel_rank
+    y, u = s[:mk], s[mk:]
     x = np.array([t])
     ycol = y[:, None]
-    mk = y.shape[0]
     udot = np.zeros(0)
     if u.size:
         rho_k = pair.coefficient("rho_kernel_u", x, u)
@@ -327,7 +328,7 @@ def _mechanics_rhs(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
         # explicit time dependence of the momentum map
         rhs -= central_difference(lagrangian.partial_y_points, (x, u, ycol), 0,
                                   FINE_STEP)[:, 0, 0]
-    return udot, hinv @ rhs
+    return np.concatenate((hinv @ rhs, udot))
 
 
 def integrate_mechanics(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
@@ -335,19 +336,19 @@ def integrate_mechanics(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
                         cond_limit: float = 1e12) -> MechanicsTrajectory:
     """Fixed-step RK4 integration of the one-dimensional field equations.
 
-    The momentum equation is solved for the velocity rate through the
-    (dense) inverse of the velocity Hessian at every stage; its condition
-    number is checked against ``cond_limit`` on the first stage of each
-    step.  Requires a regular Lagrangian; raises on blow-up.
+    The state is one vector ``s = (y, u)``.  The momentum equation is
+    solved for the velocity rate through the (dense) inverse of the
+    velocity Hessian at every stage; its condition number is checked
+    against ``cond_limit`` on the first stage of each step.  Requires a
+    regular Lagrangian; raises on blow-up.
 
-    Work that depends on one array alone is done once per run: the
-    inverse of the velocity Hessian with its condition verdict, and the
-    antisymmetrized kernel constants, are kept in a one-entry memo keyed
-    on the bytes of the Hessian and of the raw constants.  Both are still
-    evaluated at every stage, so a Hessian that changes along the
-    trajectory is inverted afresh whenever it changes.  The explicit time
-    derivative of the momentum is differenced only for Lagrangians not
-    declared ``autonomous``.
+    The stage is bound once per run, with two one-entry memos keyed on
+    the bytes of an array: the inverse of the velocity Hessian with its
+    condition verdict, and the antisymmetrized kernel constants.  Both
+    arrays are still evaluated at every stage, so a Hessian that changes
+    along the trajectory is inverted afresh whenever it changes.  The
+    explicit time derivative of the momentum is differenced only for
+    Lagrangians not declared ``autonomous``.
     """
     if pair.base_dim != 1:
         raise ValueError("mechanics integration needs a one-dimensional base")
@@ -357,30 +358,26 @@ def integrate_mechanics(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
     if n_steps < 1:
         raise ValueError("empty integration interval")
 
-    mu, mk = pair.fibre_dim, pair.kernel_rank
+    mk = pair.kernel_rank
     times = initial.t + dt * np.arange(n_steps + 1)
-    us = np.zeros((n_steps + 1, mu))
     ys = np.zeros((n_steps + 1, mk))
-    us[0], ys[0] = initial.u, initial.y
+    us = np.zeros((n_steps + 1, pair.fibre_dim))
+    ys[0], us[0] = initial.y, initial.u
 
-    memo = (_LastValue(lambda hyy: _inverse_and_verdict(hyy, cond_limit)),
-            _LastValue(_antisym01))
-    u, y = initial.u.astype(float).copy(), initial.y.astype(float).copy()
-    for i in range(n_steps):
-        t = times[i]
+    stage = functools.partial(
+        _mechanics_rhs, pair, lagrangian,
+        _LastValue(lambda hyy: _inverse_and_verdict(hyy, cond_limit)), _LastValue(_antisym01))
+    s = np.concatenate((initial.y, initial.u)).astype(float)
+    for i, t in enumerate(times[:-1]):
         # condition guard on the first stage of each step
-        k1u, k1y = _mechanics_rhs(pair, lagrangian, t, u, y, *memo, check_cond=True)
-        k2u, k2y = _mechanics_rhs(pair, lagrangian, t + dt / 2,
-                                  u + dt / 2 * k1u, y + dt / 2 * k1y, *memo)
-        k3u, k3y = _mechanics_rhs(pair, lagrangian, t + dt / 2,
-                                  u + dt / 2 * k2u, y + dt / 2 * k2y, *memo)
-        k4u, k4y = _mechanics_rhs(pair, lagrangian, t + dt,
-                                  u + dt * k3u, y + dt * k3y, *memo)
-        u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        y = y + dt / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        if not (np.isfinite(u).all() and np.isfinite(y).all()):
+        k1 = stage(t, s, check_cond=True)
+        k2 = stage(t + dt / 2, s + dt / 2 * k1)
+        k3 = stage(t + dt / 2, s + dt / 2 * k2)
+        k4 = stage(t + dt, s + dt * k3)
+        s = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.isfinite(s).all():
             raise IntegrationBlowupError(f"non-finite state at t = {t + dt}")
-        us[i + 1], ys[i + 1] = u, y
+        ys[i + 1], us[i + 1] = s[:mk], s[mk:]
     return MechanicsTrajectory(times=times, u=us, y=ys)
 
 

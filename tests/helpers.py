@@ -221,3 +221,95 @@ def node_stencil(at, grid, axis: int, idx):
     if i == 0:
         return (-3.0 * shifted(0) + 4.0 * shifted(1) - shifted(2)) / (2.0 * h)
     return (3.0 * shifted(n - 1) - 4.0 * shifted(n - 2) + shifted(n - 3)) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# two-array RK4 references for the one-vector integrators
+# ---------------------------------------------------------------------------
+
+def _mechanics_stage(pair, lagrangian, t, u, y, inverse, kernel, check_cond=False):
+    """Rates ``(udot, ydot)`` at one stage, each half of the state in its own array."""
+    from algfield.differentiation import FINE_STEP, central_difference
+    from algfield.fibred import sample_points
+    from algfield.scenarios import DegenerateLagrangianError, _mechanics_hessians
+
+    x = np.array([t])
+    ycol = y[:, None]
+    mk = y.shape[0]
+    udot = np.zeros(0)
+    if u.size:
+        rho_k = pair.coefficient("rho_kernel_u", x, u)
+        udot = pair.coefficient("rho_base_u", x, u)[0] + rho_k.T @ y
+    mom = lagrangian.partial_y_points(x, u, ycol)[:, 0]
+    if pair.c_kernel is None:
+        ck = pair.coefficient("c_kernel", x, u)
+    else:
+        ck = kernel(sample_points(pair.c_kernel, "c_kernel", (mk, mk, mk), x, u))
+    zslice = pair.coefficient("c_mixed", x, u)[0] + (y @ ck.reshape(mk, -1)).reshape(mk, mk)
+    rhs = zslice @ mom
+    if u.size:
+        rhs += rho_k @ lagrangian.partial_u_points(x, u, ycol)
+    hyy, hyu = _mechanics_hessians(lagrangian, x, u, ycol)
+    hinv, well_conditioned = inverse(hyy)
+    if check_cond and not well_conditioned:
+        raise DegenerateLagrangianError(
+            "velocity Hessian of the Lagrangian is singular or ill-conditioned")
+    if u.size:
+        rhs -= hyu @ udot
+    if not lagrangian.autonomous:
+        rhs -= central_difference(lagrangian.partial_y_points, (x, u, ycol), 0,
+                                  FINE_STEP)[:, 0, 0]
+    return udot, hinv @ rhs
+
+
+def mechanics_reference(pair, lagrangian, initial, t_end, dt, cond_limit=1e12):
+    """``(times, us, ys)`` of the RK4 loop that ``integrate_mechanics`` runs,
+    written twice per line, once for ``u`` and once for ``y``."""
+    from algfield.fibred import _antisym01
+    from algfield.scenarios import IntegrationBlowupError, _inverse_and_verdict, _LastValue
+
+    n_steps = int(round((t_end - initial.t) / dt))
+    times = initial.t + dt * np.arange(n_steps + 1)
+    us = np.zeros((n_steps + 1, pair.fibre_dim))
+    ys = np.zeros((n_steps + 1, pair.kernel_rank))
+    us[0], ys[0] = initial.u, initial.y
+    memo = (_LastValue(lambda hyy: _inverse_and_verdict(hyy, cond_limit)),
+            _LastValue(_antisym01))
+    u, y = initial.u.astype(float).copy(), initial.y.astype(float).copy()
+    for i in range(n_steps):
+        t = times[i]
+        k1u, k1y = _mechanics_stage(pair, lagrangian, t, u, y, *memo, check_cond=True)
+        k2u, k2y = _mechanics_stage(pair, lagrangian, t + dt / 2,
+                                    u + dt / 2 * k1u, y + dt / 2 * k1y, *memo)
+        k3u, k3y = _mechanics_stage(pair, lagrangian, t + dt / 2,
+                                    u + dt / 2 * k2u, y + dt / 2 * k2y, *memo)
+        k4u, k4y = _mechanics_stage(pair, lagrangian, t + dt,
+                                    u + dt * k3u, y + dt * k3y, *memo)
+        u = u + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        y = y + dt / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        if not (np.isfinite(u).all() and np.isfinite(y).all()):
+            raise IntegrationBlowupError(f"non-finite state at t = {t + dt}")
+        us[i + 1], ys[i + 1] = u, y
+    return times, us, ys
+
+
+def flow_reference(model, sigma, s, x0, steps=100):
+    """``(x, M)`` of the RK4 loop that ``flow_of_section`` runs, written
+    twice per line, once for the base point and once for the fibre matrix."""
+    def rhs(x, m):
+        rho = model.anchor_at(x)
+        sx = sigma.at(x)
+        d = np.einsum("gi,bi->bg", rho, sigma.jacobian(x))
+        d += np.einsum("gab,a->bg", model.bracket_at(x), sx)
+        return np.einsum("ai,a->i", rho, sx), d @ m
+
+    x, m = np.asarray(x0, dtype=float).copy(), np.eye(model.rank)
+    h = s / steps
+    for _ in range(steps):
+        k1x, k1m = rhs(x, m)
+        k2x, k2m = rhs(x + 0.5 * h * k1x, m + 0.5 * h * k1m)
+        k3x, k3m = rhs(x + 0.5 * h * k2x, m + 0.5 * h * k2m)
+        k4x, k4m = rhs(x + h * k3x, m + h * k3m)
+        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        m = m + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
+    return x, m

@@ -1,5 +1,8 @@
 """Single-chart algebroid calculus: anchor, bracket, differential, flows."""
 
+import itertools
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +14,7 @@ from algfield.algebroid import (
     PForm,
     Section,
     anchor_apply,
+    antisymmetrize,
     bracket,
     exterior_differential,
     flow_morphism_defect,
@@ -27,6 +31,7 @@ from algfield.smoothfields import trig_polynomial
 from helpers import (
     EPS3,
     broken_so3_algebroid,
+    flow_reference,
     frame_algebroid,
     random_one_form,
     random_section,
@@ -297,7 +302,34 @@ class TestLieDerivative:
         npt.assert_allclose(fd, exact, atol=1e-5)
 
 
+class TestAntisymmetrize:
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_signs_match_determinant_oracle(self, p):
+        # each permutation's sign is the determinant of its permutation matrix
+        a = np.random.default_rng(p).standard_normal((3,) * p + (2, 3))
+        want = np.zeros_like(a)
+        for perm in itertools.permutations(range(p)):
+            sign = round(np.linalg.det(np.eye(p)[list(perm)]))
+            want += sign * np.transpose(a, perm + (p, p + 1))
+        npt.assert_array_equal(antisymmetrize(a, p), want / math.factorial(p))
+
+
 class TestFlow:
+    @pytest.mark.parametrize("case", ["so3", "curved_frame"])
+    def test_one_state_vector_matches_two_array_reference(self, case):
+        # the RK4 loop on z = (x, M.ravel()) keeps every bit of the loop that
+        # wrote each line once for x and once for M
+        if case == "so3":
+            model, sigma, x0 = so3_algebroid(), Section.constant([0.3, -0.4, 0.8]), np.zeros(1)
+        else:
+            rng = np.random.default_rng(41)
+            model = frame_algebroid(rng)
+            sigma, x0 = random_section(rng, model, amplitude=0.4), np.array([0.2, 0.1])
+        x, m = flow_of_section(model, sigma, 0.7, x0, steps=50)
+        want_x, want_m = flow_reference(model, sigma, 0.7, x0, steps=50)
+        npt.assert_array_equal(x, want_x)
+        npt.assert_array_equal(m, want_m)
+
     def test_zero_section_is_identity(self):
         model = so3_algebroid()
         zero = Section.constant([0.0, 0.0, 0.0])

@@ -46,6 +46,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(extents=(4, 4), spacing=(0.1, 0.0))
 
+    @pytest.mark.parametrize("spacing, origin", [((float("nan"), 1.0), None),
+                                                 ((0.1, 0.1), (float("inf"), 0.0))])
+    def test_nonfinite_spacing_or_origin_rejected(self, spacing, origin):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(extents=(4, 4), spacing=spacing, origin=origin)
+
     def test_unknown_boundary_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(extents=(4,), spacing=(0.1,), boundary="clamped")
@@ -460,9 +466,16 @@ class TestSerialization:
         (lambda h: {**h, "fibre_dim": True}, "'fibre_dim'"),
         (lambda h: {**h, "kernel_rank": -1}, "'kernel_rank'"),
         (lambda h: {**h, "version": True}, "'version'"),
-        (lambda h: list(h.items()), "not a recognized section file")],
+        (lambda h: list(h.items()), "not a recognized section file"),
+        (lambda h: {k: v for k, v in h.items() if k != "spacing"}, "'spacing'"),
+        (lambda h: {k: v for k, v in h.items() if k != "origin"}, "'origin'"),
+        (lambda h: {k: v for k, v in h.items() if k != "boundary"}, "'boundary'"),
+        (lambda h: {**h, "origin": None}, "'origin'"),
+        (lambda h: {**h, "spacing": [True, 1.0]}, "'spacing'"),
+        (lambda h: {**h, "spacing": [float("nan"), 1.0]}, "spacing")],
         ids=["no_extents", "float_extent", "bool_fibre_dim", "negative_kernel_rank",
-             "bool_version", "list_header"])
+             "bool_version", "list_header", "no_spacing", "no_origin", "no_boundary",
+             "null_origin", "bool_spacing", "nan_spacing"])
     def test_reject_malformed_header(self, tmp_path, edit, match):
         # each of these once raised KeyError, TypeError or AttributeError, or
         # loaded: JSON true is the integer 1 to a plain comparison

@@ -53,7 +53,7 @@ from algfield.scenarios import (
 from algfield.smoothfields import TrigPolynomial, trig_polynomial, trig_vector
 from algfield.variational import Lagrangian, el_residual, el_residual_field
 
-from helpers import broken_so3_algebroid, frame_algebroid
+from helpers import broken_so3_algebroid, frame_algebroid, mechanics_reference
 
 
 def sample_points(rng, n, count=20, scale=1.0):
@@ -418,6 +418,45 @@ class TestStandardScenario:
             assert pair.coefficient("c_base_kernel", x[0], u[0]).shape == (2, 2, 1)
 
 
+def _mass(u):
+    return 1.5 + np.sin(u[0]) * np.cos(u[1])
+
+
+def _mass_gradient(u):
+    return np.array([np.cos(u[0]) * np.cos(u[1]), -np.sin(u[0]) * np.sin(u[1])])
+
+
+def u_dependent_mass_lagrangian() -> Lagrangian:
+    """``L = 1/2 m(u) |y|^2`` on the two-dimensional free particle, with
+    analytic derivatives: its velocity Hessian changes at every stage."""
+    return Lagrangian(value=lambda x, u, y: 0.5 * _mass(u) * float(np.sum(y ** 2)),
+                      grad_u=lambda x, u, y: 0.5 * float(np.sum(y ** 2)) * _mass_gradient(u),
+                      grad_y=lambda x, u, y: _mass(u) * y,
+                      hess_yy=lambda x, u, y: _mass(u) * np.eye(2),
+                      hess_yu=lambda x, u, y: np.outer(y[:, 0], _mass_gradient(u)),
+                      autonomous=True)
+
+
+U_DEPENDENT_MASS_STATE = MechanicsState(0.0, np.array([0.2, -0.3]), np.array([1.0, 0.7]))
+
+
+def _late_hess_yy(x, u, y):
+    return np.diag([1.0, np.exp(-x[0])])
+
+
+def late_degenerating_lagrangian() -> Lagrangian:
+    """``L = 1/2 (y_1^2 + exp(-t) y_2^2)``, not declared autonomous: the
+    condition number of its velocity Hessian is ``exp(t)``."""
+    return Lagrangian(
+        value=lambda x, u, y: 0.5 * float(y[:, 0] @ _late_hess_yy(x, u, y) @ y[:, 0]),
+        grad_u=lambda x, u, y: np.zeros(2),
+        grad_y=lambda x, u, y: _late_hess_yy(x, u, y) @ y,
+        hess_yy=_late_hess_yy,
+        hess_yu=lambda x, u, y: np.zeros((2, 2)))
+
+
+LATE_DEGENERATING_STATE = MechanicsState(0.0, np.zeros(2), np.array([1.0, 1.0]))
+
 SHIPPED_MECHANICS = pytest.mark.parametrize("pair, lag, u0", [
     (rigid_body_pair(), rigid_body_lagrangian([1.0, 2.0, 3.0]), np.zeros(0)),
     (heavy_top_pair(), heavy_top_lagrangian([2.0, 2.0, 1.0], 1.0, [0.0, 0.0, 1.0]),
@@ -577,23 +616,12 @@ class TestMechanicsIntegrator:
     def test_u_dependent_hessian_is_inverted_at_every_stage(self):
         # L = 1/2 m(u) |y|^2: the analytic velocity Hessian m(u) I changes at
         # every stage, so a reused inverse would part from the reference below
-        def mass(u):
-            return 1.5 + np.sin(u[0]) * np.cos(u[1])
-
-        def mass_gradient(u):
-            return np.array([np.cos(u[0]) * np.cos(u[1]), -np.sin(u[0]) * np.sin(u[1])])
-
-        lag = Lagrangian(value=lambda x, u, y: 0.5 * mass(u) * float(np.sum(y ** 2)),
-                         grad_u=lambda x, u, y: 0.5 * float(np.sum(y ** 2)) * mass_gradient(u),
-                         grad_y=lambda x, u, y: mass(u) * y,
-                         hess_yy=lambda x, u, y: mass(u) * np.eye(2),
-                         hess_yu=lambda x, u, y: np.outer(y[:, 0], mass_gradient(u)),
-                         autonomous=True)
-        state = MechanicsState(0.0, np.array([0.2, -0.3]), np.array([1.0, 0.7]))
+        lag = u_dependent_mass_lagrangian()
+        state = U_DEPENDENT_MASS_STATE
         fallback = dataclasses.replace(lag, hess_yy=None, hess_yu=None)
         trajs = [integrate_mechanics(free_particle_pair(2), lg, state, t_end=2.0, dt=1e-2)
                  for lg in (lag, fallback)]
-        masses = [mass(u) for u in trajs[0].u]
+        masses = [_mass(u) for u in trajs[0].u]
         assert max(masses) - min(masses) > 0.5
         npt.assert_allclose(trajs[1].y, trajs[0].y, atol=1e-8)
         npt.assert_allclose(trajs[1].u, trajs[0].u, atol=1e-8)
@@ -602,8 +630,8 @@ class TestMechanicsIntegrator:
         # with a separately coded RK4
         def rhs(z):
             u, y = z[:2], z[2:]
-            dm = mass_gradient(u)
-            return np.concatenate([y, (0.5 * (y @ y) * dm - (dm @ y) * y) / mass(u)])
+            dm = _mass_gradient(u)
+            return np.concatenate([y, (0.5 * (y @ y) * dm - (dm @ y) * y) / _mass(u)])
 
         z = np.concatenate([state.u, state.y])
         for _ in range(200):
@@ -617,19 +645,44 @@ class TestMechanicsIntegrator:
     def test_hessian_degenerating_late_is_rejected(self):
         # L = 1/2 (y_1^2 + exp(-t) y_2^2): the velocity Hessian has condition
         # number exp(t), which passes the limit 1e3 until t = ln 1e3 = 6.9
-        def hess_yy(x, u, y):
-            return np.diag([1.0, np.exp(-x[0])])
-
-        lag = Lagrangian(value=lambda x, u, y: 0.5 * float(y[:, 0] @ hess_yy(x, u, y) @ y[:, 0]),
-                         grad_u=lambda x, u, y: np.zeros(2),
-                         grad_y=lambda x, u, y: hess_yy(x, u, y) @ y,
-                         hess_yy=hess_yy,
-                         hess_yu=lambda x, u, y: np.zeros((2, 2)))
-        state = MechanicsState(0.0, np.zeros(2), np.array([1.0, 1.0]))
+        lag, state = late_degenerating_lagrangian(), LATE_DEGENERATING_STATE
         pair = free_particle_pair(2)
         integrate_mechanics(pair, lag, state, t_end=6.5, dt=0.1, cond_limit=1e3)
         with pytest.raises(DegenerateLagrangianError, match="ill-conditioned"):
             integrate_mechanics(pair, lag, state, t_end=8.0, dt=0.1, cond_limit=1e3)
+
+    @pytest.mark.parametrize("case", ["rigid_body", "heavy_top", "u_dependent_analytic",
+                                      "u_dependent_differenced", "late_degenerating"])
+    def test_one_state_vector_matches_two_array_reference(self, case):
+        # the RK4 loop on s = (y, u) keeps every bit of the loop that wrote
+        # each line once for u and once for y
+        pair, lag, state, t_end, dt = {
+            "rigid_body": (rigid_body_pair(), rigid_body_lagrangian([1.0, 2.0, 3.0]),
+                           MechanicsState(0.0, np.zeros(0), np.array([0.3, -0.5, 0.9])),
+                           1.0, 1e-2),
+            "heavy_top": (heavy_top_pair(),
+                          heavy_top_lagrangian([2.0, 2.0, 1.0], 1.0, [0.0, 0.0, 1.0]),
+                          MechanicsState(0.0, np.array([0.6, 0.0, 0.8]),
+                                         np.array([0.1, -0.2, 5.0])), 1.0, 1e-2),
+            "u_dependent_analytic": (free_particle_pair(2), u_dependent_mass_lagrangian(),
+                                     U_DEPENDENT_MASS_STATE, 2.0, 1e-2),
+            "u_dependent_differenced": (
+                free_particle_pair(2),
+                dataclasses.replace(u_dependent_mass_lagrangian(), hess_yy=None, hess_yu=None),
+                U_DEPENDENT_MASS_STATE, 2.0, 1e-2),
+            "late_degenerating": (free_particle_pair(2), late_degenerating_lagrangian(),
+                                  LATE_DEGENERATING_STATE, 6.5, 0.1),
+        }[case]
+        cond_limit = 1e3 if case == "late_degenerating" else 1e12
+        traj = integrate_mechanics(pair, lag, state, t_end=t_end, dt=dt, cond_limit=cond_limit)
+        times, us, ys = mechanics_reference(pair, lag, state, t_end, dt, cond_limit)
+        npt.assert_array_equal(traj.times, times)
+        npt.assert_array_equal(traj.u, us)
+        npt.assert_array_equal(traj.y, ys)
+        if case == "late_degenerating":
+            for integrate in (integrate_mechanics, mechanics_reference):
+                with pytest.raises(DegenerateLagrangianError, match="ill-conditioned"):
+                    integrate(pair, lag, state, 8.0, 0.1, cond_limit)
 
     def test_time_dependent_mass_conserves_momentum(self):
         # L = 1/2 m(t) |y|^2 on the free particle conserves m(t) y; only the
