@@ -432,13 +432,16 @@ def structure_residual_max(model: LieAlgebroid, points) -> float:
     :func:`structure_equation_residuals` on blocks of points, so that a
     :func:`~algfield.algebroid.stacked` model is called once per block
     for its values and once for all the shifted points of each central
-    difference.  A block holds at most ``BLOCK_NODES * 8 // rank**4``
-    points, so that its ``(points, k, k, k, k)`` Jacobi temporary has at
-    most ``BLOCK_NODES * 8`` entries; the bracket at the shifted points
-    is of the same order.  A NaN residual makes the result NaN.
+    difference.  A block holds ``max(16, BLOCK_NODES * 8 // rank**4)``
+    points.  Up to rank 4 its ``(points, k, k, k, k)`` Jacobi temporary
+    has at most ``BLOCK_NODES * 8`` entries (the bracket at the shifted
+    points is of the same order); above it the floor of 16 points (the
+    second rule alone gives 6 at rank 5 and 3 at rank 6) keeps the calls
+    per block from costing more than the smaller temporary saves.  A NaN
+    residual makes the result NaN.
     """
     pts = np.asarray(points, dtype=float)
-    size = max(1, BLOCK_NODES * 8 // model.rank ** 4)
+    size = max(16, BLOCK_NODES * 8 // model.rank ** 4)
     worst = 0.0
     for start in range(0, len(pts), size):
         a, j = structure_equation_residuals(model, pts[start:start + size])

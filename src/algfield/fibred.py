@@ -40,7 +40,10 @@ from .differentiation import STEP, central_difference, partial_derivative_two_sl
 
 
 def _antisym01(c: np.ndarray) -> np.ndarray:
-    """Antisymmetric part in the first two point axes of a (stacked) 3-index array."""
+    """Antisymmetric part in the first two point axes of a (stacked) 3-index array;
+    one value broadcast over the points is antisymmetrized once and stays a view."""
+    if c.ndim > 3 and not any(c.strides[:-3]):
+        return np.broadcast_to(_antisym01(c[(0,) * (c.ndim - 3)]), c.shape)
     return 0.5 * (c - np.swapaxes(c, -3, -2))
 
 
@@ -111,7 +114,8 @@ class FibredAlgebroidPair:
         checked at every point (for a stacked coefficient, on the whole
         block).  An unset coefficient is not called and
         stays point-shaped (identity anchor or zeros), so it broadcasts
-        against stacked operands.
+        against stacked operands; a value broadcast over the points (a
+        builder's constant) stays a read-only broadcast view.
         """
         shape = self._shapes[name]
         fn = getattr(self, name)

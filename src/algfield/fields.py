@@ -27,6 +27,7 @@ the scenario builders.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -60,7 +61,12 @@ class GridSpec:
     origin: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "extents", tuple(int(n) for n in self.extents))
+        extents = tuple(int(n) for n in self.extents)
+        if not extents:
+            raise ValueError("a grid needs at least one axis")
+        if extents != tuple(self.extents):
+            raise ValueError(f"grid extents must be whole numbers, got {self.extents!r}")
+        object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "spacing", tuple(float(h) for h in self.spacing))
         if self.origin is None:
             object.__setattr__(self, "origin", (0.0,) * len(self.extents))
@@ -288,29 +294,62 @@ def _admissibility(pair: FibredAlgebroidPair, x: np.ndarray, u: np.ndarray, y: n
 def _morphism(pair: FibredAlgebroidPair, x: np.ndarray, u: np.ndarray, y: np.ndarray,
               dy: np.ndarray) -> np.ndarray:
     """Flatness residual at nodes with coordinates ``x`` (shape ``lead + (dim,)``),
-    jet data ``u``, ``y`` and ``dy[..., al, a, i] = d_i y^al_a``."""
-    rho_f = pair.coefficient("rho_f", x)
-    cm = pair.coefficient("c_mixed", x, u)
-    ck = pair.coefficient("c_kernel", x, u)
+    jet data ``u``, ``y`` and ``dy[..., al, a, i] = d_i y^al_a``.
 
-    out = np.einsum("...bi,...kai->...kab", rho_f, dy)
-    out -= np.einsum("...ai,...kbi->...kab", rho_f, dy)
-    out += np.einsum("...bgk,...ga->...kab", cm, y)
-    out -= np.einsum("...agk,...gb->...kab", cm, y)
-    out += np.einsum("...mgk,...mb,...ga->...kab", ck, y, y)
-    out += np.einsum("...abc,...kc->...kab", pair.coefficient("c_f", x), y)
-    out -= np.einsum("...abk->...kab", pair.coefficient("c_base_kernel", x, u))
-    # enforce exact antisymmetry in the base pair (summation order in the
-    # quadratic term can otherwise leave last-bit asymmetry)
-    return 0.5 * (out - np.swapaxes(out, -2, -1))
+    The residual is ``P - P^T`` (transpose of the base pair) of
+
+    ``P[al, a, b] = rho_b^i d_i y^al_a + C_{b g}^al y^g_a
+                    + 1/2 C_{m g}^al y^m_b y^g_a + 1/2 C_ab^c y^al_c - 1/2 C_ab^al``,
+
+    each contraction a batched ``np.matmul`` (see :func:`_product`): the
+    anchor term ``dy @ rho_f^T``; the kernel terms ``y^T @ c_kernel``, with
+    ``c_kernel`` read as a ``(k, k*k)`` matrix, then ``y^T`` times that
+    half-product plus ``c_mixed``; the base bracket ``y @ c_f^T``, with
+    ``c_f`` read as an ``(r*r, r)`` matrix.  A coefficient may be
+    point-shaped (unset, or a constant), a broadcast view or stacked.
+    """
+    lead, k, r = y.shape[:-2], y.shape[-2], y.shape[-1]
+    yt = np.swapaxes(y, -1, -2)
+    ck = pair.coefficient("c_kernel", x, u)
+    w = _product(yt, ck.reshape(ck.shape[:-3] + (k, k * k)))  # [b, (g, al)]
+    v = 0.5 * np.swapaxes(w.reshape(lead + (r, k, k)), -3, -2)  # [g, b, al]
+    v += np.swapaxes(pair.coefficient("c_mixed", x, u), -3, -2)
+    p = _product(dy, np.swapaxes(pair.coefficient("rho_f", x), -1, -2))
+    p += np.moveaxis(_product(yt, v.reshape(lead + (k, r * k))).reshape(lead + (r, r, k)),
+                     -1, -3)  # [a, b, al] read as [al, a, b]
+    cf = pair.coefficient("c_f", x)
+    cf = np.swapaxes(cf.reshape(cf.shape[:-3] + (r * r, r)), -1, -2)
+    p += 0.5 * _product(y, cf).reshape(p.shape)
+    p -= 0.5 * np.moveaxis(pair.coefficient("c_base_kernel", x, u), -1, -3)
+    # exactly antisymmetric in the base pair, however each term rounds
+    return p - np.swapaxes(p, -1, -2)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for matrices ``b`` with the leading axes of the nodes or none.
+
+    The rows of ``a`` over its further axes are stacked into one matrix per
+    matrix of ``b``: a point-shaped ``b``, or one matrix broadcast over the
+    nodes, is one product for the whole block, a stacked ``b`` one product
+    per node.
+    """
+    if not any(b.strides[:-2]):
+        b = b[(0,) * (b.ndim - 2)]
+    blead = b.shape[:-2]
+    rows = a.reshape(blead + (math.prod(a.shape[len(blead):-1]), a.shape[-1]))
+    return (rows @ b).reshape(a.shape[:-1] + b.shape[-1:])
 
 
 def residual_report(pair: FibredAlgebroidPair, section: DiscretizedSection,
                     tol: float):
     """Aggregate both residuals over all nodes.
 
-    Returns ``(ResidualField, is_morphism)`` with ``is_morphism`` true
-    when both max norms are within ``tol``.
+    The grid derivatives are formed once; each block of nodes then reads
+    every coefficient once (per node for one not stacked) and forms the
+    flatness residual from batched matrix products (see
+    :func:`_morphism`), a point-shaped coefficient in one product for the
+    whole block.  Returns ``(ResidualField, is_morphism)`` with
+    ``is_morphism`` true when both max norms are within ``tol``.
     """
     # the residual arrays have the shapes of the derivatives, and each node
     # reads only its own derivatives, so its residuals overwrite them

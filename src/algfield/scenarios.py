@@ -427,11 +427,13 @@ def heavy_top_lagrangian(inertia, mgl: float, chi) -> Lagrangian:
 
 
 def scalar_field_lagrangian(mass: float = 0.0) -> Lagrangian:
-    """``L = 1/2 |y|^2 - 1/2 m^2 |u|^2`` for translation-kernel pairs."""
+    """``L = 1/2 |y|^2 - 1/2 m^2 |u|^2`` for translation-kernel pairs, with
+    stacked analytic partials."""
     return Lagrangian(
-        value=lambda x, u, y: 0.5 * float(np.sum(y ** 2)) - 0.5 * mass ** 2 * float(np.sum(np.asarray(u) ** 2)),
-        grad_u=lambda x, u, y: -mass ** 2 * np.asarray(u, dtype=float),
-        grad_y=lambda x, u, y: np.asarray(y, dtype=float).copy(),
+        value=stacked(lambda x, u, y: 0.5 * np.sum(y ** 2, axis=(-2, -1))
+                      - 0.5 * mass ** 2 * np.sum(u ** 2, axis=-1)),
+        grad_u=stacked(lambda x, u, y: -mass ** 2 * np.asarray(u, dtype=float)),
+        grad_y=stacked(lambda x, u, y: np.array(y, dtype=float)),
         autonomous=True,
     )
 
@@ -482,21 +484,24 @@ class ChernSimonsData:
 
 
 def chern_simons_lagrangian(data: ChernSimonsData) -> Lagrangian:
-    """``L = C_lowered[al, be, ga] y^al_1 y^be_2 y^ga_3`` with analytic partials."""
+    """``L = C_lowered[al, be, ga] y^al_1 y^be_2 y^ga_3`` with analytic partials,
+    all stacked."""
     cl = data.lowered
 
+    @stacked
     def value(x, u, y):
-        return float(np.einsum("abg,a,b,g->", cl, y[:, 0], y[:, 1], y[:, 2]))
+        return np.einsum("abg,...a,...b,...g->...", cl, y[..., 0], y[..., 1], y[..., 2])
 
+    @stacked
     def grad_y(x, u, y):
-        out = np.zeros_like(y)
-        out[:, 0] = np.einsum("abg,b,g->a", cl, y[:, 1], y[:, 2])
-        out[:, 1] = np.einsum("abg,a,g->b", cl, y[:, 0], y[:, 2])
-        out[:, 2] = np.einsum("abg,a,b->g", cl, y[:, 0], y[:, 1])
+        out = np.empty(y.shape)
+        out[..., 0] = np.einsum("abg,...b,...g->...a", cl, y[..., 1], y[..., 2])
+        out[..., 1] = np.einsum("abg,...a,...g->...b", cl, y[..., 0], y[..., 2])
+        out[..., 2] = np.einsum("abg,...a,...b->...g", cl, y[..., 0], y[..., 1])
         return out
 
     return Lagrangian(value=value,
-                      grad_u=lambda x, u, y: np.zeros(0),
+                      grad_u=stacked(lambda x, u, y: np.zeros(u.shape)),
                       grad_y=grad_y, autonomous=True)
 
 

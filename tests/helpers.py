@@ -313,3 +313,24 @@ def flow_reference(model, sigma, s, x0, steps=100):
         x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         m = m + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
     return x, m
+
+
+# ---------------------------------------------------------------------------
+# seven-einsum flatness residual, the reference for the batched products
+# ---------------------------------------------------------------------------
+
+def morphism_reference(pair, x, u, y, dy):
+    """Flatness residual at nodes of any leading axes, every term one generic
+    ``einsum`` as in the formula of ``fields.morphism_residual``."""
+    rho_f = pair.coefficient("rho_f", x)
+    cm = pair.coefficient("c_mixed", x, u)
+    ck = pair.coefficient("c_kernel", x, u)
+
+    out = np.einsum("...bi,...kai->...kab", rho_f, dy)
+    out -= np.einsum("...ai,...kbi->...kab", rho_f, dy)
+    out += np.einsum("...bgk,...ga->...kab", cm, y)
+    out -= np.einsum("...agk,...gb->...kab", cm, y)
+    out += np.einsum("...mgk,...mb,...ga->...kab", ck, y, y)
+    out += np.einsum("...abc,...kc->...kab", pair.coefficient("c_f", x), y)
+    out -= np.einsum("...abk->...kab", pair.coefficient("c_base_kernel", x, u))
+    return 0.5 * (out - np.swapaxes(out, -2, -1))

@@ -10,12 +10,13 @@ import numpy.testing as npt
 import pytest
 
 from algfield.algebroid import structure_residual_max
-from algfield.fibred import FibredAlgebroidPair, ProjectableSection, z_functions
+from algfield.fibred import FibredAlgebroidPair, ProjectableSection, stacked, z_functions
 from algfield.fields import (
     BLOCK_NODES,
     DiscretizedSection,
     GridSpec,
     StencilError,
+    _morphism,
     admissibility_residual,
     grid_derivative,
     load_section,
@@ -23,6 +24,8 @@ from algfield.fields import (
     residual_report,
     save_section,
 )
+from algfield.scenarios import (
+    ChernSimonsData, StandardCaseData, builder_chern_simons, builder_standard)
 from algfield.smoothfields import trig_polynomial, trig_vector
 from algfield.variational import (
     Lagrangian,
@@ -34,7 +37,8 @@ from algfield.variational import (
     noether_current_field,
 )
 
-from helpers import connection_pair, heavy_top_style_pair, node_stencil, trivial_pair
+from helpers import (
+    connection_pair, heavy_top_style_pair, morphism_reference, node_stencil, trivial_pair)
 
 
 class TestGridSpec:
@@ -55,6 +59,15 @@ class TestGridSpec:
     def test_unknown_boundary_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(extents=(4,), spacing=(0.1,), boundary="clamped")
+
+    def test_grid_without_axes_rejected(self):
+        with pytest.raises(ValueError, match="at least one axis"):
+            GridSpec(extents=(), spacing=())
+
+    def test_fractional_extents_rejected(self):
+        # int() would truncate 4.5 to 4 nodes
+        with pytest.raises(ValueError, match="whole numbers"):
+            GridSpec(extents=(4.5, 4.5), spacing=(1, 1))
 
     def test_periodic_box_coords(self):
         grid = GridSpec.periodic_box((8, 8))
@@ -374,6 +387,48 @@ class TestMorphismResidual:
         assert errs[0] < 2e-2  # pure stencil error
         assert 3.5 < errs[0] / errs[1] < 4.5
 
+    @pytest.mark.parametrize("case", ["constant_base", "chern_simons", "standard_stacked",
+                                      "connection", "heavy_top"])
+    @pytest.mark.parametrize("lead", [(), (37,)], ids=["one_node", "block"])
+    def test_batched_products_match_einsum_formula(self, case, lead):
+        # the batched matrix products against the generic einsum of each
+        # term, for every kind of coefficient: constant two-dimensional
+        # rho_f and c_f (per point), the broadcast view of a builder's
+        # constant c_kernel, the stacked u-dependent c_mixed and
+        # c_base_kernel of the standard case, and per-point u-dependent ones
+        rng = np.random.default_rng(43)
+        if case == "constant_base":
+            rho = np.array([[1.0, 0.3], [-0.2, 0.8]])
+            cf = np.zeros((2, 2, 2))
+            cf[0, 1], cf[1, 0] = [0.4, -1.1], [-0.4, 1.1]
+            ck = rng.standard_normal((3, 3, 3))
+            pair = FibredAlgebroidPair(base_dim=2, fibre_dim=1, kernel_rank=3,
+                                       rho_f=lambda x: rho, c_f=lambda x: cf,
+                                       c_kernel=lambda x, u: ck)
+        elif case == "chern_simons":
+            pair = builder_chern_simons(ChernSimonsData.su2(),
+                                        GridSpec.periodic_box((4, 4, 4)))[0]
+        elif case == "standard_stacked":
+            gamma = stacked(lambda x, u: np.sin(x)[..., :, None] * (1.0 + u[..., None, :] ** 2))
+            pair = builder_standard(StandardCaseData(gamma=gamma), base_dim=2, fibre_dim=2)
+        elif case == "connection":
+            pair = connection_pair(rng, r=3)
+        else:
+            pair = heavy_top_style_pair()
+        r, mu, mk = pair.base_dim, pair.fibre_dim, pair.kernel_rank
+        x = rng.uniform(-1, 1, lead + (r,))
+        u = rng.uniform(-1, 1, lead + (mu,))
+        y = rng.standard_normal(lead + (mk, r))
+        dy = rng.standard_normal(lead + (mk, r, r))
+        got = _morphism(pair, x, u, y, dy)
+        want = morphism_reference(pair, x, u, y, dy)
+        assert got.shape == want.shape == lead + (mk, r, r)
+        scale = np.max(np.abs(want))
+        # one base direction has no flatness residual: it must be exactly 0
+        assert scale > 1e-3 or r == 1
+        npt.assert_allclose(got, want, rtol=0.0, atol=1e-14 * scale)
+        npt.assert_array_equal(got, -np.swapaxes(got, -1, -2))
+
 
 class TestResidualReport:
     def test_zero_section_on_trivial_pair_is_morphism_at_zero_tol(self):
@@ -482,6 +537,15 @@ class TestSerialization:
         path, header, payload = self.saved_small_section(tmp_path)
         path.write_bytes(json.dumps(edit(header)).encode() + b"\n" + payload)
         with pytest.raises(ValueError, match=match):
+            load_section(path)
+
+    def test_reject_header_without_axes(self, tmp_path):
+        # extents [] is a valid list of counts; with the 8 bytes of one
+        # node's u it once loaded as a grid without axes
+        path, header, _ = self.saved_small_section(tmp_path)
+        header.update(extents=[], spacing=[], origin=[])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\0" * 8)
+        with pytest.raises(ValueError, match="at least one axis"):
             load_section(path)
 
     @pytest.mark.parametrize("key, value", [("dtype", ">f8"), ("dtype", "<f4"),

@@ -51,7 +51,7 @@ from algfield.scenarios import (
     _su2_dexp_coefficients,
 )
 from algfield.smoothfields import TrigPolynomial, trig_polynomial, trig_vector
-from algfield.variational import Lagrangian, el_residual, el_residual_field
+from algfield.variational import Lagrangian, _momentum_field, el_residual, el_residual_field
 
 from helpers import broken_so3_algebroid, frame_algebroid, mechanics_reference
 
@@ -192,6 +192,8 @@ class TestBuilderStructureEquations:
         assert calls == [x.shape]
         for idx in np.ndindex(4, 5):
             npt.assert_array_equal(block[idx], pair.coefficient(name, x[idx], u[idx]))
+        # antisymmetrized or not, it stays one value broadcast over the points
+        assert not any(block.strides[:2])
         if name == "c_kernel":
             calls.clear()
             pts = rng.uniform(-1, 1, (9, pair.base_dim + pair.fibre_dim))
@@ -199,6 +201,33 @@ class TestBuilderStructureEquations:
             # blocks hold at least 3 points here; once per point and once
             # per shifted point would be 7 calls per point on the 3d base
             assert 1 <= len(calls) <= 2 * 3
+
+    @pytest.mark.parametrize("build, name, blocks", [
+        (lambda: free_particle_pair(2), "rho_kernel_u", 2),
+        (rigid_body_pair, "c_kernel", 4),
+        (lambda: builder_atiyah(AtiyahData(constants=EPSILON3), base_dim=2), "c_kernel", 4),
+        (lambda: builder_chern_simons(ChernSimonsData.su2(),
+                                      GridSpec.periodic_box((4, 4, 4)))[0], "c_kernel", 4)],
+        ids=["rank3", "rank4", "rank5", "rank6"])
+    def test_structure_check_blocks_hold_at_least_16_points(self, build, name, blocks):
+        # 60 points: blocks of 50 at rank 3 and of 16 from rank 4 on (the
+        # Jacobi temporary alone would allow 6 points at rank 5 and 3 at
+        # rank 6); a constant is read once per block for the values and
+        # once for the shifted points
+        pair = build()
+        constant, calls = getattr(pair, name), []
+
+        @functools.wraps(constant)
+        def counted(x, u):
+            calls.append(x.shape)
+            return constant(x, u)
+
+        counted_pair = dataclasses.replace(pair, **{name: counted})
+        pts = np.random.default_rng(41).uniform(
+            -1, 1, (60, pair.base_dim + pair.fibre_dim))
+        assert (structure_residual_max(counted_pair.total_algebroid(), pts)
+                == structure_residual_max(pair.total_algebroid(), pts))
+        assert len(calls) == 2 * blocks
 
     def test_structure_residual_max_propagates_nan(self):
         model = dataclasses.replace(
@@ -898,6 +927,63 @@ class TestChernSimons:
         sec = DiscretizedSection(grid=grid, u=np.zeros((4, 4, 4, 0)),
                                  y=np.zeros((4, 4, 4, 3, 3)))
         assert chern_simons_lagrangian_difference(data, sec, [(1, 2, 3)]) == [0.0]
+
+
+class TestStackedFieldLagrangians:
+    # (Lagrangian, pair, base dim, fibre dim, kernel rank)
+    CASES = {
+        "chern_simons": lambda: (chern_simons_lagrangian(ChernSimonsData.su2()),
+                                 builder_chern_simons(ChernSimonsData.su2(),
+                                                      GridSpec.periodic_box((4, 4, 4)))[0],
+                                 3, 0, 3),
+        "scalar_field": lambda: (scalar_field_lagrangian(mass=0.8),
+                                 free_particle_pair(2), 1, 2, 2),
+    }
+
+    @pytest.mark.parametrize("name", ["chern_simons", "scalar_field"])
+    def test_stacked_points_match_point_calls(self, name):
+        lag, _, r, mu, mk = self.CASES[name]()
+        rng = np.random.default_rng(37)
+        x = rng.uniform(-1, 1, (4, 5, r))
+        u = rng.uniform(-1, 1, (4, 5, mu))
+        y = rng.standard_normal((4, 5, mk, r))
+        for fn, shape in [(lag.value, ()), (lag.grad_u, (mu,)), (lag.grad_y, (mk, r))]:
+            block = fn(x, u, y)
+            assert np.shape(block) == (4, 5) + shape
+            for idx in np.ndindex(4, 5):
+                point = fn(x[idx], u[idx], y[idx])
+                assert np.shape(point) == shape
+                npt.assert_array_equal(block[idx], point)
+
+    @pytest.mark.parametrize("name", ["chern_simons", "scalar_field"])
+    def test_partials_are_read_once_per_block(self, name):
+        # the counting wrappers keep the stacked mark; a grid of more than
+        # one block, with a partial last block
+        lag, pair, r, mu, mk = self.CASES[name]()
+        calls = {"grad_u": [], "grad_y": []}
+
+        def counted(key):
+            fn = getattr(lag, key)
+
+            @functools.wraps(fn)
+            def wrapper(x, u, y):
+                calls[key].append(x.shape)
+                return fn(x, u, y)
+            return wrapper
+
+        counted_lag = dataclasses.replace(lag, **{key: counted(key) for key in calls})
+        extents = {3: (9, 8, 8), 1: (BLOCK_NODES + 64,)}[r]
+        grid = GridSpec(extents=extents, spacing=(0.1,) * r)
+        rng = np.random.default_rng(39)
+        sec = DiscretizedSection(grid=grid, u=rng.standard_normal(extents + (mu,)),
+                                 y=rng.standard_normal(extents + (mk, r)))
+        blocks = [(BLOCK_NODES, r), (64, r)]
+        _momentum_field(counted_lag, sec)
+        assert calls == {"grad_u": [], "grad_y": blocks}
+        calls["grad_y"].clear()
+        npt.assert_array_equal(el_residual_field(pair, counted_lag, sec),
+                               el_residual_field(pair, lag, sec))
+        assert calls == {"grad_u": blocks if mu else [], "grad_y": blocks}
 
 
 class TestClosedFormGauge:
