@@ -179,8 +179,9 @@ def _lattice(ctx):
 
 def _time_grid(ctx, dt, t_end):
     ctx.dt = _param(ctx, "dt", dt, valid=lambda v: v > 0, need="a positive number")
-    ctx.t_end = _param(ctx, "t_end", t_end, valid=lambda v: v >= ctx.dt,
-                       need=f"a number >= dt = {ctx.dt!r}")
+    ctx.t_end = _param(ctx, "t_end", t_end,
+                       valid=lambda v: v >= ctx.dt and sc.whole_steps(v, ctx.dt),
+                       need=f"a whole number of steps dt = {ctx.dt!r}, at least one")
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +519,12 @@ def _rigid_body_crosscheck(chk, ctx) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: Path, header: list, table: np.ndarray) -> None:
-    # csv writes each float with repr, and the rows become lists one at a
-    # time (a whole-table list costs ~1 MB at 12^3)
+    # the bytes of csv.writer, which writes each float with repr (never
+    # quoted) and ends lines with "\r\n"; the rows become lists one at a
+    # time (a whole-table list holds ~4 MB of floats at 10001 x 11)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(row.tolist() for row in table)
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in table)
 
 
 def _write_trajectory_csv(ctx, outdir: Path) -> list:

@@ -23,7 +23,6 @@ equations, which every builder output must satisfy exactly; see tests):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .differentiation import (
     FINE_STEP, HESSIAN_STEP, STEP, central_difference, gradient, partial_derivative_two_slot)
-from .fibred import FibredAlgebroidPair, _antisym01, sample_points, stacked
+from .fibred import FibredAlgebroidPair, sample_points, stacked
 from .fields import DiscretizedSection, GridSpec, grid_gradient
 from .smoothfields import TrigPolynomial
 from .variational import Lagrangian, el_residual_field
@@ -111,10 +110,25 @@ class StandardCaseData:
 
 
 def _constant(value: np.ndarray) -> Callable:
-    """Stacked coefficient with the same ``value`` at every point: ``value``
-    itself at one point, a read-only broadcast view at stacked points."""
-    return stacked(lambda x, u: value if x.ndim == 1
-                   else np.broadcast_to(value, x.shape[:-1] + value.shape))
+    """Stacked callable with the same ``value`` at every point: ``value``
+    itself at one point, a read-only broadcast view at stacked points.
+
+    It takes any arguments after ``x``, so it serves as a pair coefficient
+    ``(x, u)`` and as a Lagrangian partial ``(x, u, y)``, and ``value`` is
+    its attribute (:func:`_is_constant`): :func:`integrate_mechanics`
+    reads such a callable once per run.
+    """
+    fn = stacked(lambda x, *args: value if x.ndim == 1
+                 else np.broadcast_to(value, x.shape[:-1] + value.shape))
+    fn.value = value
+    return fn
+
+
+def _is_constant(fn) -> bool:
+    """Whether ``fn`` was made by :func:`_constant`: it has the attribute
+    ``value``, which a plain wrapper of it lacks (``functools.wraps``
+    copies it)."""
+    return hasattr(fn, "value")
 
 
 def builder_standard(data: StandardCaseData, base_dim: int,
@@ -224,14 +238,14 @@ class MechanicsTrajectory:
     def energy_series(self, lagrangian: Lagrangian, momentum: np.ndarray) -> np.ndarray:
         """``momentum . y - L`` per sample, with ``momentum`` the
         ``momentum_series(lagrangian)`` of this trajectory.  ``value`` is
-        still called once per sample; the stacked product keeps each
-        sample's dot product bit for bit."""
+        read at all samples at once (one call if it is stacked); the
+        stacked product keeps each sample's dot product bit for bit."""
         values = lagrangian.value_points(self.times[:, None], self.u, self.y[:, :, None])
         return (momentum[:, None, :] @ self.y[:, :, None])[:, 0, 0] - values
 
     def momentum_series(self, lagrangian: Lagrangian) -> np.ndarray:
-        """``dL/dy`` per sample, shape ``(samples, kernel_rank)`` (``grad_y``
-        is called once per sample)."""
+        """``dL/dy`` per sample, shape ``(samples, kernel_rank)``, read at all
+        samples at once (one call of a stacked ``grad_y``)."""
         return lagrangian.partial_y_points(self.times[:, None], self.u,
                                            self.y[:, :, None])[:, :, 0]
 
@@ -245,40 +259,19 @@ class MechanicsTrajectory:
         return el_residual_field(pair, lagrangian, self.to_section())
 
 
-def _mechanics_hessians(lagrangian: Lagrangian, x, u, y):
-    """Velocity Hessians ``(d2L/dy dy, d2L/dy du)`` at one point, shapes
-    ``(k, k)`` and ``(k, m)``: analytic (read through ``sample_points``)
-    or central differences of the momentum reader."""
-    mk = y.shape[0]
-    if lagrangian.hess_yy is not None:
-        hyy = sample_points(lagrangian.hess_yy, "hess_yy", (mk, mk), x, u, y)
-    else:
-        hyy = central_difference(lagrangian.partial_y_points, (x, u, y), 2, HESSIAN_STEP,
-                                 ndim=2)[:, 0, :, 0]
-    if u.size == 0:
-        return hyy, np.zeros((y.shape[0], 0))
-    if lagrangian.hess_yu is not None:
-        hyu = sample_points(lagrangian.hess_yu, "hess_yu", (mk, u.size), x, u, y)
-    else:
-        hyu = central_difference(lagrangian.partial_y_points, (x, u, y), 1, HESSIAN_STEP)[:, 0]
-    return hyy, hyu
-
-
-class _LastValue:
-    """One-entry memo of ``f(a)``, keyed on the bytes of the array ``a``.
-
-    ``f`` runs again only when ``a`` differs from the last array it saw;
-    a call of ``f`` that raises stores nothing.
-    """
-
-    def __init__(self, f: Callable):
-        self.f, self.key, self.value = f, None, None
-
-    def __call__(self, a: np.ndarray):
-        key = a.tobytes()
-        if key != self.key:
-            self.key, self.value = key, self.f(a)
-        return self.value
+def _hessian_reader(lagrangian: Lagrangian, name: str, shape: tuple) -> Callable:
+    """Reader ``(x, u, y)`` at one point of the velocity Hessian ``name``:
+    ``hess_yy`` (``d2L/dy dy``, shape ``(k, k)``) or ``hess_yu``
+    (``d2L/dy du``, shape ``(k, m)``), through ``sample_points``, or, when
+    it is unset, a central difference of the momentum reader."""
+    fn = getattr(lagrangian, name)
+    if fn is not None:
+        return lambda x, u, y: sample_points(fn, name, shape, x, u, y)
+    if name == "hess_yy":
+        return lambda x, u, y: central_difference(lagrangian.partial_y_points, (x, u, y), 2,
+                                                  HESSIAN_STEP, ndim=2)[:, 0, :, 0]
+    return lambda x, u, y: central_difference(lagrangian.partial_y_points, (x, u, y), 1,
+                                              HESSIAN_STEP)[:, 0]
 
 
 def _inverse_and_verdict(hyy: np.ndarray, cond_limit: float) -> tuple:
@@ -293,42 +286,89 @@ def _inverse_and_verdict(hyy: np.ndarray, cond_limit: float) -> tuple:
     return hinv, bool(np.isfinite(cond) and cond <= cond_limit)
 
 
-def _mechanics_rhs(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
-                   inverse: _LastValue, kernel: _LastValue, t: float, s: np.ndarray,
-                   check_cond: bool = False) -> np.ndarray:
-    mk = pair.kernel_rank
-    y, u = s[:mk], s[mk:]
-    x = np.array([t])
-    ycol = y[:, None]
-    udot = np.zeros(0)
-    if u.size:
-        rho_k = pair.coefficient("rho_kernel_u", x, u)
-        udot = pair.coefficient("rho_base_u", x, u)[0] + rho_k.T @ y
+_ILL_CONDITIONED = "velocity Hessian of the Lagrangian is singular or ill-conditioned"
 
-    mom = lagrangian.partial_y_points(x, u, ycol)[:, 0]
-    # Z[al, ga] at the one base slot: C_{0 al}^ga + C_{be al}^ga y^be
-    if pair.c_kernel is None:
-        ck = pair.coefficient("c_kernel", x, u)
-    else:
-        ck = kernel(sample_points(pair.c_kernel, "c_kernel", (mk, mk, mk), x, u))
-    zslice = pair.coefficient("c_mixed", x, u)[0] + (y @ ck.reshape(mk, -1)).reshape(mk, mk)
-    rhs = zslice @ mom
-    if u.size:
-        rhs += rho_k @ lagrangian.partial_u_points(x, u, ycol)
 
-    hyy, hyu = _mechanics_hessians(lagrangian, x, u, ycol)
-    hinv, well_conditioned = inverse(hyy)
-    if check_cond and not well_conditioned:
-        raise DegenerateLagrangianError(
-            "velocity Hessian of the Lagrangian is singular or ill-conditioned")
+def _once_or_per_stage(constant: bool, read: Callable, point: tuple) -> Callable:
+    """``read``, which the stage calls at its own ``(x, u, y)``, or, when
+    ``constant``, a reader of the one value ``read`` returns at ``point``
+    (so its shape is checked once)."""
+    if not constant:
+        return read
+    value = read(*point)
+    return lambda x, u, y: value
 
-    if u.size:
-        rhs -= hyu @ udot
-    if not lagrangian.autonomous:
-        # explicit time dependence of the momentum map
-        rhs -= central_difference(lagrangian.partial_y_points, (x, u, ycol), 0,
-                                  FINE_STEP)[:, 0, 0]
-    return np.concatenate((hinv @ rhs, udot))
+
+def _bind_stage(pair: FibredAlgebroidPair, lagrangian: Lagrangian, initial: MechanicsState,
+                cond_limit: float) -> Callable:
+    """The rate ``stage(t, s, check_cond=False)`` of the state ``s = (y, u)``.
+
+    Every ingredient that is unset or a :func:`_constant` is read here,
+    once, at the initial point and through its checked reader: the pair's
+    ``c_mixed``, ``c_kernel`` (antisymmetrized and reshaped to ``(k, k * k)``),
+    ``rho_base_u`` and ``rho_kernel_u``, and the Lagrangian's ``grad_u``,
+    ``hess_yy`` and ``hess_yu``.  A constant ``hess_yy`` is inverted here,
+    and a condition number above ``cond_limit`` raises here, before the
+    first step.  The stage reads the momentum and every other ingredient
+    at its own point, inverts a velocity Hessian that is not constant, and
+    checks its condition when ``check_cond``.
+    """
+    mk, mu = pair.kernel_rank, pair.fibre_dim
+    point = (np.array([initial.t]), initial.u, initial.y[:, None])
+
+    def coefficient(name, select):
+        fn = getattr(pair, name)
+        return _once_or_per_stage(fn is None or _is_constant(fn),
+                                  lambda x, u, y: select(pair.coefficient(name, x, u)), point)
+
+    c_mixed = coefficient("c_mixed", lambda c: c[0])
+    c_kernel = coefficient("c_kernel", lambda c: c.reshape(mk, -1))
+    if mu:
+        rho_base = coefficient("rho_base_u", lambda c: c[0])
+        rho_kernel = coefficient("rho_kernel_u", lambda c: c)
+        force = _once_or_per_stage(_is_constant(lagrangian.grad_u),
+                                   lagrangian.partial_u_points, point)
+        hess_yu = _once_or_per_stage(_is_constant(lagrangian.hess_yu),
+                                     _hessian_reader(lagrangian, "hess_yu", (mk, mu)), point)
+    hess_yy = _hessian_reader(lagrangian, "hess_yy", (mk, mk))
+    constant_hyy = _is_constant(lagrangian.hess_yy)
+    inverse = _once_or_per_stage(
+        constant_hyy, lambda x, u, y: _inverse_and_verdict(hess_yy(x, u, y), cond_limit), point)
+    if constant_hyy and not inverse(*point)[1]:
+        raise DegenerateLagrangianError(_ILL_CONDITIONED)
+
+    def stage(t: float, s: np.ndarray, check_cond: bool = False) -> np.ndarray:
+        y, u = s[:mk], s[mk:]
+        x = np.array([t])
+        ycol = y[:, None]
+        if mu:
+            rho_k = rho_kernel(x, u, ycol)
+            udot = rho_base(x, u, ycol) + rho_k.T @ y
+        mom = lagrangian.partial_y_points(x, u, ycol)[:, 0]
+        # Z[al, ga] at the one base slot: C_{0 al}^ga + C_{be al}^ga y^be
+        rhs = (c_mixed(x, u, ycol) + (y @ c_kernel(x, u, ycol)).reshape(mk, mk)) @ mom
+        if mu:
+            rhs += rho_k @ force(x, u, ycol)
+            hyu = hess_yu(x, u, ycol)
+        hinv, well_conditioned = inverse(x, u, ycol)
+        if check_cond and not well_conditioned:
+            raise DegenerateLagrangianError(_ILL_CONDITIONED)
+        if mu:
+            rhs -= hyu @ udot
+        if not lagrangian.autonomous:
+            # explicit time dependence of the momentum map
+            rhs -= central_difference(lagrangian.partial_y_points, (x, u, ycol), 0,
+                                      FINE_STEP)[:, 0, 0]
+        # without fibre coordinates the rate is the velocity rate itself
+        return np.concatenate((hinv @ rhs, udot)) if mu else hinv @ rhs
+
+    return stage
+
+
+def whole_steps(span: float, dt: float) -> bool:
+    """Whether ``span`` is a whole number of steps ``dt``, to a relative 1e-9."""
+    steps = span / dt
+    return abs(steps - round(steps)) <= 1e-9 * abs(steps)
 
 
 def integrate_mechanics(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
@@ -338,23 +378,27 @@ def integrate_mechanics(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
 
     The state is one vector ``s = (y, u)``.  The momentum equation is
     solved for the velocity rate through the (dense) inverse of the
-    velocity Hessian at every stage; its condition number is checked
-    against ``cond_limit`` on the first stage of each step.  Requires a
-    regular Lagrangian; raises on blow-up.
+    velocity Hessian; its condition number is checked against
+    ``cond_limit`` on the first stage of each step, or once, before the
+    first step, for a constant Hessian.  Requires a regular Lagrangian and
+    an interval ``t_end - initial.t`` of a whole number of steps ``dt``
+    (:func:`whole_steps`, else ``ValueError``); raises on blow-up.
 
-    The stage is bound once per run, with two one-entry memos keyed on
-    the bytes of an array: the inverse of the velocity Hessian with its
-    condition verdict, and the antisymmetrized kernel constants.  Both
-    arrays are still evaluated at every stage, so a Hessian that changes
-    along the trajectory is inverted afresh whenever it changes.  The
-    explicit time derivative of the momentum is differenced only for
-    Lagrangians not declared ``autonomous``.
+    The stage is bound once per run: every unset or :func:`_constant`
+    ingredient is read once, and the stage reads only what varies, the
+    momentum and every other callable, and inverts a Hessian that is not
+    constant at every stage.  The explicit time derivative of the
+    momentum is differenced only for Lagrangians not declared
+    ``autonomous``.
     """
     if pair.base_dim != 1:
         raise ValueError("mechanics integration needs a one-dimensional base")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n_steps = int(round((t_end - initial.t) / dt))
+    span = t_end - initial.t
+    if not whole_steps(span, dt):
+        raise ValueError(f"t_end - t0 = {span!r} is not a whole number of steps dt = {dt!r}")
+    n_steps = int(round(span / dt))
     if n_steps < 1:
         raise ValueError("empty integration interval")
 
@@ -364,17 +408,18 @@ def integrate_mechanics(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
     us = np.zeros((n_steps + 1, pair.fibre_dim))
     ys[0], us[0] = initial.y, initial.u
 
-    stage = functools.partial(
-        _mechanics_rhs, pair, lagrangian,
-        _LastValue(lambda hyy: _inverse_and_verdict(hyy, cond_limit)), _LastValue(_antisym01))
-    s = np.concatenate((initial.y, initial.u)).astype(float)
-    for i, t in enumerate(times[:-1]):
+    stage = _bind_stage(pair, lagrangian, initial, cond_limit)
+    half, sixth = dt / 2, dt / 6
+    s = np.concatenate((initial.y, initial.u))
+    # the times as Python floats, one at a time (a list of all of them
+    # would raise the peak memory by ~0.6 MB at 20000 steps)
+    for i, t in enumerate(map(float, times[:-1])):
         # condition guard on the first stage of each step
         k1 = stage(t, s, check_cond=True)
-        k2 = stage(t + dt / 2, s + dt / 2 * k1)
-        k3 = stage(t + dt / 2, s + dt / 2 * k2)
+        k2 = stage(t + half, s + half * k1)
+        k3 = stage(t + half, s + half * k2)
         k4 = stage(t + dt, s + dt * k3)
-        s = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        s = s + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(s).all():
             raise IntegrationBlowupError(f"non-finite state at t = {t + dt}")
         ys[i + 1], us[i + 1] = s[:mk], s[mk:]
@@ -390,17 +435,30 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _kinetic(wcol: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``1/2 sum_a w_al (y^al_a)^2`` over the last two axes of stacked ``y``,
+    with the weights as a column ``wcol = w[:, None]`` (one temporary the
+    size of ``y``)."""
+    terms = y ** 2
+    terms *= wcol
+    return 0.5 * np.sum(terms, axis=(-2, -1))
+
+
 def quadratic_kinetic_lagrangian(weights) -> Lagrangian:
-    """``L = 1/2 sum_a w_al (y^al_a)^2`` with analytic derivatives (the
-    velocity Hessian is one read-only array, built here)."""
+    """``L = 1/2 sum_a w_al (y^al_a)^2`` with stacked analytic derivatives.
+
+    The velocity Hessian is a :func:`_constant`; ``grad_u`` and
+    ``hess_yu`` are zeros whose shape follows ``u``, since the fibre
+    dimension is the pair's (0 for the rigid body).
+    """
     w = np.asarray(weights, dtype=float)
-    hess_yy = _read_only(np.diag(w))
+    wcol = w[:, None]
     return Lagrangian(
-        value=lambda x, u, y: 0.5 * float(np.sum(w[:, None] * y ** 2)),
-        grad_u=lambda x, u, y: np.zeros(np.asarray(u).shape),
-        grad_y=lambda x, u, y: w[:, None] * y,
-        hess_yy=lambda x, u, y: hess_yy,
-        hess_yu=lambda x, u, y: np.zeros((w.size, np.asarray(u).size)),
+        value=stacked(lambda x, u, y: _kinetic(wcol, y)),
+        grad_u=stacked(lambda x, u, y: np.zeros(u.shape)),
+        grad_y=stacked(lambda x, u, y: wcol * y),
+        hess_yy=_constant(_read_only(np.diag(w))),
+        hess_yu=stacked(lambda x, u, y: np.zeros(y.shape[:-2] + (w.size, u.shape[-1]))),
         autonomous=True,
     )
 
@@ -410,18 +468,20 @@ def rigid_body_lagrangian(inertia) -> Lagrangian:
 
 
 def heavy_top_lagrangian(inertia, mgl: float, chi) -> Lagrangian:
-    """Kinetic form minus the potential ``mgl * <u, chi>`` (constant
-    Hessians built once, read-only)."""
+    """Kinetic form minus the potential ``mgl * <u, chi>``, stacked, with
+    :func:`_constant` ``grad_u`` and Hessians.  ``<u, chi>`` is one
+    ``(1, 3)`` row-vector product per point, which rounds the same at one
+    point and at stacked points (a stacked ``u @ chi`` need not)."""
     inertia = np.asarray(inertia, dtype=float)
     chi = np.asarray(chi, dtype=float)
-    hess_yy, hess_yu = _read_only(np.diag(inertia)), _read_only(np.zeros((3, 3)))
+    icol, chicol = inertia[:, None], chi[:, None]
     return Lagrangian(
-        value=lambda x, u, y: (0.5 * float(np.sum(inertia[:, None] * y ** 2))
-                               - mgl * float(u @ chi)),
-        grad_u=lambda x, u, y: -mgl * chi,
-        grad_y=lambda x, u, y: inertia[:, None] * y,
-        hess_yy=lambda x, u, y: hess_yy,
-        hess_yu=lambda x, u, y: hess_yu,
+        value=stacked(lambda x, u, y: _kinetic(icol, y)
+                      - mgl * (u[..., None, :] @ chicol)[..., 0, 0]),
+        grad_u=_constant(_read_only(-mgl * chi)),
+        grad_y=stacked(lambda x, u, y: icol * y),
+        hess_yy=_constant(_read_only(np.diag(inertia))),
+        hess_yu=_constant(_read_only(np.zeros((3, 3)))),
         autonomous=True,
     )
 

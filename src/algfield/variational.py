@@ -60,15 +60,19 @@ class Lagrangian:
 
     Every callable takes one point: ``x`` of shape ``(base_dim,)``, ``u``
     of shape ``(fibre_dim,)`` and ``y`` of shape ``(kernel_rank,
-    base_dim)``.  ``value(x, u, y) -> float``; ``grad_u -> (fibre_dim,)``
-    and ``grad_y -> (kernel_rank, base_dim)`` when supplied, else central
-    differences of :meth:`value_points`.  They are read through the
-    ``*_points`` methods, at one point or at stacked points (once per
-    point, or once for a :func:`~algfield.fibred.stacked` callable, also
+    base_dim)``, or, declared :func:`~algfield.fibred.stacked`, points
+    with leading axes ``lead``, and then returns ``lead`` plus its point
+    shape.  ``value(x, u, y) -> ()`` (a float at one point);
+    ``grad_u -> (fibre_dim,)`` and ``grad_y -> (kernel_rank, base_dim)``
+    when supplied, else central differences of :meth:`value_points`.
+    They are read through the ``*_points`` methods, at one point or at
+    stacked points (once per point, or once for a stacked callable, also
     for the shifted points of a central difference), which raise on a
-    result of any other shape.  ``hess_yy -> (kernel_rank, kernel_rank)`` and
-    ``hess_yu -> (kernel_rank, fibre_dim)`` are used, and checked, by the
-    mechanics integrator (one-dimensional base) and may be omitted.
+    result of any other shape.  ``hess_yy -> (kernel_rank, kernel_rank)``
+    and ``hess_yu -> (kernel_rank, fibre_dim)`` are used, and checked, by
+    the mechanics integrator (one-dimensional base) and may be omitted;
+    it reads a ``grad_u`` or Hessian made by ``scenarios._constant``
+    once per run, and every other callable at every stage.
 
     ``autonomous`` declares that ``value`` and every partial do not
     depend on the base point ``x``.  The mechanics integrator then skips
@@ -109,21 +113,6 @@ class Lagrangian:
             fn = stacked(lambda x, u, y: central_difference(self.value_points, (x, u, y), 2,
                                                             FINE_STEP, ndim=2))
         return sample_points(fn, "grad_y", y.shape[x.ndim - 1:], x, u, y)
-
-    def __add__(self, other: "Lagrangian") -> "Lagrangian":
-        def add2(f, g):
-            if f is None or g is None:
-                return None
-            return lambda x, u, y: np.asarray(f(x, u, y)) + np.asarray(g(x, u, y))
-
-        return Lagrangian(
-            value=lambda x, u, y: self.value(x, u, y) + other.value(x, u, y),
-            grad_u=add2(self.grad_u, other.grad_u),
-            grad_y=add2(self.grad_y, other.grad_y),
-            hess_yy=add2(self.hess_yy, other.hess_yy),
-            hess_yu=add2(self.hess_yu, other.hess_yu),
-            autonomous=self.autonomous and other.autonomous,
-        )
 
 
 def _require_coordinate_base(pair: FibredAlgebroidPair) -> None:

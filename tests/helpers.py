@@ -227,11 +227,29 @@ def node_stencil(at, grid, axis: int, idx):
 # two-array RK4 references for the one-vector integrators
 # ---------------------------------------------------------------------------
 
+class _LastValue:
+    """One-entry memo of ``f(a)``, keyed on the bytes of the array ``a``.
+
+    ``f`` runs again only when ``a`` differs from the last array it saw;
+    a call of ``f`` that raises stores nothing.
+    """
+
+    def __init__(self, f):
+        self.f, self.key, self.value = f, None, None
+
+    def __call__(self, a):
+        key = a.tobytes()
+        if key != self.key:
+            self.key, self.value = key, self.f(a)
+        return self.value
+
+
 def _mechanics_stage(pair, lagrangian, t, u, y, inverse, kernel, check_cond=False):
-    """Rates ``(udot, ydot)`` at one stage, each half of the state in its own array."""
+    """Rates ``(udot, ydot)`` at one stage, each half of the state in its own array;
+    every ingredient is read at the stage's own point."""
     from algfield.differentiation import FINE_STEP, central_difference
     from algfield.fibred import sample_points
-    from algfield.scenarios import DegenerateLagrangianError, _mechanics_hessians
+    from algfield.scenarios import DegenerateLagrangianError, _hessian_reader
 
     x = np.array([t])
     ycol = y[:, None]
@@ -249,7 +267,9 @@ def _mechanics_stage(pair, lagrangian, t, u, y, inverse, kernel, check_cond=Fals
     rhs = zslice @ mom
     if u.size:
         rhs += rho_k @ lagrangian.partial_u_points(x, u, ycol)
-    hyy, hyu = _mechanics_hessians(lagrangian, x, u, ycol)
+    hyy = _hessian_reader(lagrangian, "hess_yy", (mk, mk))(x, u, ycol)
+    if u.size:
+        hyu = _hessian_reader(lagrangian, "hess_yu", (mk, u.size))(x, u, ycol)
     hinv, well_conditioned = inverse(hyy)
     if check_cond and not well_conditioned:
         raise DegenerateLagrangianError(
@@ -266,7 +286,7 @@ def mechanics_reference(pair, lagrangian, initial, t_end, dt, cond_limit=1e12):
     """``(times, us, ys)`` of the RK4 loop that ``integrate_mechanics`` runs,
     written twice per line, once for ``u`` and once for ``y``."""
     from algfield.fibred import _antisym01
-    from algfield.scenarios import IntegrationBlowupError, _inverse_and_verdict, _LastValue
+    from algfield.scenarios import IntegrationBlowupError, _inverse_and_verdict
 
     n_steps = int(round((t_end - initial.t) / dt))
     times = initial.t + dt * np.arange(n_steps + 1)

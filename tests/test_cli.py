@@ -234,11 +234,12 @@ class TestRun:
         ("atiyah_euler_poincare", ["params.base_dim=true"]),
         ("standard_field", ["params.latice=4"]),
         ("atiyah_euler_poincare", ["params.gauge=random_su2"]),
+        ("rigid_body", ["params.dt=0.3", "params.t_end=1.0"]),
     ], ids=["lattice_not_int", "lattice_below_stencil", "negative_dt", "base_dim_3",
             "fibre_dim_2", "first_variation_3d", "first_variation_small_lattice",
             "cs_identity_small_lattice", "el_vs_classical_linear_u",
             "lattice_not_integral", "base_dim_bool", "unknown_param_misspelt",
-            "unknown_param_of_other_scenario"])
+            "unknown_param_of_other_scenario", "t_end_not_whole_steps"])
     def test_bad_params_schema_violation(self, tmp_path, capsys, config, overrides):
         # every limit, those of one check kind included, is checked at
         # set-up: by check-config, and by run before it makes the output
@@ -250,6 +251,9 @@ class TestRun:
         assert main(argv) == EXIT_SCHEMA_VIOLATION
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        if "params.t_end=1.0" in overrides:
+            # the dt trajectory would end at 0.9 and the dt / 2 one at 1.05
+            assert "t_end" in err[0] and "dt = 0.3" in err[0]
         assert not out.exists()
         cfg = write_config(tmp_path, apply_overrides(load_config(config), overrides))
         assert main(["check-config", str(cfg)]) == EXIT_SCHEMA_VIOLATION
@@ -311,6 +315,19 @@ class TestRun:
             row = [t, *traj.u[i], *traj.y[i], conserved["casimir"][i], conserved["energy"][i]]
             writer.writerow([repr(float(v)) for v in row])
         assert (tmp_path / "trajectory.csv").read_bytes() == expected.getvalue().encode()
+
+    def test_csv_writer_matches_csv_module(self, tmp_path):
+        # the joined repr rows are the bytes csv.writer writes for the floats
+        table = np.array([[np.nan, np.inf, -np.inf, -0.0, 0.0],
+                          [0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, 1e16, 5e-324],
+                          [123456789.12345679, -1.2345678901234567e-300, 1e300, 2.0 ** -30, 7.0]])
+        header = ["t", "u_0", "y_0", "casimir", "energy"]
+        cli._write_csv(tmp_path / "out.csv", header, table)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows(table.tolist())
+        assert (tmp_path / "out.csv").read_bytes() == expected.getvalue().encode()
 
     def test_seed_flag_changes_report_seed(self, tmp_path):
         cfg = write_config(tmp_path, FAST_CONFIG)

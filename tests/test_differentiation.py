@@ -16,7 +16,7 @@ from algfield.differentiation import (
     partial_derivative_two_slot,
 )
 from algfield.fibred import JetPoint, ProjectableSection, stacked, total_derivative
-from algfield.scenarios import StandardCaseData, _mechanics_hessians
+from algfield.scenarios import StandardCaseData, _hessian_reader
 from algfield.variational import Lagrangian
 
 from helpers import connection_pair, frame_algebroid
@@ -159,7 +159,8 @@ class TestFallbacks:
             npt.assert_array_equal(py[i], gradient(
                 lambda v: lag.value_points(xi, ui, v), yi, FINE_STEP))
             # the mechanics Hessians take one point
-            hyy, hyu = _mechanics_hessians(lag, xi, ui, yi)
+            hyy = _hessian_reader(lag, "hess_yy", (3, 3))(xi, ui, yi)
+            hyu = _hessian_reader(lag, "hess_yu", (3, 2))(xi, ui, yi)
             npt.assert_array_equal(hyy, gradient(
                 lambda v: lag.partial_y_points(xi, ui, v[:, None])[:, 0], yi[:, 0],
                 HESSIAN_STEP))

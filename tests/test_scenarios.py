@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from algfield import cli
+from algfield import scenarios as sc
 from algfield.algebroid import (
     BLOCK_NODES, LieAlgebroid, structure_equation_residuals, structure_residual_max)
 from algfield.fibred import FibredAlgebroidPair, stacked
@@ -48,6 +49,7 @@ from algfield.scenarios import (
     su2_exponential,
     su2_exponential_gauge_field,
     _DEXP_SERIES_BELOW,
+    _constant,
     _su2_dexp_coefficients,
 )
 from algfield.smoothfields import TrigPolynomial, trig_polynomial, trig_vector
@@ -623,24 +625,82 @@ class TestMechanicsIntegrator:
         assert np.array_equal(trajs[0].u, trajs[1].u)
 
     @SHIPPED_MECHANICS
-    def test_sum_keeps_hessians_and_declaration(self, pair, lag, u0):
-        mk, mu = 3, u0.size
-        zero = Lagrangian(value=lambda x, u, y: 0.0,
-                          grad_u=lambda x, u, y: np.zeros(mu),
-                          grad_y=lambda x, u, y: np.zeros((mk, 1)),
-                          hess_yy=lambda x, u, y: np.zeros((mk, mk)),
-                          hess_yu=lambda x, u, y: np.zeros((mk, mu)),
-                          autonomous=True)
-        total = lag + zero
-        assert total.hess_yy is not None and total.hess_yu is not None
-        assert total.autonomous
-        assert not (lag + dataclasses.replace(zero, autonomous=False)).autonomous
-        assert (lag + dataclasses.replace(zero, hess_yy=None)).hess_yy is None
+    def test_constants_are_read_once_per_run(self, pair, lag, u0):
+        # the counting wrappers keep the constant mark: the integrator reads
+        # each constant once when it binds the stage, and the momentum and
+        # the heavy top's rho_kernel_u at every stage
+        calls = Counter()
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            @functools.wraps(fn)
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        pair_names = ["c_kernel"] + (["rho_kernel_u"] if u0.size else [])
+        lag_names = ["grad_y", "hess_yy"] + (["grad_u", "hess_yu"] if u0.size else [])
+        counted_pair = dataclasses.replace(pair, **{n: counted(pair, n) for n in pair_names})
+        counted_lag = dataclasses.replace(lag, **{n: counted(lag, n) for n in lag_names})
         state = MechanicsState(0.0, u0, np.array([0.3, -0.5, 0.9]))
-        trajs = [integrate_mechanics(pair, lg, state, t_end=1.0, dt=1e-2)
-                 for lg in (lag, total)]
-        assert np.array_equal(trajs[0].y, trajs[1].y)
-        assert np.array_equal(trajs[0].u, trajs[1].u)
+        steps = 25
+        traj = integrate_mechanics(counted_pair, counted_lag, state, t_end=0.25, dt=0.01)
+        assert traj.times.size == steps + 1
+        per_stage = {"grad_y", "rho_kernel_u"}
+        assert calls == {n: 4 * steps if n in per_stage else 1 for n in pair_names + lag_names}
+        want = integrate_mechanics(pair, lag, state, t_end=0.25, dt=0.01)
+        npt.assert_array_equal(traj.y, want.y)
+        npt.assert_array_equal(traj.u, want.u)
+
+    @pytest.mark.parametrize("case", ["u_dependent", "unmarked_constant"])
+    def test_varying_hessian_is_read_and_inverted_at_every_stage(self, case, monkeypatch):
+        # a Hessian that is not a _constant, also one that returns the same
+        # array every time, is read and inverted at every stage
+        if case == "u_dependent":
+            pair, lag, state = (free_particle_pair(2), u_dependent_mass_lagrangian(),
+                                U_DEPENDENT_MASS_STATE)
+        else:
+            pair, state = rigid_body_pair(), MechanicsState(0.0, np.zeros(0), np.ones(3))
+            hess = np.diag([1.0, 2.0, 3.0])
+            lag = dataclasses.replace(rigid_body_lagrangian([1.0, 2.0, 3.0]),
+                                      hess_yy=lambda x, u, y: hess)
+        reads, inversions = [], []
+        hess_yy = lag.hess_yy
+        lag = dataclasses.replace(lag, hess_yy=lambda x, u, y: reads.append(1) or hess_yy(x, u, y))
+        inverse = sc._inverse_and_verdict
+        monkeypatch.setattr(sc, "_inverse_and_verdict",
+                            lambda hyy, limit: inversions.append(1) or inverse(hyy, limit))
+        integrate_mechanics(pair, lag, state, t_end=0.1, dt=0.01)
+        assert len(reads) == len(inversions) == 4 * 10
+
+    @pytest.mark.parametrize("hess, match", [
+        (np.diag([1.0, 1.0, 1e-14]), "ill-conditioned"), (np.zeros((3, 3)), "singular$")],
+        ids=["ill_conditioned", "singular"])
+    def test_constant_degenerate_hessian_raises_before_the_first_step(self, hess, match):
+        momenta = []
+        lag = rigid_body_lagrangian([1.0, 2.0, 3.0])
+        grad_y = lag.grad_y
+        lag = dataclasses.replace(
+            lag, hess_yy=_constant(hess),
+            grad_y=stacked(lambda x, u, y: momenta.append(1) or grad_y(x, u, y)))
+        with pytest.raises(DegenerateLagrangianError, match=match):
+            integrate_mechanics(rigid_body_pair(), lag,
+                                MechanicsState(0.0, np.zeros(0), np.ones(3)), t_end=0.1, dt=0.01)
+        assert momenta == []
+
+    def test_interval_of_no_whole_number_of_steps_raises(self):
+        # t_end = 1.0 at dt = 0.3 would end at 0.9, and at dt / 2 at 1.05
+        pair, lag = rigid_body_pair(), rigid_body_lagrangian([1.0, 2.0, 3.0])
+        state = MechanicsState(0.0, np.zeros(0), np.ones(3))
+        for dt in (0.3, 0.15):
+            with pytest.raises(ValueError, match=r"^t_end - t0 = 1\.0 is not a whole number "
+                                                 rf"of steps dt = {dt}$"):
+                integrate_mechanics(pair, lag, state, t_end=1.0, dt=dt)
+        # the shipped step and interval, 10.0 / 0.001 = 10000.000000000002
+        assert sc.whole_steps(10.0, 1e-3) and sc.whole_steps(10.0, 5e-4)
+        assert integrate_mechanics(pair, lag, state, t_end=0.9, dt=0.3).times.size == 4
 
     def test_u_dependent_hessian_is_inverted_at_every_stage(self):
         # L = 1/2 m(u) |y|^2: the analytic velocity Hessian m(u) I changes at
@@ -984,6 +1044,64 @@ class TestStackedFieldLagrangians:
         npt.assert_array_equal(el_residual_field(pair, counted_lag, sec),
                                el_residual_field(pair, lag, sec))
         assert calls == {"grad_u": blocks if mu else [], "grad_y": blocks}
+
+
+class TestStackedMechanicsLagrangians:
+    # (Lagrangian, fibre dim, kernel rank); the heavy top with a general
+    # chi, whose stacked u @ chi would round differently from the one-point
+    # product
+    CASES = {
+        "rigid_body": lambda: (rigid_body_lagrangian([1.0, 2.0, 3.0]), 0, 3),
+        "free_particle": lambda: (quadratic_kinetic_lagrangian([1.5, 0.5]), 2, 2),
+        "heavy_top": lambda: (heavy_top_lagrangian([2.0, 2.0, 1.0], 1.3,
+                                                   [0.31, -0.77, 0.557]), 3, 3),
+    }
+
+    @pytest.mark.parametrize("lead", [(9,), (4, 7)], ids=["n", "4x7"])
+    @pytest.mark.parametrize("name", ["rigid_body", "free_particle", "heavy_top"])
+    def test_stacked_points_match_point_calls(self, name, lead):
+        lag, mu, mk = self.CASES[name]()
+        rng = np.random.default_rng(41)
+        x = rng.uniform(-1, 1, lead + (1,))
+        u = rng.uniform(-1, 1, lead + (mu,))
+        y = rng.standard_normal(lead + (mk, 1)) * rng.uniform(1e-3, 1e3, lead + (1, 1))
+        for fn, shape in [(lag.value, ()), (lag.grad_u, (mu,)), (lag.grad_y, (mk, 1)),
+                          (lag.hess_yy, (mk, mk)), (lag.hess_yu, (mk, mu))]:
+            block = fn(x, u, y)
+            assert np.shape(block) == lead + shape
+            for idx in np.ndindex(*lead):
+                point = fn(x[idx], u[idx], y[idx])
+                assert np.shape(point) == shape
+                npt.assert_array_equal(block[idx], point)
+
+    def test_shipped_heavy_top_value_is_the_per_point_formula(self):
+        inertia, mgl, chi = np.array([2.0, 2.0, 1.0]), 1.0, np.array([0.0, 0.0, 1.0])
+        lag = heavy_top_lagrangian(inertia, mgl, chi)
+        rng = np.random.default_rng(43)
+        u, y = rng.standard_normal((50, 3)), rng.standard_normal((50, 3, 1))
+        want = [0.5 * float(np.sum(inertia[:, None] * y[i] ** 2)) - mgl * float(u[i] @ chi)
+                for i in range(50)]
+        npt.assert_array_equal(lag.value_points(np.zeros((50, 1)), u, y), want)
+
+    @SHIPPED_MECHANICS
+    def test_series_read_the_lagrangian_once_per_trajectory(self, pair, lag, u0):
+        # the counting wrappers keep the stacked mark
+        calls = {"value": [], "grad_y": []}
+
+        def counted(key):
+            fn = getattr(lag, key)
+
+            @functools.wraps(fn)
+            def wrapper(x, u, y):
+                calls[key].append(x.shape)
+                return fn(x, u, y)
+            return wrapper
+
+        traj = integrate_mechanics(pair, lag, MechanicsState(0.0, u0, np.array([0.3, -0.5, 0.9])),
+                                   t_end=1.0, dt=1e-2)
+        counted_lag = dataclasses.replace(lag, **{key: counted(key) for key in calls})
+        traj.energy_series(counted_lag, traj.momentum_series(counted_lag))
+        assert calls == {"value": [(101, 1)], "grad_y": [(101, 1)]}
 
 
 class TestClosedFormGauge:
