@@ -17,7 +17,11 @@ kernel component of the splitting the field assigns to ``e_a``.  Affine
 functions of ``y``, total derivatives, the affine coefficients
 ``Z`` and the complete lift of a projectable section are implemented
 here; all of it reduces to classical jet-bundle calculus when the
-kernel is a coordinate fibre.
+kernel is a coordinate fibre.  The affine coefficients and the complete
+lift are written once over node data ``(x, u, y)`` with any leading
+axes; :func:`z_functions` and :func:`complete_lift` are their views at
+one :class:`JetPoint`, and the variational checks apply them to a block
+of grid nodes at once.
 
 Every coefficient is a callable that takes one point, or, declared
 :func:`stacked`, points with any leading axes.  Every read of one goes
@@ -342,11 +346,17 @@ def z_functions(pair: FibredAlgebroidPair, p: JetPoint):
 
     where ``C_{beta c}^alpha = -C_{c beta}^alpha``.  Both are affine in
     ``y``; at ``y = 0`` they reduce to the plain bracket coefficients.
+    The one-point view of :func:`_z_functions`.
     """
-    x, u, y = p.x, p.u, p.y
+    return _z_functions(pair, p.x, p.u, p.y)
+
+
+def _z_functions(pair: FibredAlgebroidPair, x, u, y):
+    """``(z_mixed, z_base)`` of :func:`z_functions` at nodes with coordinates
+    ``x`` (shape ``lead + (r,)``) and jet data ``u``, ``y``."""
     cm = pair.coefficient("c_mixed", x, u)
-    z_base = np.einsum("ack->kac", pair.coefficient("c_base_kernel", x, u)).copy()
-    z_base -= np.einsum("cbk,ba->kac", cm, y)
+    z_base = np.einsum("...ack->...kac", pair.coefficient("c_base_kernel", x, u))
+    z_base = z_base - np.einsum("...cbk,...ba->...kac", cm, y)
     return z_mixed(cm, pair.coefficient("c_kernel", x, u), y), z_base
 
 
@@ -372,39 +382,44 @@ def complete_lift(pair: FibredAlgebroidPair, sigma: ProjectableSection, p: JetPo
     with total derivatives taken at the jet point.  The lift is linear in
     the section; for a vertical section it reduces to
     ``du = rho_alpha^A sigma^alpha`` and
-    ``dy = sigma^al_{|a} + z_mixed[al, a, be] sigma^be``.
+    ``dy = sigma^al_{|a} + z_mixed[al, a, be] sigma^be``.  The one-point
+    view of :func:`_complete_lift`.
     """
-    r, mu, mk = pair.base_dim, pair.fibre_dim, pair.kernel_rank
-    x, u, y = p.x, p.u, p.y
+    return _complete_lift(pair, sigma, p.x, p.u, p.y)
 
+
+def _complete_lift(pair: FibredAlgebroidPair, sigma: ProjectableSection, x, u, y):
+    """``(dx, du, dy)`` of :func:`complete_lift` at nodes with coordinates ``x``
+    (shape ``lead + (r,)``) and jet data ``u``, ``y``; each has the leading
+    axes of the nodes, or none where every operand it is formed from is
+    point-shaped (an unset coefficient or section part)."""
+    r, mk = pair.base_dim, pair.kernel_rank
     sa = sigma.base_at(x, r)
     sk = sigma.vertical_points(x, u, mk)
     rho_f = pair.coefficient("rho_f", x)
     rho_b = pair.coefficient("rho_base_u", x, u)
     rho_k = pair.coefficient("rho_kernel_u", x, u)
-    dx = np.einsum("ai,a->i", rho_f, sa)
-    du = rho_b.T @ sa + rho_k.T @ sk
+    dx = np.einsum("...ai,...a->...i", rho_f, sa)
+    du = np.einsum("...aA,...a->...A", rho_b, sa) + np.einsum("...kA,...k->...A", rho_k, sk)
 
     # total derivative of the vertical components along the jet
-    vel = rho_b + np.einsum("kA,ka->aA", rho_k, y)
-    jac_x = sigma.vertical_jacobian_x(x, u, mk)
-    jac_u = sigma.vertical_jacobian_u(x, u, mk)
-    tdv = np.einsum("ai,ki->ka", rho_f, jac_x) + np.einsum("aA,kA->ka", vel, jac_u)
+    vel = rho_b + np.einsum("...kA,...ka->...aA", rho_k, y)
+    dy = np.einsum("...ai,...ki->...ka", rho_f, sigma.vertical_jacobian_x(x, u, mk))
+    dy = dy + np.einsum("...aA,...kA->...ka", vel, sigma.vertical_jacobian_u(x, u, mk))
 
-    z_mixed, z_base = z_functions(pair, p)
-    dy = tdv + np.einsum("kab,b->ka", z_base, sa) + np.einsum("kab,b->ka", z_mixed, sk)
-
+    zm, zb = _z_functions(pair, x, u, y)
+    dy = dy + np.einsum("...kab,...b->...ka", zb, sa) + np.einsum("...kab,...b->...ka", zm, sk)
     if not sigma.is_vertical:
-        dy -= np.einsum("kb,ba->ka", y, _base_mixing(pair, sigma, x))
+        dy = dy - np.einsum("...kb,...ba->...ka", y, _base_mixing(pair, sigma, x))
     return dx, du, dy
 
 
 def _base_mixing(pair: FibredAlgebroidPair, sigma: ProjectableSection, x) -> np.ndarray:
     """``mix[b, a] = rho_a^i d_i sigma^b + sigma^c C_ac^b`` of the base part of
-    ``sigma`` at one point: its bracket with the base frame."""
-    tdb = np.einsum("ai,bi->ba", pair.coefficient("rho_f", x),
+    ``sigma`` at points ``x`` of any leading axes: its bracket with the base frame."""
+    tdb = np.einsum("...ai,...bi->...ba", pair.coefficient("rho_f", x),
                     sigma.base_jacobian(x, pair.base_dim))
-    return tdb + np.einsum("c,acb->ba", sigma.base_at(x, pair.base_dim),
+    return tdb + np.einsum("...c,...acb->...ba", sigma.base_at(x, pair.base_dim),
                            pair.coefficient("c_f", x))
 
 

@@ -190,8 +190,31 @@ class DiscretizedSection:
     def kernel_rank(self) -> int:
         return self.y.shape[-2]
 
+    def node_data(self, nodes) -> tuple:
+        """``(idx, x, u, y)`` of one node, or of a list of nodes read as one block.
+
+        ``nodes`` is one index tuple of ``grid.dim`` integers or a list of
+        them.  ``idx`` reads any nodal array (shape ``extents + ...``) at
+        those nodes; ``x``, ``u`` and ``y`` are the nodes' coordinates and
+        jet data, with no leading axis for one node and one axis over the
+        nodes for a list.  A node outside the grid (a negative index
+        included) raises ``StencilError`` naming the node and the extents.
+        """
+        pos, ext = np.asarray(nodes), self.grid.extents
+        if pos.ndim not in (1, 2) or pos.shape[-1] != len(ext) or pos.dtype.kind not in "iu":
+            raise StencilError(f"{nodes!r} is neither a node index of {len(ext)} integers "
+                               f"nor a list of them")
+        rows = pos.reshape(-1, len(ext))
+        outside = np.any((rows < 0) | (rows >= ext), axis=-1)
+        if outside.any():
+            raise StencilError(f"node {tuple(rows[outside][0].tolist())} lies outside the "
+                               f"grid of extents {ext}")
+        idx = tuple(pos.T)
+        return idx, self.grid.coords(pos), self.u[idx], self.y[idx]
+
     def jet_point(self, idx) -> JetPoint:
-        return JetPoint(x=self.grid.coords(idx), u=self.u[tuple(idx)], y=self.y[tuple(idx)])
+        _, x, u, y = self.node_data(idx)
+        return JetPoint(x=x, u=u, y=y)
 
     @staticmethod
     def from_functions(grid: GridSpec, fibre_dim: int, kernel_rank: int,
@@ -255,9 +278,8 @@ def admissibility_residual(pair: FibredAlgebroidPair, section: DiscretizedSectio
     Shape ``(fibre_dim, base_dim)``; identically empty when the pair has
     no fibre coordinates.
     """
-    idx = tuple(idx)
-    return _admissibility(pair, section.grid.coords(idx), section.u[idx], section.y[idx],
-                          grid_gradient(section.u, section.grid)[idx])
+    idx, x, u, y = section.node_data(idx)
+    return _admissibility(pair, x, u, y, grid_gradient(section.u, section.grid)[idx])
 
 
 def morphism_residual(pair: FibredAlgebroidPair, section: DiscretizedSection,
@@ -274,9 +296,8 @@ def morphism_residual(pair: FibredAlgebroidPair, section: DiscretizedSection,
     and under which the flat-reference case forces
     ``d_a y_b - d_b y_a = Omega_ab`` (see the scenario tests).
     """
-    idx = tuple(idx)
-    return _morphism(pair, section.grid.coords(idx), section.u[idx], section.y[idx],
-                     grid_gradient(section.y, section.grid)[idx])
+    idx, x, u, y = section.node_data(idx)
+    return _morphism(pair, x, u, y, grid_gradient(section.y, section.grid)[idx])
 
 
 def _admissibility(pair: FibredAlgebroidPair, x: np.ndarray, u: np.ndarray, y: np.ndarray,

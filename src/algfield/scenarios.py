@@ -577,47 +577,31 @@ def builder_chern_simons(data: ChernSimonsData, grid: GridSpec):
     return pair, chern_simons_lagrangian(data)
 
 
-def _wedge_1_2(v: np.ndarray, b: np.ndarray) -> float:
-    """Top coefficient of (1-form) wedge (2-form) on a 3d chart."""
-    return float(v[0] * b[1, 2] + v[1] * b[2, 0] + v[2] * b[0, 1])
-
-
 def chern_simons_lagrangian_difference(data: ChernSimonsData,
                                        section: DiscretizedSection, nodes) -> list:
     """Defect of the conventional-vs-cubic Lagrangian identity at each of ``nodes``.
 
     The conventional density ``k(A ^ dA + (2/3) A ^ A ^ A-bracket-term)``
     differs from the cubic density by the metric pairing of ``A`` with
-    the flatness form ``dA + 1/2 [A ^ A]``.  Evaluated with the same grid
+    the flatness form ``F = dA + 1/2 [A ^ A]``.  Evaluated with the same grid
     derivatives on both sides the identity is algebraically exact, so the
     returned defect is rounding noise bounded well below stencil order
     for any field.  (The cubic coefficient 2/3 is the one that makes the
     identity hold; the two densities then agree on flat sections.)  The
-    grid derivatives are formed once for all nodes.
+    grid derivatives are formed once for all nodes, and the nodes are read
+    as one block.  Each wedge of a 1-form ``v`` with a 2-form ``b`` is its
+    top coefficient ``1/2 eps[i, j, k] v_i b_jk``.
     """
-    k = data.metric
-    cl = data.lowered
-    c = data.constants
-    mk = section.kernel_rank
-    grad = grid_gradient(section.y, section.grid)  # [..., alpha, b, a] = d_a y^alpha_b
-    out = []
-    for idx in map(tuple, nodes):
-        y = section.y[idx]  # [alpha, a]
-        dy = grad[idx]
-        da = np.einsum("kba->kab", dy) - dy  # [alpha, a, b] = d_a A_b - d_b A_a
-
-        lprime = sum(k[al, be] * _wedge_1_2(y[al], da[be])
-                     for al in range(mk) for be in range(mk))
-        lprime += (2.0 / 3.0) * float(
-            np.einsum("amn,ai,mj,nk,ijk->", cl, y, y, y, EPSILON3))
-
-        lvalue = float(np.einsum("abg,a,b,g->", cl, y[:, 0], y[:, 1], y[:, 2]))
-
-        f = da + np.einsum("bga,bi,gj->aij", c, y, y)  # flatness 2-form per direction
-        fterm = sum(k[al, mu] * _wedge_1_2(y[mu], f[al])
-                    for al in range(mk) for mu in range(mk))
-        out.append(abs(lprime - lvalue - fterm))
-    return out
+    k, cl = data.metric, data.lowered
+    idx, _, _, y = section.node_data(nodes)  # y[..., alpha, a]
+    dy = grid_gradient(section.y, section.grid)[idx]  # [..., alpha, b, a] = d_a y^alpha_b
+    da = np.swapaxes(dy, -1, -2) - dy  # [..., alpha, a, b] = d_a A_b - d_b A_a
+    f = da + np.einsum("bga,...bi,...gj->...aij", data.constants, y, y)
+    defect = (0.5 * np.einsum("ab,ijk,...ai,...bjk->...", k, EPSILON3, y, da)
+              + (2.0 / 3.0) * np.einsum("amn,...ai,...mj,...nk,ijk->...", cl, y, y, y, EPSILON3)
+              - np.einsum("abg,...a,...b,...g->...", cl, y[..., 0], y[..., 1], y[..., 2])
+              - 0.5 * np.einsum("am,ijk,...mi,...ajk->...", k, EPSILON3, y, f))
+    return np.abs(defect).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,16 @@ section match its chain rule through ``u``); for sections depending on
 ``x`` alone it holds for arbitrary fields.
 
 The pointwise formulas (the Euler-Lagrange residual from a node's
-momentum and its divergence, and the current of a vertical section) are
-written once over node data with any leading axes.  The single-node
-functions call them on one node; the whole-grid fields (momentum,
-Euler-Lagrange residual, current) call them on blocks of nodes through
-``fields.block_pass``.  The Lagrangian and section callables take one
+momentum and its divergence, the current of a vertical section, and the
+invariance defect, the derivative of the Lagrangian along the complete
+lift) are written once over node data with any leading axes.  The
+single-node functions call them on one node; the whole-grid fields
+(momentum, Euler-Lagrange residual, current) call them on blocks of
+nodes through ``fields.block_pass``, and
+:func:`first_variation_identity_defect` calls them once on the block of
+all its probe nodes.  Node indices are read and checked by
+``DiscretizedSection.node_data``: one outside the grid raises
+``StencilError``.  The Lagrangian and section callables take one
 node's ``(x, u, y)``, or, declared :func:`~algfield.fibred.stacked`, a
 block of nodes, and must return their documented shape.  They are read only
 through the checked readers (``Lagrangian.*_points``,
@@ -50,7 +55,7 @@ import numpy as np
 
 from .differentiation import FINE_STEP, central_difference
 from .fibred import (
-    FibredAlgebroidPair, ProjectableSection, complete_lift, sample_points, stacked, z_mixed)
+    FibredAlgebroidPair, ProjectableSection, _complete_lift, sample_points, stacked, z_mixed)
 from .fields import DiscretizedSection, GridSpec, block_pass, grid_derivative
 
 
@@ -174,10 +179,9 @@ def el_residual(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
     to node (no chain-rule expansion, no second derivatives of L).
     """
     _require_coordinate_base(pair)
-    idx = tuple(idx)
+    idx, x, u, y = section.node_data(idx)
     mom = _momentum_field(lagrangian, section)
-    return _el_local(pair, lagrangian, section.grid.coords(idx), section.u[idx],
-                     section.y[idx], mom[idx], _divergence(mom, section.grid)[idx])
+    return _el_local(pair, lagrangian, x, u, y, mom[idx], _divergence(mom, section.grid)[idx])
 
 
 def el_residual_field(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
@@ -199,10 +203,21 @@ def noether_current(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
                     idx) -> np.ndarray:
     """Current ``J^a = sigma^alpha dL/dy[alpha, a]`` of a vertical section."""
     _require_vertical(sigma)
-    idx = tuple(idx)
-    x, u, y = section.grid.coords(idx), section.u[idx], section.y[idx]
+    _, x, u, y = section.node_data(idx)
     return _current(sigma.vertical_points(x, u, section.kernel_rank),
                     lagrangian.partial_y_points(x, u, y))
+
+
+def _invariance(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
+                sigma: ProjectableSection, x, u, y) -> np.ndarray:
+    """Derivative of the Lagrangian along the complete lift of ``sigma`` at
+    nodes with coordinates ``x`` (shape ``lead + (base_dim,)``) and jet data
+    ``u``, ``y``: shape ``lead``."""
+    _, du, dy = _complete_lift(pair, sigma, x, u, y)
+    out = np.sum(lagrangian.partial_y_points(x, u, y) * dy, axis=(-2, -1))
+    if u.shape[-1]:
+        out = out + np.sum(lagrangian.partial_u_points(x, u, y) * du, axis=-1)
+    return out
 
 
 def invariance_defect(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
@@ -214,12 +229,8 @@ def invariance_defect(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
     under the section.
     """
     _require_vertical(sigma)
-    p = section.jet_point(idx)
-    _, du, dy = complete_lift(pair, sigma, p)
-    out = float(np.sum(lagrangian.partial_y_points(p.x, p.u, p.y) * dy))
-    if section.fibre_dim:
-        out += float(lagrangian.partial_u_points(p.x, p.u, p.y) @ du)
-    return out
+    _, x, u, y = section.node_data(idx)
+    return float(_invariance(pair, lagrangian, sigma, x, u, y))
 
 
 def first_variation_identity_defect(pair: FibredAlgebroidPair, lagrangian: Lagrangian,
@@ -230,21 +241,19 @@ def first_variation_identity_defect(pair: FibredAlgebroidPair, lagrangian: Lagra
     ``| dL/ds along lift + dL_al sigma^al - div_h(J_sigma) |`` -- of
     stencil order for any field (see module docstring for the
     u-dependent-section caveat), without assuming the field solves
-    anything.  The complete lift is taken at the listed nodes only.
+    anything.  The complete lift is taken at the listed nodes only, all
+    of them read as one block.
     """
     _require_vertical(sigma)
     _require_coordinate_base(pair)
+    idx, x, u, y = section.node_data(nodes)
     mom = _momentum_field(lagrangian, section)
     el_div = _divergence(mom, section.grid)
     current_div = _divergence(_current_field(sigma, section, mom).values, section.grid)
-    out = []
-    for idx in map(tuple, nodes):
-        x, u, y = section.grid.coords(idx), section.u[idx], section.y[idx]
-        inv = invariance_defect(pair, lagrangian, sigma, section, idx)
-        el = _el_local(pair, lagrangian, x, u, y, mom[idx], el_div[idx])
-        s = sigma.vertical_points(x, u, section.kernel_rank)
-        out.append(abs(inv + float(el @ s) - float(current_div[idx])))
-    return out
+    el = _el_local(pair, lagrangian, x, u, y, mom[idx], el_div[idx])
+    s = sigma.vertical_points(x, u, section.kernel_rank)
+    out = _invariance(pair, lagrangian, sigma, x, u, y) + np.sum(el * s, axis=-1)
+    return np.abs(out - current_div[idx]).tolist()
 
 
 @dataclass(frozen=True)

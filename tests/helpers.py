@@ -354,3 +354,68 @@ def morphism_reference(pair, x, u, y, dy):
     out += np.einsum("...abc,...kc->...kab", pair.coefficient("c_f", x), y)
     out -= np.einsum("...abk->...kab", pair.coefficient("c_base_kernel", x, u))
     return 0.5 * (out - np.swapaxes(out, -2, -1))
+
+
+# ---------------------------------------------------------------------------
+# per-point complete lift and Chern-Simons density loop, the references for
+# the formulas written once over leading axes
+# ---------------------------------------------------------------------------
+
+def complete_lift_reference(pair, sigma, p):
+    """``(dx, du, dy)`` of the complete lift at one jet point, the affine
+    coefficients ``Z`` and the base mixing formed inline at that point."""
+    r, mk = pair.base_dim, pair.kernel_rank
+    x, u, y = p.x, p.u, p.y
+    sa = sigma.base_at(x, r)
+    sk = sigma.vertical_points(x, u, mk)
+    rho_f = pair.coefficient("rho_f", x)
+    rho_b = pair.coefficient("rho_base_u", x, u)
+    rho_k = pair.coefficient("rho_kernel_u", x, u)
+    dx = np.einsum("ai,a->i", rho_f, sa)
+    du = rho_b.T @ sa + rho_k.T @ sk
+
+    # vertical part: total derivative of sigma^alpha plus the Z terms
+    vel = rho_b + np.einsum("kA,ka->aA", rho_k, y)
+    tdv = (np.einsum("ai,ki->ka", rho_f, sigma.vertical_jacobian_x(x, u, mk))
+           + np.einsum("aA,kA->ka", vel, sigma.vertical_jacobian_u(x, u, mk)))
+    cm = pair.coefficient("c_mixed", x, u)
+    z_mixed = (np.einsum("bgk,ba->kag", pair.coefficient("c_kernel", x, u), y)
+               + np.einsum("agk->kag", cm))
+    z_base = (np.einsum("ack->kac", pair.coefficient("c_base_kernel", x, u))
+              - np.einsum("cbk,ba->kac", cm, y))
+    dy = tdv + np.einsum("kab,b->ka", z_base, sa) + np.einsum("kab,b->ka", z_mixed, sk)
+
+    # base part: y mixed by the bracket of sigma's base part with the base frame
+    if not sigma.is_vertical:
+        mix = (np.einsum("ai,bi->ba", rho_f, sigma.base_jacobian(x, r))
+               + np.einsum("c,acb->ba", sa, pair.coefficient("c_f", x)))
+        dy = dy - np.einsum("kb,ba->ka", y, mix)
+    return dx, du, dy
+
+
+def _wedge_1_2(v, b) -> float:
+    """Top coefficient of (1-form) wedge (2-form) on a 3d chart."""
+    return float(v[0] * b[1, 2] + v[1] * b[2, 0] + v[2] * b[0, 1])
+
+
+def chern_simons_difference_reference(data, section, nodes) -> list:
+    """Defect of the conventional-vs-cubic Chern-Simons density identity at
+    each of ``nodes``, node by node, the metric pairings as double sums."""
+    from algfield.fields import grid_gradient
+
+    k, cl, c = data.metric, data.lowered, data.constants
+    mk = section.kernel_rank
+    grad = grid_gradient(section.y, section.grid)  # [..., alpha, b, a] = d_a y^alpha_b
+    out = []
+    for idx in map(tuple, nodes):
+        y, dy = section.y[idx], grad[idx]
+        da = np.einsum("kba->kab", dy) - dy  # [alpha, a, b] = d_a A_b - d_b A_a
+        lprime = sum(k[al, be] * _wedge_1_2(y[al], da[be])
+                     for al in range(mk) for be in range(mk))
+        lprime += (2.0 / 3.0) * float(np.einsum("amn,ai,mj,nk,ijk->", cl, y, y, y, EPS3))
+        lvalue = float(np.einsum("abg,a,b,g->", cl, y[:, 0], y[:, 1], y[:, 2]))
+        f = da + np.einsum("bga,bi,gj->aij", c, y, y)
+        fterm = sum(k[al, mu] * _wedge_1_2(y[mu], f[al])
+                    for al in range(mk) for mu in range(mk))
+        out.append(abs(lprime - lvalue - fterm))
+    return out

@@ -11,6 +11,7 @@ from algfield.fibred import (
     AffineDualSection,
     JetPoint,
     ProjectableSection,
+    _complete_lift,
     affine_eval,
     complete_lift,
     lie_derivative_affine_dual,
@@ -22,6 +23,7 @@ from algfield.smoothfields import trig_polynomial
 
 from helpers import (
     EPS3,
+    complete_lift_reference,
     connection_pair,
     heavy_top_style_pair,
     random_jet_point,
@@ -244,6 +246,31 @@ class TestCompleteLift:
             call = lambda: complete_lift(pair, ProjectableSection(**{**fields, name: bad}), p)
         with pytest.raises(ValueError, match=f"^{name} returned shape {re.escape(str(wrong))}"):
             call()
+
+    @pytest.mark.parametrize("case", ["connection_vertical", "connection_base", "heavy_top"])
+    def test_lift_matches_point_reference(self, case):
+        # the lift written once over leading axes, at single jet points and
+        # as one block of them, against the per-point formula: a connection
+        # pair with u-dependent gamma (with and without a base part of the
+        # section) and the rotation action on a 3-vector; the section
+        # depends on x and u and its Jacobians are central differences
+        rng = np.random.default_rng(59)
+        pair = heavy_top_style_pair() if case == "heavy_top" else connection_pair(rng)
+        f = trig_polynomial(rng, pair.base_dim)
+        fields = dict(vertical_coeffs=lambda x, u: f(x) * u + np.sin(u[::-1]))
+        if case == "connection_base":
+            fields["base_coeffs"] = lambda x: np.array([np.sin(x[1]), 0.5 * x[0]])
+        sigma = ProjectableSection(**fields)
+        points = [random_jet_point(rng, pair) for _ in range(5)]
+        block = _complete_lift(pair, sigma, *(np.stack([getattr(p, name) for p in points])
+                                              for name in ("x", "u", "y")))
+        for i, p in enumerate(points):
+            for got, stacked_part, want in zip(complete_lift(pair, sigma, p), block,
+                                               complete_lift_reference(pair, sigma, p)):
+                scale = np.max(np.abs(want))  # 0 for dx of a vertical section
+                npt.assert_allclose(got, want, rtol=0.0, atol=1e-13 * scale)
+                npt.assert_allclose(np.broadcast_to(stacked_part, (5,) + want.shape)[i], want,
+                                    rtol=0.0, atol=1e-13 * scale)
 
     def test_vertical_constant_on_abelian_kernel(self):
         rng = np.random.default_rng(53)

@@ -25,7 +25,8 @@ from algfield.fields import (
     save_section,
 )
 from algfield.scenarios import (
-    ChernSimonsData, StandardCaseData, builder_chern_simons, builder_standard)
+    ChernSimonsData, StandardCaseData, builder_chern_simons, builder_standard,
+    chern_simons_lagrangian_difference, scalar_field_lagrangian)
 from algfield.smoothfields import trig_polynomial, trig_vector
 from algfield.variational import (
     Lagrangian,
@@ -224,6 +225,42 @@ class TestStencils:
         for call in calls:
             with pytest.raises(ValueError, match=f"^{name} returned shape {re.escape(str(wrong))}"):
                 call()
+
+    @pytest.mark.parametrize("node", [(-1, 0), (8, 0)])
+    @pytest.mark.parametrize("read", [
+        "jet_point", "admissibility_residual", "morphism_residual", "el_residual",
+        "noether_current", "invariance_defect", "first_variation_identity_defect",
+        "chern_simons_lagrangian_difference"])
+    def test_node_outside_grid_raises(self, read, node):
+        # a negative index would wrap to the far edge and read its u and y
+        # at coordinates off the grid; one past the end would fail only
+        # after the whole-grid fields were built
+        rng = np.random.default_rng(3)
+        grid = GridSpec(extents=(8, 8), spacing=(0.25, 0.25), boundary="one_sided")
+        sec = DiscretizedSection(grid=grid, u=rng.standard_normal(grid.extents + (1,)),
+                                 y=rng.standard_normal(grid.extents + (1, 2)))
+        pair, lag = trivial_pair(2, 1), scalar_field_lagrangian(1.0)
+        sigma = ProjectableSection(vertical_coeffs=lambda x, u: np.array([np.sin(x[0])]))
+        if read == "chern_simons_lagrangian_difference":
+            grid = GridSpec(extents=(8, 8, 8), spacing=(0.25,) * 3, boundary="one_sided")
+            sec = DiscretizedSection(grid=grid, u=np.zeros(grid.extents + (0,)),
+                                     y=rng.standard_normal(grid.extents + (3, 3)))
+            node = node + (0,)
+        call = {
+            "jet_point": lambda: sec.jet_point(node),
+            "admissibility_residual": lambda: admissibility_residual(pair, sec, node),
+            "morphism_residual": lambda: morphism_residual(pair, sec, node),
+            "el_residual": lambda: el_residual(pair, lag, sec, node),
+            "noether_current": lambda: noether_current(pair, lag, sigma, sec, node),
+            "invariance_defect": lambda: invariance_defect(pair, lag, sigma, sec, node),
+            "first_variation_identity_defect": lambda: first_variation_identity_defect(
+                pair, lag, sigma, sec, [(1, 1), node]),
+            "chern_simons_lagrangian_difference": lambda: chern_simons_lagrangian_difference(
+                ChernSimonsData.su2(), sec, [(1, 1, 1), node]),
+        }[read]
+        with pytest.raises(StencilError, match=re.escape(
+                f"node {node} lies outside the grid of extents {grid.extents}")):
+            call()
 
     @pytest.mark.parametrize("boundary", ["periodic", "one_sided"])
     def test_grid_derivative_allocates_its_output_only(self, boundary):

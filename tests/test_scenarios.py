@@ -18,6 +18,7 @@ from algfield.fibred import FibredAlgebroidPair, stacked
 from algfield.fields import (
     DiscretizedSection,
     GridSpec,
+    grid_gradient,
     morphism_residual,
     residual_report,
 )
@@ -55,7 +56,9 @@ from algfield.scenarios import (
 from algfield.smoothfields import TrigPolynomial, trig_polynomial, trig_vector
 from algfield.variational import Lagrangian, _momentum_field, el_residual, el_residual_field
 
-from helpers import broken_so3_algebroid, frame_algebroid, mechanics_reference
+from helpers import (
+    broken_so3_algebroid, chern_simons_difference_reference, frame_algebroid,
+    mechanics_reference)
 
 
 def sample_points(rng, n, count=20, scale=1.0):
@@ -987,6 +990,30 @@ class TestChernSimons:
         sec = DiscretizedSection(grid=grid, u=np.zeros((4, 4, 4, 0)),
                                  y=np.zeros((4, 4, 4, 3, 3)))
         assert chern_simons_lagrangian_difference(data, sec, [(1, 2, 3)]) == [0.0]
+
+    @pytest.mark.parametrize("field", ["closed_form_gauge", "difference_gauge", "non_flat"])
+    def test_lagrangian_difference_matches_node_loop(self, field):
+        # one expression over the block of probe nodes against the node loop
+        # with the metric pairings as double sums, on seeded su(2) gauge
+        # fields (flat up to stencil order) and on a non-flat field
+        rng = np.random.default_rng(43)
+        data = ChernSimonsData.su2()
+        grid = GridSpec.periodic_box((6, 6, 6))
+        if field == "closed_form_gauge":
+            sec = su2_exponential_gauge_field(trig_vector(rng, 3, 3, amplitude=0.8), grid)
+        elif field == "difference_gauge":
+            sec = flat_connection_generator(self._random_gauge(rng), grid, su2_basis())
+        else:
+            comps = trig_vector(rng, 3, 9, amplitude=0.8)
+            sec = DiscretizedSection.from_functions(
+                grid, 0, 3, y_fn=lambda x: np.array([c(x) for c in comps]).reshape(3, 3))
+        nodes = [(0, 0, 0), (1, 2, 3), (5, 3, 1), (3, 3, 3)]
+        # the size of the density terms, each cubic in y or y times dy
+        ymax = np.max(np.abs(sec.y))
+        scale = ymax * (ymax ** 2 + np.max(np.abs(grid_gradient(sec.y, grid))))
+        npt.assert_allclose(chern_simons_lagrangian_difference(data, sec, nodes),
+                            chern_simons_difference_reference(data, sec, nodes),
+                            rtol=0.0, atol=1e-13 * scale)
 
 
 class TestStackedFieldLagrangians:

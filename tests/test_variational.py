@@ -1,10 +1,12 @@
 """Euler-Lagrange residuals, Noether currents and the first-variation identity."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from algfield.fibred import FibredAlgebroidPair, ProjectableSection
+from algfield.fibred import FibredAlgebroidPair, ProjectableSection, stacked
 from algfield.fields import DiscretizedSection, GridSpec, grid_derivative
 from algfield.smoothfields import trig_polynomial, trig_vector
 from algfield.variational import (
@@ -16,7 +18,10 @@ from algfield.variational import (
     noether_current_field,
 )
 
-from helpers import EPS3, connection_pair, heavy_top_style_pair, trivial_pair
+from algfield.scenarios import scalar_field_lagrangian
+
+from helpers import (
+    EPS3, complete_lift_reference, connection_pair, heavy_top_style_pair, trivial_pair)
 
 
 def rigid_body_pair():
@@ -314,6 +319,62 @@ class TestFirstVariationIdentity:
                 pair, lag, sigma, sec, [(scale * i, scale * j) for i, j in base_nodes])))
         assert defects[0] > 1e-8  # genuinely off-shell
         assert 3.0 < defects[0] / defects[1] < 5.0
+
+    def test_probe_block_matches_point_reference(self):
+        # the defect at the probe nodes, read as one block, against its terms
+        # at each node: the per-point lift contracted with the partials, the
+        # one-node residual and the divergence of the whole-grid current.
+        # u-dependent gamma and section, so the field is off-shell and the
+        # terms do not cancel
+        rng = np.random.default_rng(43)
+        pair = connection_pair(rng)
+        lag = Lagrangian(
+            value=lambda x, u, y: 0.5 * float(np.sum(y ** 2)) + float(u[0] * y[1, 0]),
+            grad_u=lambda x, u, y: np.array([y[1, 0], 0.0]),
+            grad_y=lambda x, u, y: y + np.array([[0.0, 0.0], [u[0], 0.0]]))
+        f = trig_polynomial(rng, 2)
+        sigma = ProjectableSection(vertical_coeffs=lambda x, u: f(x) * u + np.sin(u[::-1]))
+        n = 12
+        grid = GridSpec.periodic_box((n, n))
+        sec = DiscretizedSection(grid=grid, u=rng.standard_normal((n, n, 2)),
+                                 y=rng.standard_normal((n, n, 2, 2)))
+        nodes = [(0, 0), (3, 5), (n - 2, 1), (n // 2, n // 2)]
+        current = noether_current_field(pair, lag, sigma, sec)
+        terms = []
+        for idx in nodes:
+            p = sec.jet_point(idx)
+            _, du, dy = complete_lift_reference(pair, sigma, p)
+            inv = (float(np.sum(lag.partial_y_points(p.x, p.u, p.y) * dy))
+                   + float(lag.partial_u_points(p.x, p.u, p.y) @ du))
+            el_s = float(el_residual(pair, lag, sec, idx) @ sigma.vertical_points(p.x, p.u, 2))
+            terms.append([inv, el_s, current.divergence(idx)])
+        terms = np.array(terms)
+        want = np.abs(terms[:, 0] + terms[:, 1] - terms[:, 2])
+        assert np.min(want) > 1e-3
+        npt.assert_allclose(first_variation_identity_defect(pair, lag, sigma, sec, nodes), want,
+                            rtol=0.0, atol=1e-13 * np.max(np.abs(terms)))
+
+    def test_probe_nodes_are_read_as_one_block(self):
+        # a stacked grad_y sees the whole-grid momentum field in blocks, then
+        # the four probe nodes of the CLI's field check as one block
+        shapes = []
+        lag = scalar_field_lagrangian(1.0)
+
+        @stacked
+        def grad_y(x, u, y):
+            shapes.append(x.shape)
+            return scalar_field_lagrangian(1.0).grad_y(x, u, y)
+
+        lag = dataclasses.replace(lag, grad_y=grad_y)
+        rng = np.random.default_rng(47)
+        n = 24
+        sec = DiscretizedSection(grid=GridSpec.periodic_box((n, n)),
+                                 u=rng.standard_normal((n, n, 1)),
+                                 y=rng.standard_normal((n, n, 1, 2)))
+        first_variation_identity_defect(
+            trivial_pair(2, 1), lag, ProjectableSection.vertical_constant([1.0]), sec,
+            [(0, 0), (3, 5), (n - 2, 1), (n // 2, n // 2)])
+        assert shapes == [(512, 2), (64, 2), (4, 2)]
 
     def test_constant_section_defect_is_pointwise_algebraic(self):
         # for a constant vertical section the grid terms cancel identically,
