@@ -356,7 +356,7 @@ def _field(ctx, nn) -> DiscretizedSection:
 
 def _field_report(ctx, nn):
     return ctx.cached(("report", nn),
-                      lambda: residual_report(ctx.pair, _field(ctx, nn), tol=1.0)[0])
+                      lambda: residual_report(ctx.pair, _field(ctx, nn)))
 
 
 def _standard_connection(ctx):
@@ -428,7 +428,7 @@ def _fixed_wave_report(ctx, nn):
         amplitudes=0.6 * rng.uniform(0.3, 1.0, size=3),
         phases=rng.uniform(0, 2 * np.pi, size=3))
     sec = _scalar_section(ctx.pair, GridSpec.periodic_box((nn, nn)), f)
-    return residual_report(ctx.pair, sec, tol=1.0)[0]
+    return residual_report(ctx.pair, sec)
 
 
 def _field_first_variation(chk, ctx) -> CheckResult:

@@ -6,14 +6,15 @@ missing, the operations fall back to one :func:`central_difference` of
 the callable's checked reader, and this is the only module that forms
 differences of callables (the grid stencils of :mod:`algfield.fields`
 difference nodal arrays).  :func:`gradient` serves the callables of one
-point that have no checked reader: sections and forms, flows and gauges.
+point that have no checked reader: sections and forms, and flows.
 The steps are fixed per kind of quantity; no model object carries its own:
 
 * ``STEP`` for structure functions, sections and connection coefficients;
 * ``FINE_STEP`` for Lagrangian partials, the gauge derivative of a
   pure-gauge connection on the general matrix-gauge path
-  (``flat_connection_generator``; gauges given by su(2) exponential
-  coordinates are sampled in closed form, with no step) and the explicit
+  (``flat_connection_generator``, one :func:`central_difference` per
+  block of nodes; gauges given by su(2) exponential coordinates are
+  sampled in closed form, with no step) and the explicit
   time derivative of the momentum, which the mechanics integrator forms
   only for Lagrangians not declared ``autonomous``;
 * ``HESSIAN_STEP`` for the velocity Hessian, a difference of momenta.

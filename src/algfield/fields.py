@@ -102,14 +102,31 @@ class GridSpec:
             out[..., a] = (o + np.arange(n) * h).reshape((n,) + (1,) * (self.dim - 1 - a))
         return out
 
+    def check_nodes(self, nodes) -> np.ndarray:
+        """``nodes``, one index tuple of ``dim`` integers or a list of them, as
+        an integer array (shape ``(dim,)`` or ``(n, dim)``).
+
+        A node outside the grid (a negative index included) raises
+        ``StencilError`` naming the node and the extents, as does anything
+        that is not such an index or list.
+        """
+        pos, ext = np.asarray(nodes), self.extents
+        if pos.ndim not in (1, 2) or pos.shape[-1] != len(ext) or pos.dtype.kind not in "iu":
+            raise StencilError(f"{nodes!r} is neither a node index of {len(ext)} integers "
+                               f"nor a list of them")
+        rows = pos.reshape(-1, len(ext))
+        outside = np.any((rows < 0) | (rows >= ext), axis=-1)
+        if outside.any():
+            raise StencilError(f"node {tuple(rows[outside][0].tolist())} lies outside the "
+                               f"grid of extents {ext}")
+        return pos
+
     @staticmethod
-    def periodic_box(extents, lengths=None) -> "GridSpec":
-        """Periodic grid covering ``[0, length)`` per axis (default ``2*pi``)."""
+    def periodic_box(extents) -> "GridSpec":
+        """Periodic grid covering ``[0, 2*pi)`` per axis."""
         extents = tuple(int(n) for n in extents)
-        if lengths is None:
-            lengths = (2.0 * np.pi,) * len(extents)
-        spacing = tuple(l / n for l, n in zip(lengths, extents))
-        return GridSpec(extents=extents, spacing=spacing, boundary="periodic")
+        return GridSpec(extents=extents, spacing=tuple(2.0 * np.pi / n for n in extents),
+                        boundary="periodic")
 
 
 def grid_derivative(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
@@ -193,22 +210,12 @@ class DiscretizedSection:
     def node_data(self, nodes) -> tuple:
         """``(idx, x, u, y)`` of one node, or of a list of nodes read as one block.
 
-        ``nodes`` is one index tuple of ``grid.dim`` integers or a list of
-        them.  ``idx`` reads any nodal array (shape ``extents + ...``) at
-        those nodes; ``x``, ``u`` and ``y`` are the nodes' coordinates and
-        jet data, with no leading axis for one node and one axis over the
-        nodes for a list.  A node outside the grid (a negative index
-        included) raises ``StencilError`` naming the node and the extents.
+        ``nodes`` is checked by :meth:`GridSpec.check_nodes`.  ``idx`` reads
+        any nodal array (shape ``extents + ...``) at those nodes; ``x``,
+        ``u`` and ``y`` are the nodes' coordinates and jet data, with no
+        leading axis for one node and one axis over the nodes for a list.
         """
-        pos, ext = np.asarray(nodes), self.grid.extents
-        if pos.ndim not in (1, 2) or pos.shape[-1] != len(ext) or pos.dtype.kind not in "iu":
-            raise StencilError(f"{nodes!r} is neither a node index of {len(ext)} integers "
-                               f"nor a list of them")
-        rows = pos.reshape(-1, len(ext))
-        outside = np.any((rows < 0) | (rows >= ext), axis=-1)
-        if outside.any():
-            raise StencilError(f"node {tuple(rows[outside][0].tolist())} lies outside the "
-                               f"grid of extents {ext}")
+        pos = self.grid.check_nodes(nodes)
         idx = tuple(pos.T)
         return idx, self.grid.coords(pos), self.u[idx], self.y[idx]
 
@@ -361,16 +368,14 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (rows @ b).reshape(a.shape[:-1] + b.shape[-1:])
 
 
-def residual_report(pair: FibredAlgebroidPair, section: DiscretizedSection,
-                    tol: float):
-    """Aggregate both residuals over all nodes.
+def residual_report(pair: FibredAlgebroidPair, section: DiscretizedSection) -> ResidualField:
+    """Both residuals at every node, with their norms.
 
     The grid derivatives are formed once; each block of nodes then reads
     every coefficient once (per node for one not stacked) and forms the
     flatness residual from batched matrix products (see
     :func:`_morphism`), a point-shaped coefficient in one product for the
-    whole block.  Returns ``(ResidualField, is_morphism)`` with
-    ``is_morphism`` true when both max norms are within ``tol``.
+    whole block.
     """
     # the residual arrays have the shapes of the derivatives, and each node
     # reads only its own derivatives, so its residuals overwrite them
@@ -382,9 +387,7 @@ def residual_report(pair: FibredAlgebroidPair, section: DiscretizedSection,
         dy[...] = _morphism(pair, x, u, y, dy)
 
     block_pass(section.grid, step, section.u, section.y, adm, mor)
-    fieldres = ResidualField(admissibility=adm, morphism=mor,
-                             cell_volume=section.grid.cell_volume)
-    return fieldres, bool(fieldres.max_norm <= tol)
+    return ResidualField(admissibility=adm, morphism=mor, cell_volume=section.grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------

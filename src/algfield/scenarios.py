@@ -29,9 +29,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .differentiation import (
-    FINE_STEP, HESSIAN_STEP, STEP, central_difference, gradient, partial_derivative_two_slot)
+    FINE_STEP, HESSIAN_STEP, STEP, central_difference, partial_derivative_two_slot)
 from .fibred import FibredAlgebroidPair, sample_points, stacked
-from .fields import DiscretizedSection, GridSpec, grid_gradient
+from .fields import DiscretizedSection, GridSpec, block_pass, grid_gradient
 from .smoothfields import TrigPolynomial
 from .variational import Lagrangian, el_residual_field
 
@@ -51,6 +51,11 @@ class IntegrationBlowupError(RuntimeError):
 
 class ProjectionError(ValueError):
     """Sampled connection component does not lie in the algebra span."""
+
+
+# largest component of a sampled connection outside the algebra span,
+# relative to 1 + its norm (see flat_connection_generator)
+PROJECTION_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -704,43 +709,50 @@ def su2_exponential_gauge_field(coords: Sequence, grid: GridSpec) -> Discretized
 
 
 def flat_connection_generator(gauge: Callable, grid: GridSpec,
-                              algebra_basis: Sequence[np.ndarray],
-                              projection_tol: float = 1e-8) -> DiscretizedSection:
+                              algebra_basis: Sequence[np.ndarray]) -> DiscretizedSection:
     """Sample the pure-gauge connection of a group-valued function on a grid.
 
-    ``A_a(x) = g(x)^{-1} d_a g(x)`` is computed node by node with central
-    differences (``FINE_STEP``) of the caller-supplied matrix function,
-    independent of the grid spacing, and projected onto the given algebra
-    basis; components outside the span beyond ``projection_tol`` raise
-    ``ProjectionError``.  The result is a kernel-only section (no fibre
-    coordinates) whose flatness residual is stencil error plus the
-    difference error of the gauge derivative (about 1e-10 for the su(2)
-    exponentials).  This is the general path for any matrix gauge;
-    ``su2_exponential_gauge_field`` samples gauges given by exponential
-    coordinates in closed form, over the whole grid at once.
+    ``A_a(x) = g(x)^{-1} d_a g(x)`` is formed on blocks of ``BLOCK_NODES``
+    nodes (``fields.block_pass``): one central difference (``FINE_STEP``)
+    of the caller-supplied matrix function per block, independent of the
+    grid spacing, then one batched inverse and product.  ``gauge`` takes
+    one point; it is called once per node and once per shifted point.
+    Each ``A_a`` is projected onto the given algebra basis; one whose
+    component outside the span exceeds ``PROJECTION_TOL * (1 + |A_a|)``
+    raises ``ProjectionError`` naming the first such node (C order) and
+    axis, at the end of the block that holds it.  The result is a
+    kernel-only section (no fibre coordinates) whose flatness residual is
+    stencil error plus the difference error of the gauge derivative
+    (about 1e-10 for the su(2) exponentials).  This is the general path
+    for any matrix gauge; ``su2_exponential_gauge_field`` samples gauges
+    given by exponential coordinates in closed form.
     """
     basis = np.stack([np.asarray(b, dtype=complex) for b in algebra_basis])
-    mk = basis.shape[0]
-    gram = np.array([[np.real(np.trace(bi.conj().T @ bj)) for bj in basis]
-                     for bi in basis])
+    # real parts of the traces tr(b_k^H m), for the basis itself and for samples
+    trace = lambda m: np.einsum("kij,...ij->...k", basis.conj(), m).real
+    gram = trace(basis)
 
-    y = np.zeros(grid.extents + (mk, grid.dim))
-    for idx in grid.nodes():
-        x = grid.coords(idx)
-        ginv = np.linalg.inv(np.asarray(gauge(x), dtype=complex))
-        dg = gradient(lambda z: np.asarray(gauge(z), dtype=complex), x, FINE_STEP)
-        dg = np.ascontiguousarray(np.moveaxis(dg, -1, 0))  # [a, i, j]
-        for a in range(grid.dim):
-            amat = ginv @ dg[a]
-            rhs = np.array([np.real(np.trace(b.conj().T @ amat)) for b in basis])
-            coeffs = np.linalg.solve(gram, rhs)
-            recon = np.einsum("k,kij->ij", coeffs, basis)
-            defect = np.linalg.norm(amat - recon)
-            if defect > projection_tol * (1.0 + np.linalg.norm(amat)):
-                raise ProjectionError(
-                    f"connection sample at node {idx}, axis {a} lies outside "
-                    f"the algebra span (defect {defect:.2e})")
-            y[idx][:, a] = coeffs
+    def read(z):
+        """The gauge at every point of ``z`` (any leading axes), as complex matrices."""
+        rows = np.array([gauge(p) for p in z.reshape(-1, z.shape[-1])], dtype=complex)
+        return rows.reshape(z.shape[:-1] + rows.shape[1:])
+
+    def step(x, nodes, y_rows):
+        dg = central_difference(read, (x,), 0, FINE_STEP)  # [n, i, j, a]
+        amat = np.linalg.inv(read(x))[:, None] @ np.ascontiguousarray(np.moveaxis(dg, -1, 1))
+        coeffs = np.linalg.solve(gram, trace(amat)[..., None])[..., 0]  # [n, a, k]
+        defect = np.linalg.norm(amat - np.einsum("...k,kij->...ij", coeffs, basis),
+                                axis=(-2, -1))
+        bad = np.argwhere(defect > PROJECTION_TOL * (1.0 + np.linalg.norm(amat, axis=(-2, -1))))
+        if bad.size:
+            row, a = bad[0]
+            raise ProjectionError(
+                f"connection sample at node {tuple(nodes[row].tolist())}, axis {a} lies "
+                f"outside the algebra span (defect {defect[row, a]:.2e})")
+        y_rows[...] = np.swapaxes(coeffs, -1, -2)
+
+    y = np.zeros(grid.extents + (basis.shape[0], grid.dim))
+    block_pass(grid, step, np.moveaxis(np.indices(grid.extents), 0, -1), y)
     return DiscretizedSection(grid=grid, u=np.zeros(grid.extents + (0,)), y=y)
 
 

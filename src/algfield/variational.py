@@ -35,9 +35,10 @@ single-node functions call them on one node; the whole-grid fields
 (momentum, Euler-Lagrange residual, current) call them on blocks of
 nodes through ``fields.block_pass``, and
 :func:`first_variation_identity_defect` calls them once on the block of
-all its probe nodes.  Node indices are read and checked by
-``DiscretizedSection.node_data``: one outside the grid raises
-``StencilError``.  The Lagrangian and section callables take one
+all its probe nodes.  Node indices are checked by
+``GridSpec.check_nodes`` (through ``DiscretizedSection.node_data`` where
+jet data are read, and in ``NoetherCurrent.divergence``): one outside
+the grid raises ``StencilError``.  The Lagrangian and section callables take one
 node's ``(x, u, y)``, or, declared :func:`~algfield.fibred.stacked`, a
 block of nodes, and must return their documented shape.  They are read only
 through the checked readers (``Lagrangian.*_points``,
@@ -272,7 +273,9 @@ class NoetherCurrent:
             raise ValueError("non-finite current components")
 
     def divergence(self, idx) -> float:
-        return float(_divergence(self.values, self.grid)[tuple(idx)])
+        """Grid divergence at one node, checked by :meth:`GridSpec.check_nodes`."""
+        idx = tuple(self.grid.check_nodes(idx).T)
+        return float(_divergence(self.values, self.grid)[idx])
 
 
 def noether_current_field(pair: FibredAlgebroidPair, lagrangian: Lagrangian,

@@ -419,3 +419,40 @@ def chern_simons_difference_reference(data, section, nodes) -> list:
                     for al in range(mk) for mu in range(mk))
         out.append(abs(lprime - lvalue - fterm))
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-node pure-gauge sampling, the reference for the block pass
+# ---------------------------------------------------------------------------
+
+def flat_connection_reference(gauge, grid, algebra_basis):
+    """``flat_connection_generator`` node by node: each node's gauge
+    derivative is one ``gradient`` call, each axis one inverse product,
+    trace projection and solve."""
+    from algfield.differentiation import FINE_STEP, gradient
+    from algfield.fields import DiscretizedSection
+    from algfield.scenarios import PROJECTION_TOL, ProjectionError
+
+    basis = np.stack([np.asarray(b, dtype=complex) for b in algebra_basis])
+    mk = basis.shape[0]
+    gram = np.array([[np.real(np.trace(bi.conj().T @ bj)) for bj in basis]
+                     for bi in basis])
+
+    y = np.zeros(grid.extents + (mk, grid.dim))
+    for idx in grid.nodes():
+        x = grid.coords(idx)
+        ginv = np.linalg.inv(np.asarray(gauge(x), dtype=complex))
+        dg = gradient(lambda z: np.asarray(gauge(z), dtype=complex), x, FINE_STEP)
+        dg = np.ascontiguousarray(np.moveaxis(dg, -1, 0))  # [a, i, j]
+        for a in range(grid.dim):
+            amat = ginv @ dg[a]
+            rhs = np.array([np.real(np.trace(b.conj().T @ amat)) for b in basis])
+            coeffs = np.linalg.solve(gram, rhs)
+            recon = np.einsum("k,kij->ij", coeffs, basis)
+            defect = np.linalg.norm(amat - recon)
+            if defect > PROJECTION_TOL * (1.0 + np.linalg.norm(amat)):
+                raise ProjectionError(
+                    f"connection sample at node {idx}, axis {a} lies outside "
+                    f"the algebra span (defect {defect:.2e})")
+            y[idx][:, a] = coeffs
+    return DiscretizedSection(grid=grid, u=np.zeros(grid.extents + (0,)), y=y)

@@ -163,7 +163,7 @@ class TestStencils:
             fv.append(abs(invariance_defect(pair, lag, sigma, sec, idx) + el[-1] @ s
                           - divergence_at(current, idx)))
 
-        report, _ = residual_report(pair, sec, tol=1.0)
+        report = residual_report(pair, sec)
         shape = grid.extents
         for got, want in [(report.admissibility, adm), (report.morphism, mor),
                           (el_residual_field(pair, lag, sec), el),
@@ -206,7 +206,7 @@ class TestStencils:
         idx = (1, 2)
         if name in ("rho_base_u", "rho_kernel_u"):
             calls = (lambda: admissibility_residual(pair, sec, idx),
-                     lambda: residual_report(pair, sec, tol=1.0))
+                     lambda: residual_report(pair, sec))
         elif name == "grad_u":
             calls = (lambda: el_residual(pair, lag, sec, idx),
                      lambda: el_residual_field(pair, lag, sec))
@@ -218,7 +218,7 @@ class TestStencils:
                      lambda: noether_current_field(pair, lag, sigma, sec))
         else:
             calls = (lambda: morphism_residual(pair, sec, idx),
-                     lambda: residual_report(pair, sec, tol=1.0))
+                     lambda: residual_report(pair, sec))
         if name not in ("grad_u", "grad_y", "vertical_coeffs"):
             pts = [np.concatenate([grid.coords(idx), sec.u[idx]])]
             calls += (lambda: structure_residual_max(pair.total_algebroid(), pts),)
@@ -230,7 +230,7 @@ class TestStencils:
     @pytest.mark.parametrize("read", [
         "jet_point", "admissibility_residual", "morphism_residual", "el_residual",
         "noether_current", "invariance_defect", "first_variation_identity_defect",
-        "chern_simons_lagrangian_difference"])
+        "chern_simons_lagrangian_difference", "noether_divergence"])
     def test_node_outside_grid_raises(self, read, node):
         # a negative index would wrap to the far edge and read its u and y
         # at coordinates off the grid; one past the end would fail only
@@ -257,6 +257,8 @@ class TestStencils:
                 pair, lag, sigma, sec, [(1, 1), node]),
             "chern_simons_lagrangian_difference": lambda: chern_simons_lagrangian_difference(
                 ChernSimonsData.su2(), sec, [(1, 1, 1), node]),
+            "noether_divergence": lambda: noether_current_field(
+                pair, lag, sigma, sec).divergence(node),
         }[read]
         with pytest.raises(StencilError, match=re.escape(
                 f"node {node} lies outside the grid of extents {grid.extents}")):
@@ -473,8 +475,8 @@ class TestResidualReport:
         grid = GridSpec(extents=(4, 4), spacing=(0.3, 0.3))
         sec = DiscretizedSection(grid=grid, u=np.zeros((4, 4, 1)),
                                  y=np.zeros((4, 4, 1, 2)))
-        report, is_morphism = residual_report(pair, sec, tol=0.0)
-        assert is_morphism
+        report = residual_report(pair, sec)
+        assert report.max_norm <= 0.0
         assert report.max_norm == 0.0
 
     def test_random_field_is_not_morphism(self):
@@ -484,8 +486,8 @@ class TestResidualReport:
         sec = DiscretizedSection(grid=grid,
                                  u=rng.standard_normal((5, 5, 2)),
                                  y=rng.standard_normal((5, 5, 2, 2)))
-        report, is_morphism = residual_report(pair, sec, tol=1e-6)
-        assert not is_morphism
+        report = residual_report(pair, sec)
+        assert report.max_norm > 1e-6
         assert report.max_norm > 0.1
         assert report.admissibility.shape == (5, 5, 2, 2)
         assert report.morphism.shape == (5, 5, 2, 2, 2)

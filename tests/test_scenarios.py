@@ -57,8 +57,8 @@ from algfield.smoothfields import TrigPolynomial, trig_polynomial, trig_vector
 from algfield.variational import Lagrangian, _momentum_field, el_residual, el_residual_field
 
 from helpers import (
-    broken_so3_algebroid, chern_simons_difference_reference, frame_algebroid,
-    mechanics_reference)
+    broken_so3_algebroid, chern_simons_difference_reference, flat_connection_reference,
+    frame_algebroid, mechanics_reference)
 
 
 def sample_points(rng, n, count=20, scale=1.0):
@@ -313,7 +313,7 @@ class TestStandardScenario:
         for n in (16, 32):
             grid = GridSpec.periodic_box((n, n))
             sec = DiscretizedSection.from_functions(grid, 1, 1, u_fn=u_fn, y_fn=y_fn)
-            report, _ = residual_report(pair, sec, tol=1.0)
+            report = residual_report(pair, sec)
             errs.append(report.morphism_max)
         assert errs[0] < 0.05
         assert 3.5 < errs[0] / errs[1] < 4.5
@@ -924,7 +924,7 @@ class TestChernSimons:
             grid = GridSpec.periodic_box((n, n, n))
             pair, _ = builder_chern_simons(data, grid)
             sec = flat_connection_generator(gauge, grid, su2_basis())
-            report, _ = residual_report(pair, sec, tol=1.0)
+            report = residual_report(pair, sec)
             errs.append(report.morphism_max)
         assert 3.5 < errs[0] / errs[1] < 4.5
 
@@ -938,8 +938,7 @@ class TestChernSimons:
         sec = flat_connection_generator(gauge, grid, su2_basis())
         scale = max(1.0, np.max(np.abs(sec.y)))
         tol = 10.0 * grid.spacing[0] ** 2 * scale
-        _, is_morphism = residual_report(pair, sec, tol=tol)
-        assert is_morphism
+        assert residual_report(pair, sec).max_norm <= tol
 
     def test_flatness_independent_of_generating_gauge(self):
         # two different gauge functions: their pure-gauge fields both sit at
@@ -952,7 +951,7 @@ class TestChernSimons:
         for seed in (53, 59):
             gauge = self._random_gauge(np.random.default_rng(seed))
             sec = flat_connection_generator(gauge, grid, su2_basis())
-            report, _ = residual_report(pair, sec, tol=1.0)
+            report = residual_report(pair, sec)
             maxima.append(report.morphism_max)
         bound = 10.0 * grid.spacing[0] ** 2
         assert all(m < bound for m in maxima)
@@ -965,7 +964,7 @@ class TestChernSimons:
         pair, lag = builder_chern_simons(data, grid)
         sec = flat_connection_generator(gauge, grid, su2_basis())
 
-        report, _ = residual_report(pair, sec, tol=1.0)
+        report = residual_report(pair, sec)
         el = el_residual_field(pair, lag, sec)
         kappa = 3.0 * np.max(np.abs(sec.y)) * np.max(
             np.sum(np.abs(data.lowered), axis=(1, 2)))
@@ -1129,6 +1128,89 @@ class TestStackedMechanicsLagrangians:
         counted_lag = dataclasses.replace(lag, **{key: counted(key) for key in calls})
         traj.energy_series(counted_lag, traj.momentum_series(counted_lag))
         assert calls == {"value": [(101, 1)], "grad_y": [(101, 1)]}
+
+
+class TestFlatConnectionBlocks:
+    """``flat_connection_generator`` against the per-node reference loop."""
+
+    @staticmethod
+    def _counted(gauge):
+        calls = []
+
+        def counted(x):
+            calls.append(None)
+            return gauge(x)
+
+        return counted, calls
+
+    @staticmethod
+    def _late_failure(grid):
+        # a scalar factor leaves the su(2) span wherever it is not constant:
+        # from halfway between the node planes 6 and 7 of axis 0 on
+        comps = trig_vector(np.random.default_rng(97), 3, 3, amplitude=0.5)
+        edge = 6.5 * grid.spacing[0]
+        return lambda x: ((1.0 + 0.3 * max(x[0] - edge, 0.0) ** 2)
+                          * su2_exponential(np.array([c(x) for c in comps])))
+
+    @pytest.mark.parametrize("extents, seed",
+                             [((8, 8, 8), 83), ((9, 7), 89), ((10, 10, 10), None)],
+                             ids=["su2_8^3", "su2_9x7", "identity_10^3"])
+    def test_matches_node_reference(self, extents, seed):
+        if seed is None:
+            gauge = lambda x: np.eye(2, dtype=complex)
+        else:
+            comps = trig_vector(np.random.default_rng(seed), len(extents), 3, amplitude=0.5)
+            gauge = lambda x: su2_exponential(np.array([c(x) for c in comps]))
+        grid = GridSpec.periodic_box(extents)
+        ys, counts = [], []
+        for generate in (flat_connection_generator, flat_connection_reference):
+            counted, calls = self._counted(gauge)
+            ys.append(generate(counted, grid, su2_basis()).y)
+            counts.append(len(calls))
+        npt.assert_array_equal(ys[0], ys[1])
+        assert counts == [int(np.prod(extents)) * (1 + 2 * grid.dim)] * 2
+
+    def test_general_basis_matches_node_reference_to_rounding(self):
+        # on a basis of gl(2) the traces sum more than two nonzero terms, in
+        # another order than the per-node products, so only rounding may differ
+        rng = np.random.default_rng(101)
+        comps = trig_vector(rng, 3, 4, amplitude=0.3)
+        basis = rng.standard_normal((4, 2, 2))
+        gauge = lambda x: np.eye(2) + np.array([c(x) for c in comps]).reshape(2, 2)
+        grid = GridSpec.periodic_box((6, 6, 6))
+        ys, counts = [], []
+        for generate in (flat_connection_generator, flat_connection_reference):
+            counted, calls = self._counted(gauge)
+            ys.append(generate(counted, grid, basis).y)
+            counts.append(len(calls))
+        npt.assert_allclose(ys[0], ys[1], rtol=0, atol=1e-13 * np.max(np.abs(ys[1])))
+        assert counts == [int(np.prod(grid.extents)) * (1 + 2 * grid.dim)] * 2
+
+    @pytest.mark.parametrize("case", ["first_node", "second_block"])
+    def test_projection_error_matches_node_reference(self, case):
+        if case == "first_node":
+            grid = GridSpec.periodic_box((3, 3, 3))
+            gauge = lambda x: (1.0 + 0.3 * np.sin(x[0])) * np.eye(2, dtype=complex)
+        else:
+            grid = GridSpec.periodic_box((12, 12, 12))
+            gauge = self._late_failure(grid)
+        messages = []
+        for generate in (flat_connection_generator, flat_connection_reference):
+            with pytest.raises(ProjectionError) as err:
+                generate(gauge, grid, su2_basis())
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        first = "(0, 0, 0)" if case == "first_node" else "(7, 0, 0)"
+        assert messages[0].startswith(f"connection sample at node {first}, axis 0 lies outside")
+
+    def test_projection_error_reads_no_later_block(self):
+        # the first bad node, (7, 0, 0) at flat index 1008, lies in the
+        # second block; the pass stops at its end
+        grid = GridSpec.periodic_box((12, 12, 12))
+        counted, calls = self._counted(self._late_failure(grid))
+        with pytest.raises(ProjectionError):
+            flat_connection_generator(counted, grid, su2_basis())
+        assert len(calls) == 2 * BLOCK_NODES * (1 + 2 * grid.dim)
 
 
 class TestClosedFormGauge:
