@@ -19,8 +19,12 @@ Every structure function (and every coefficient callable of the fibred
 pairs built on top) takes one point, unless it is declared
 :func:`stacked`, and is read only through :func:`sample_points`, which
 checks the shape of each result.  The readers and their Jacobians take
-one point or stacked points, and a missing Jacobian is one
+one point or stacked points, and each Jacobian, here and in the modules
+built on top, is read by :func:`derivative_points`: the analytic
+callable through :func:`sample_points` when it is given, else one
 :func:`~algfield.differentiation.central_difference` of the reader.
+(:class:`Section` and :class:`PForm` have no checked reader yet; their
+fallbacks are :func:`~algfield.differentiation.gradient`.)
 
 Constructing a model whose structure functions violate the compatibility
 identities is allowed (negative tests rely on it); operations that are
@@ -36,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .differentiation import STEP, central_difference, gradient
+from .differentiation import STEP, central_difference, gradient, partial_derivative_two_slot
 
 # points per block of the stacked passes (grid nodes in ``fields.block_pass``)
 BLOCK_NODES = 512
@@ -93,6 +97,28 @@ def sample_points(fn: Callable, name: str, shape: tuple, x: np.ndarray,
             raise _shape_error(name, value, shape, point[0])
         flat[i] = value
     return out
+
+
+def derivative_points(fn: Optional[Callable], name: str, shape: tuple, read: Callable,
+                      args: tuple, slot: int, h: float, ndim: int = 1) -> np.ndarray:
+    """A derivative of ``read(*args)`` in the last ``ndim`` axes of ``args[slot]``.
+
+    The analytic ``fn``, when set, is read at ``args`` through
+    :func:`sample_points` with ``name`` and ``shape``; otherwise the
+    derivative is one :func:`~algfield.differentiation.central_difference`
+    of ``read``, the checked reader of the differentiated callable, with
+    step ``h``.  Every optional first derivative with a checked reader is
+    read here: of the structure functions, section coefficients,
+    connections, Lagrangians and the ``f`` of
+    :func:`~algfield.fibred.total_derivative`.  A difference in ``(x, u)``
+    goes through :func:`~algfield.differentiation.partial_derivative_two_slot`,
+    the helper whose calls a traced benchmark run counts.
+    """
+    if fn is not None:
+        return sample_points(fn, name, shape, *args)
+    if len(args) == 2:
+        return partial_derivative_two_slot(read, *args, slot, h)
+    return central_difference(read, args, slot, h, ndim)
 
 
 def _shape_error(name: str, value: np.ndarray, shape: tuple, x: np.ndarray) -> ValueError:
@@ -164,20 +190,18 @@ class LieAlgebroid:
         """``[..., alpha, i, j] = d rho_alpha^i / d x^j`` at one point or at
         stacked points: ``anchor_derivative`` read like the anchor, or central
         differences of :meth:`anchor_at`."""
-        if self.anchor_derivative is not None:
-            return sample_points(self.anchor_derivative, "anchor_derivative",
-                                 (self.rank, self.base_dim, self.base_dim),
-                                 np.asarray(x, dtype=float))
-        return central_difference(self.anchor_at, (x,), 0, STEP)
+        return derivative_points(self.anchor_derivative, "anchor_derivative",
+                                 (self.rank, self.base_dim, self.base_dim), self.anchor_at,
+                                 (np.asarray(x, dtype=float),), 0, STEP)
 
     def bracket_jacobian(self, x) -> np.ndarray:
         """``[..., alpha, beta, gamma, j] = d C_ab^g / d x^j``, read like
-        :meth:`anchor_jacobian`."""
-        if self.bracket_derivative is not None:
-            d = sample_points(self.bracket_derivative, "bracket_derivative",
-                              (self.rank,) * 3 + (self.base_dim,), np.asarray(x, dtype=float))
-            return 0.5 * (d - np.swapaxes(d, -4, -3))
-        return central_difference(self.bracket_at, (x,), 0, STEP)
+        :meth:`anchor_jacobian` and antisymmetrized (a difference of
+        :meth:`bracket_at` already is, and stays bit for bit)."""
+        d = derivative_points(self.bracket_derivative, "bracket_derivative",
+                              (self.rank,) * 3 + (self.base_dim,), self.bracket_at,
+                              (np.asarray(x, dtype=float),), 0, STEP)
+        return 0.5 * (d - np.swapaxes(d, -4, -3))
 
     @staticmethod
     def standard_tangent(n: int) -> "LieAlgebroid":

@@ -1,12 +1,14 @@
 """Central finite differences for callables.
 
 All structure functions, section coefficients and Lagrangians in this
-package accept optional analytic derivative callbacks.  When a callback is
-missing, the operations fall back to one :func:`central_difference` of
-the callable's checked reader, and this is the only module that forms
-differences of callables (the grid stencils of :mod:`algfield.fields`
-difference nodal arrays).  :func:`gradient` serves the callables of one
-point that have no checked reader: sections and forms, and flows.
+package accept optional analytic derivative callbacks.  The rule for a
+missing one lives in :func:`algfield.algebroid.derivative_points`, the
+one reader of every such derivative: it reads the callback when it is
+given, else forms one :func:`central_difference` of the callable's
+checked reader.  This is the only module that forms differences of
+callables (the grid stencils of :mod:`algfield.fields` difference nodal
+arrays).  :func:`gradient` serves the callables of one point that have
+no checked reader: sections and forms, and flows.
 The steps are fixed per kind of quantity; no model object carries its own:
 
 * ``STEP`` for structure functions, sections and connection coefficients;

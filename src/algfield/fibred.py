@@ -39,8 +39,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebroid import LieAlgebroid, PForm, Section, lie_derivative, sample_points, stacked
-from .differentiation import STEP, central_difference, partial_derivative_two_slot
+from .algebroid import (
+    LieAlgebroid, PForm, Section, derivative_points, lie_derivative, sample_points, stacked)
+from .differentiation import STEP
 
 
 def _antisym01(c: np.ndarray) -> np.ndarray:
@@ -262,9 +263,8 @@ class ProjectableSection:
         x = np.asarray(x, dtype=float)
         if self.base_coeffs is None:
             return np.zeros((base_dim, x.shape[-1]))
-        if self.d_base is not None:
-            return sample_points(self.d_base, "d_base", (base_dim, x.shape[-1]), x)
-        return central_difference(lambda z: self.base_at(z, base_dim), (x,), 0, STEP)
+        return derivative_points(self.d_base, "d_base", (base_dim, x.shape[-1]),
+                                 lambda z: self.base_at(z, base_dim), (x,), 0, STEP)
 
     def vertical_jacobian_x(self, x, u, kernel_rank: int) -> np.ndarray:
         """``d sigma^alpha / d x^i``: shape ``lead + (kernel_rank, r)``, from
@@ -281,10 +281,9 @@ class ProjectableSection:
         shape = (kernel_rank, (x, u)[slot].shape[-1])
         if self.vertical_coeffs is None:
             return np.zeros(shape)
-        if derivative is not None:
-            return sample_points(derivative, name, shape, x, u)
-        return partial_derivative_two_slot(
-            lambda x, u: self.vertical_points(x, u, kernel_rank), x, u, slot, STEP)
+        return derivative_points(derivative, name, shape,
+                                 lambda x, u: self.vertical_points(x, u, kernel_rank),
+                                 (x, u), slot, STEP)
 
     @staticmethod
     def vertical_constant(values) -> "ProjectableSection":
@@ -308,32 +307,25 @@ def affine_eval(theta: AffineDualSection, p: JetPoint) -> float:
 
 
 def total_derivative(pair: FibredAlgebroidPair, f: Callable, p: JetPoint,
-                     a: Optional[int] = None, grad_x: Optional[Callable] = None,
+                     grad_x: Optional[Callable] = None,
                      grad_u: Optional[Callable] = None) -> np.ndarray:
     """Total derivative of a scalar ``f(x, u)`` at the jet point.
 
     ``f_{|a} = rho_a^i d_i f + (rho_a^A + rho_alpha^A y^alpha_a) d_A f``;
     the second slot carries the velocity that an admissible field with
-    this jet would impose on ``u``.  Returns the full ``(r,)`` vector, or
-    the single component when ``a`` is given.  ``f`` (shape ``()``) and
-    ``grad_x``/``grad_u`` (``(r,)``/``(m,)``, else differences of ``f``)
-    are read through :func:`sample_points`.
+    this jet would impose on ``u``.  Returns the ``(r,)`` vector of all
+    ``a``.  ``f`` (shape ``()``) is read through :func:`sample_points`,
+    and ``grad_x``/``grad_u`` (``(r,)``/``(m,)``, else differences of
+    ``f``) through :func:`derivative_points`.
     """
     x, u = p.x, p.u
     read = lambda x, u: sample_points(f, "f", (), x, u)
-    if grad_x is not None:
-        fx = sample_points(grad_x, "grad_x", x.shape, x, u)
-    else:
-        fx = partial_derivative_two_slot(read, x, u, 0, STEP)
-    if grad_u is not None:
-        fu = sample_points(grad_u, "grad_u", u.shape, x, u)
-    else:
-        fu = partial_derivative_two_slot(read, x, u, 1, STEP)
+    fx = derivative_points(grad_x, "grad_x", x.shape, read, (x, u), 0, STEP)
+    fu = derivative_points(grad_u, "grad_u", u.shape, read, (x, u), 1, STEP)
 
     vel = pair.coefficient("rho_base_u", x, u) + np.einsum(
         "kA,ka->aA", pair.coefficient("rho_kernel_u", x, u), p.y)
-    out = pair.coefficient("rho_f", x) @ fx + vel @ fu
-    return out if a is None else float(out[a])
+    return pair.coefficient("rho_f", x) @ fx + vel @ fu
 
 
 def z_functions(pair: FibredAlgebroidPair, p: JetPoint):

@@ -28,8 +28,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .differentiation import (
-    FINE_STEP, HESSIAN_STEP, STEP, central_difference, partial_derivative_two_slot)
+from .algebroid import derivative_points
+from .differentiation import FINE_STEP, HESSIAN_STEP, STEP, central_difference
 from .fibred import FibredAlgebroidPair, sample_points, stacked
 from .fields import DiscretizedSection, GridSpec, block_pass, grid_gradient
 from .smoothfields import TrigPolynomial
@@ -87,18 +87,15 @@ class StandardCaseData:
 
     def vertical_derivative_at(self, x, u) -> np.ndarray:
         """``dG/du`` at one point or at stacked points: ``lead + (r, m, m)``."""
-        return self._derivative(self.vertical_derivative, "vertical_derivative", 1, x, u)
+        return derivative_points(self.vertical_derivative, "vertical_derivative",
+                                 (x.shape[-1], u.shape[-1], u.shape[-1]), self.gamma_points,
+                                 (x, u), 1, STEP)
 
     def base_derivative_at(self, x, u) -> np.ndarray:
         """``dG/dx`` at one point or at stacked points: ``lead + (r, m, r)``."""
-        return self._derivative(self.base_derivative, "base_derivative", 0, x, u)
-
-    def _derivative(self, derivative, name, slot, x, u):
-        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-        if derivative is not None:
-            shape = (x.shape[-1], u.shape[-1], (x, u)[slot].shape[-1])
-            return sample_points(derivative, name, shape, x, u)
-        return partial_derivative_two_slot(self.gamma_points, x, u, slot, STEP)
+        return derivative_points(self.base_derivative, "base_derivative",
+                                 (x.shape[-1], u.shape[-1], x.shape[-1]), self.gamma_points,
+                                 (x, u), 0, STEP)
 
     @stacked
     def frame_bracket(self, x, u) -> np.ndarray:
@@ -160,26 +157,19 @@ def builder_standard(data: StandardCaseData, base_dim: int,
 # one-dimensional base: mechanics
 # ---------------------------------------------------------------------------
 
-def builder_time_dependent(kernel_constants, rho_base_u: Optional[Callable] = None,
-                           rho_kernel_u: Optional[Callable] = None,
-                           c_mixed_time: Optional[Callable] = None,
+def builder_time_dependent(kernel_constants, rho_kernel_u: Optional[Callable] = None,
                            fibre_dim: int = 0) -> FibredAlgebroidPair:
     """Pair over a one-dimensional base (time) from algebra data.
 
-    ``kernel_constants[al, be, ga]`` is the kernel bracket,
-    ``c_mixed_time(x, u)[al, ga]`` the bracket of the time direction with
-    the kernel frame.
+    ``kernel_constants[al, be, ga]`` is the kernel bracket and
+    ``rho_kernel_u`` the kernel anchor on the ``fibre_dim`` fibre
+    coordinates; the time direction moves no fibre coordinate and
+    brackets to zero with the kernel frame.
     """
     constants = np.asarray(kernel_constants, dtype=float)
-    mk = constants.shape[0]
-    c_mixed = None
-    if c_mixed_time is not None:
-        c_mixed = lambda x, u: np.asarray(c_mixed_time(x, u), dtype=float)[None, :, :]
     return FibredAlgebroidPair(
-        base_dim=1, fibre_dim=fibre_dim, kernel_rank=mk,
-        rho_base_u=rho_base_u,
+        base_dim=1, fibre_dim=fibre_dim, kernel_rank=constants.shape[0],
         rho_kernel_u=rho_kernel_u,
-        c_mixed=c_mixed,
         c_kernel=_constant(constants),
     )
 

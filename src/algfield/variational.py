@@ -54,9 +54,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .differentiation import FINE_STEP, central_difference
+from .algebroid import derivative_points
+from .differentiation import FINE_STEP
 from .fibred import (
-    FibredAlgebroidPair, ProjectableSection, _complete_lift, sample_points, stacked, z_mixed)
+    FibredAlgebroidPair, ProjectableSection, _complete_lift, sample_points, z_mixed)
 from .fields import DiscretizedSection, GridSpec, block_pass, grid_derivative
 
 
@@ -69,14 +70,16 @@ class Lagrangian:
     base_dim)``, or, declared :func:`~algfield.fibred.stacked`, points
     with leading axes ``lead``, and then returns ``lead`` plus its point
     shape.  ``value(x, u, y) -> ()`` (a float at one point);
-    ``grad_u -> (fibre_dim,)`` and ``grad_y -> (kernel_rank, base_dim)``
-    when supplied, else central differences of :meth:`value_points`.
+    ``grad_u -> (fibre_dim,)`` and ``grad_y -> (kernel_rank, base_dim)``.
     They are read through the ``*_points`` methods, at one point or at
     stacked points (once per point, or once for a stacked callable, also
     for the shifted points of a central difference), which raise on a
-    result of any other shape.  ``hess_yy -> (kernel_rank, kernel_rank)``
-    and ``hess_yu -> (kernel_rank, fibre_dim)`` are used, and checked, by
-    the mechanics integrator (one-dimensional base) and may be omitted;
+    result of any other shape; the partials go through
+    :func:`~algfield.algebroid.derivative_points`, so an unset one is a
+    central difference of :meth:`value_points`.
+    ``hess_yy -> (kernel_rank, kernel_rank)`` and ``hess_yu ->
+    (kernel_rank, fibre_dim)`` are used, and checked, by the mechanics
+    integrator (one-dimensional base) and may be omitted;
     it reads a ``grad_u`` or Hessian made by ``scenarios._constant``
     once per run, and every other callable at every stage.
 
@@ -104,21 +107,15 @@ class Lagrangian:
         """``dL/du`` at one point or at stacked points: shape
         ``lead + (fibre_dim,)``, by central differences of ``value`` when
         ``grad_u`` is unset."""
-        fn = self.grad_u
-        if fn is None:
-            fn = stacked(lambda x, u, y: central_difference(self.value_points, (x, u, y), 1,
-                                                            FINE_STEP))
-        return sample_points(fn, "grad_u", u.shape[x.ndim - 1:], x, u, y)
+        return derivative_points(self.grad_u, "grad_u", u.shape[x.ndim - 1:],
+                                 self.value_points, (x, u, y), 1, FINE_STEP)
 
     def partial_y_points(self, x, u, y) -> np.ndarray:
         """``dL/dy`` at one point or at stacked points: shape
         ``lead + (kernel_rank, base_dim)``, by central differences of
         ``value`` when ``grad_y`` is unset."""
-        fn = self.grad_y
-        if fn is None:
-            fn = stacked(lambda x, u, y: central_difference(self.value_points, (x, u, y), 2,
-                                                            FINE_STEP, ndim=2))
-        return sample_points(fn, "grad_y", y.shape[x.ndim - 1:], x, u, y)
+        return derivative_points(self.grad_y, "grad_y", y.shape[x.ndim - 1:],
+                                 self.value_points, (x, u, y), 2, FINE_STEP, 2)
 
 
 def _require_coordinate_base(pair: FibredAlgebroidPair) -> None:

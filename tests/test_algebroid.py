@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -444,6 +445,14 @@ class TestStackedPoints:
                              bracket_coeffs=lambda x: np.zeros((2, 2, 2)))
         with pytest.raises(ValueError, match=r"^anchor returned shape \(2, 3\) at points"):
             structure_residual_max(model, np.zeros((5, 3)))
+        # so would a point-shaped analytic Jacobian
+        for name, point in [("anchor_derivative", (2, 3, 3)), ("bracket_derivative", (2, 2, 2, 3))]:
+            model = LieAlgebroid(base_dim=3, rank=2, anchor=lambda x: np.zeros((2, 3)),
+                                 bracket_coeffs=lambda x: np.zeros((2, 2, 2)),
+                                 **{name: stacked(lambda x, point=point: np.zeros(point))})
+            with pytest.raises(ValueError, match=f"^{name} returned shape "
+                                                 f"{re.escape(str(point))} at points"):
+                structure_residual_max(model, np.zeros((5, 3)))
 
     def test_stacked_method_keeps_its_mark(self):
         calls = []

@@ -132,7 +132,7 @@ class TestTotalDerivative:
         rng = np.random.default_rng(33)
         pair = heavy_top_style_pair()
         p = random_jet_point(rng, pair)
-        out = total_derivative(pair, lambda x, u: u[0], p, a=0)
+        out = float(total_derivative(pair, lambda x, u: u[0], p)[0])
         # d u^1 / dt along the jet: -eps[k, 0, B] u^B y^k
         expected = float(-np.einsum("kB,B,k->", EPS3[:, 0, :], p.u, p.y[:, 0]))
         assert out == pytest.approx(expected, abs=1e-8)
@@ -219,11 +219,12 @@ class TestCompleteLift:
     @pytest.mark.parametrize("name, wrong", [
         ("d_vertical_x", (2, 1)), ("d_vertical_u", (2, 1)), ("d_base", (2, 1)),
         ("base_coeffs", (1,)), ("vertical_coeffs", (2, 1)),
-        ("coeff_base", (2, 1)), ("coeff_kernel", (1, 2))])
+        ("coeff_base", (2, 1)), ("coeff_kernel", (1, 2)), ("grad_u", (1,))])
     def test_wrongly_shaped_section_data_raises(self, name, wrong):
         # a (2, 1) d_vertical_x would broadcast in the lift's einsum and move
         # dy silently; every section reader checks its shape, and so do the
-        # readers of an affine-dual section
+        # readers of an affine-dual section and the analytic gradients of a
+        # total derivative
         rng = np.random.default_rng(51)
         pair = connection_pair(rng)
         p = random_jet_point(rng, pair)
@@ -242,6 +243,8 @@ class TestCompleteLift:
             coeffs = {"coeff_base": lambda x, u: np.eye(2),
                       "coeff_kernel": lambda x, u: np.ones((2, 2)), name: bad}
             call = lambda: affine_eval(AffineDualSection(2, 2, **coeffs), p)
+        elif name == "grad_u":
+            call = lambda: total_derivative(pair, lambda x, u: u[0], p, grad_u=bad)
         else:
             call = lambda: complete_lift(pair, ProjectableSection(**{**fields, name: bad}), p)
         with pytest.raises(ValueError, match=f"^{name} returned shape {re.escape(str(wrong))}"):

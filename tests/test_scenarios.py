@@ -34,7 +34,6 @@ from algfield.scenarios import (
     builder_atiyah,
     builder_chern_simons,
     builder_standard,
-    builder_time_dependent,
     chern_simons_lagrangian,
     chern_simons_lagrangian_difference,
     flat_connection_generator,
@@ -816,8 +815,8 @@ class TestMechanicsIntegrator:
         # would integrate silently, a (3, 3, 1) kernel block would fail on an
         # unrelated reshape: every stage reads both through the checked sampler
         if name == "c_mixed":
-            pair = builder_time_dependent(EPSILON3,
-                                          c_mixed_time=lambda x, u: np.full((3, 1), 0.1))
+            pair = dataclasses.replace(rigid_body_pair(),
+                                       c_mixed=lambda x, u: np.full((1, 3, 1), 0.1))
         else:
             pair = dataclasses.replace(rigid_body_pair(), c_kernel=lambda x, u: np.ones(wrong))
         lag = rigid_body_lagrangian([1.0, 2.0, 3.0])
