@@ -23,8 +23,8 @@ one point or stacked points, and each Jacobian, here and in the modules
 built on top, is read by :func:`derivative_points`: the analytic
 callable through :func:`sample_points` when it is given, else one
 :func:`~algfield.differentiation.central_difference` of the reader.
-(:class:`Section` and :class:`PForm` have no checked reader yet; their
-fallbacks are :func:`~algfield.differentiation.gradient`.)
+The coefficients of a :class:`Section` or :class:`PForm` are read the
+same way, checked against the rank that each reader takes.
 
 Constructing a model whose structure functions violate the compatibility
 identities is allowed (negative tests rely on it); operations that are
@@ -107,9 +107,10 @@ def derivative_points(fn: Optional[Callable], name: str, shape: tuple, read: Cal
     :func:`sample_points` with ``name`` and ``shape``; otherwise the
     derivative is one :func:`~algfield.differentiation.central_difference`
     of ``read``, the checked reader of the differentiated callable, with
-    step ``h``.  Every optional first derivative with a checked reader is
-    read here: of the structure functions, section coefficients,
-    connections, Lagrangians and the ``f`` of
+    step ``h``.  Every optional derivative with a checked reader is read
+    here: of the structure functions, sections, forms, section
+    coefficients, connections, Lagrangians, the velocity Hessians of the
+    mechanics integrator and the ``f`` of
     :func:`~algfield.fibred.total_derivative`.  A difference in ``(x, u)``
     goes through :func:`~algfield.differentiation.partial_derivative_two_slot`,
     the helper whose calls a traced benchmark run counts.
@@ -130,17 +131,18 @@ class FlowBlowupError(RuntimeError):
     """Raised when non-finite values appear during flow integration."""
 
 
-def antisymmetrize(arr: np.ndarray, naxes: Optional[int] = None) -> np.ndarray:
-    """Project the leading ``naxes`` axes of ``arr`` onto their antisymmetric part."""
+def antisymmetrize(arr: np.ndarray, naxes: Optional[int] = None, start: int = 0) -> np.ndarray:
+    """Project the ``naxes`` axes of ``arr`` from axis ``start`` on (all
+    that follow it when ``None``) onto their antisymmetric part."""
     a = np.asarray(arr, dtype=float)
-    p = a.ndim if naxes is None else naxes
+    p = a.ndim - start if naxes is None else naxes
     if p <= 1:
         return a
-    trailing = tuple(range(p, a.ndim))
+    lead, trailing = tuple(range(start)), tuple(range(start + p, a.ndim))
     out = np.zeros_like(a)
-    for perm in itertools.permutations(range(p)):
+    for perm in itertools.permutations(range(start, start + p)):
         sign = (-1) ** sum(i > j for i, j in itertools.combinations(perm, 2))
-        out += sign * np.transpose(a, perm + trailing)
+        out += sign * np.transpose(a, lead + perm + trailing)
     return out / math.factorial(p)
 
 
@@ -237,21 +239,27 @@ class LieAlgebroid:
 
 @dataclass(frozen=True)
 class Section:
-    """A section of the bundle, ``coeffs(x)[alpha] = sigma^alpha(x)``."""
+    """A section of the bundle, ``coeffs(x)[alpha] = sigma^alpha(x)``.
+
+    ``coeffs`` and the optional ``derivative`` (``[gamma, i] = d sigma^gamma
+    / d x^i``) take one point unless declared :func:`stacked`, and are read
+    through :func:`sample_points`, which raises on any other shape than
+    ``(k,)`` and ``(k, n)``.
+    """
 
     coeffs: Callable[[np.ndarray], np.ndarray]
     derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def at(self, x) -> np.ndarray:
-        return np.asarray(self.coeffs(np.asarray(x, dtype=float)), dtype=float)
+    def at(self, x, rank: int) -> np.ndarray:
+        """``sigma`` at one point or at stacked points: shape ``lead + (rank,)``."""
+        return sample_points(self.coeffs, "coeffs", (rank,), np.asarray(x, dtype=float))
 
-    def jacobian(self, x) -> np.ndarray:
-        """``[gamma, i] = d sigma^gamma / d x^i``: ``derivative``, of the shape
-        of the coefficients plus that of ``x``, or central differences."""
+    def jacobian(self, x, rank: int) -> np.ndarray:
+        """``[..., gamma, i] = d sigma^gamma / d x^i``: ``derivative`` read like
+        the coefficients, or central differences of :meth:`at`."""
         x = np.asarray(x, dtype=float)
-        if self.derivative is not None:
-            return sample_points(self.derivative, "derivative", self.at(x).shape + x.shape, x)
-        return gradient(self.at, x, STEP)
+        return derivative_points(self.derivative, "derivative", (rank, x.shape[-1]),
+                                 lambda z: self.at(z, rank), (x,), 0, STEP)
 
     @staticmethod
     def constant(values) -> "Section":
@@ -269,25 +277,29 @@ class PForm:
     ``coeffs(x)`` returns a scalar for ``degree == 0`` and an array with
     ``degree`` axes of length ``k`` otherwise; the stored value is the
     evaluation on frame tuples, e.g. ``omega(e_a, e_b) = coeffs(x)[a, b]``.
-    The coefficient array is antisymmetrized on access.
+    It and the optional ``derivative`` (shape ``(k,) * degree + (n,)``)
+    are read like those of a :class:`Section`, and antisymmetrized.
     """
 
     degree: int
     coeffs: Callable[[np.ndarray], np.ndarray]
     derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def at(self, x) -> np.ndarray:
-        w = np.asarray(self.coeffs(np.asarray(x, dtype=float)), dtype=float)
-        return antisymmetrize(w, naxes=self.degree)
-
-    def coeff_jacobian(self, x) -> np.ndarray:
-        """Coefficient derivatives, shape ``(k,)*degree + (n,)`` (diff index
-        last), read like :meth:`Section.jacobian`."""
+    def at(self, x, rank: int) -> np.ndarray:
+        """The coefficients at one point or at stacked points: shape
+        ``lead + (rank,) * degree``."""
         x = np.asarray(x, dtype=float)
-        if self.derivative is not None:
-            d = sample_points(self.derivative, "derivative", self.at(x).shape + x.shape, x)
-            return antisymmetrize(d, naxes=self.degree)
-        return gradient(self.at, x, STEP)
+        w = sample_points(self.coeffs, "coeffs", (rank,) * self.degree, x)
+        return antisymmetrize(w, self.degree, x.ndim - 1)
+
+    def coeff_jacobian(self, x, rank: int) -> np.ndarray:
+        """Coefficient derivatives, shape ``lead + (rank,) * degree + (n,)``
+        (diff index last), read like :meth:`Section.jacobian`; an analytic
+        ``derivative`` is antisymmetrized (a difference of :meth:`at` is)."""
+        x = np.asarray(x, dtype=float)
+        d = derivative_points(self.derivative, "derivative", (rank,) * self.degree + x.shape[-1:],
+                              lambda z: self.at(z, rank), (x,), 0, STEP)
+        return d if self.derivative is None else antisymmetrize(d, self.degree, x.ndim - 1)
 
     @staticmethod
     def constant(degree: int, values) -> "PForm":
@@ -332,14 +344,12 @@ def bracket(model: LieAlgebroid, sigma: Section, eta: Section, x) -> np.ndarray:
         ``[sigma, eta]^g = rho_a^i sigma^a d_i eta^g
                          - rho_b^i eta^b d_i sigma^g + C_ab^g sigma^a eta^b``
     """
+    k = model.rank
     rho = model.anchor_at(x)
     c = model.bracket_at(x)
-    s = sigma.at(x)
-    e = eta.at(x)
-    if s.shape != (model.rank,) or e.shape != (model.rank,):
-        raise ValueError("section components do not match the model rank")
-    out = np.einsum("ai,a,gi->g", rho, s, eta.jacobian(x))
-    out -= np.einsum("ai,a,gi->g", rho, e, sigma.jacobian(x))
+    s, e = sigma.at(x, k), eta.at(x, k)
+    out = np.einsum("ai,a,gi->g", rho, s, eta.jacobian(x, k))
+    out -= np.einsum("ai,a,gi->g", rho, e, sigma.jacobian(x, k))
     out += np.einsum("abg,a,b->g", c, s, e)
     return out
 
@@ -359,13 +369,13 @@ def exterior_differential(model: LieAlgebroid, omega: PForm, x) -> np.ndarray:
     if p >= k:
         raise ValueError(f"cannot raise degree {p} on a rank-{k} algebroid")
     rho = model.anchor_at(x)
-    jac = omega.coeff_jacobian(x)
+    jac = omega.coeff_jacobian(x, k)
 
     if p == 0:
         return np.einsum("aj,j->a", rho, jac)
 
     c = model.bracket_at(x)
-    w = omega.at(x)
+    w = omega.at(x, k)
     out = np.zeros((k,) * (p + 1))
 
     # rho-terms: insert the new index at each slot i with sign (-1)^i
@@ -381,21 +391,23 @@ def exterior_differential(model: LieAlgebroid, omega: PForm, x) -> np.ndarray:
     return antisymmetrize(out)
 
 
-def contraction(sigma: Section, omega: PForm) -> PForm:
-    """Interior product ``i_sigma omega`` as a new form of degree ``p - 1``."""
+def contraction(sigma: Section, omega: PForm, rank: int) -> PForm:
+    """Interior product ``i_sigma omega`` as a new form of degree ``p - 1``,
+    with ``sigma`` and ``omega`` read at rank ``rank``."""
     if omega.degree == 0:
         raise ValueError("cannot contract a 0-form")
 
     def coeffs(x):
-        return np.tensordot(sigma.at(x), omega.at(x), axes=([0], [0]))
+        return np.tensordot(sigma.at(x, rank), omega.at(x, rank), axes=([0], [0]))
 
     derivative = None
     if sigma.derivative is not None and omega.derivative is not None:
         def derivative(x):
-            term1 = np.tensordot(sigma.jacobian(x), omega.at(x), axes=([0], [0]))
+            term1 = np.tensordot(sigma.jacobian(x, rank), omega.at(x, rank), axes=([0], [0]))
             # jacobian axis ends up first; move it last to match convention
             term1 = np.moveaxis(term1, 0, -1)
-            term2 = np.tensordot(sigma.at(x), omega.coeff_jacobian(x), axes=([0], [0]))
+            term2 = np.tensordot(sigma.at(x, rank), omega.coeff_jacobian(x, rank),
+                                 axes=([0], [0]))
             return term1 + term2
 
     return PForm(degree=omega.degree - 1, coeffs=coeffs, derivative=derivative)
@@ -412,14 +424,14 @@ def lie_derivative(model: LieAlgebroid, sigma: Section, omega: PForm, x) -> np.n
 
     if p < k:
         domega = exterior_differential(model, omega, x)
-        term1 = np.tensordot(sigma.at(x), domega, axes=([0], [0]))
+        term1 = np.tensordot(sigma.at(x, k), domega, axes=([0], [0]))
     else:
         term1 = np.zeros((k,) * p)
 
     if p == 0:
         return term1
 
-    term2 = exterior_differential(model, contraction(sigma, omega), x)
+    term2 = exterior_differential(model, contraction(sigma, omega, k), x)
     return term1 + term2
 
 
@@ -480,8 +492,8 @@ def structure_residual_max(model: LieAlgebroid, points) -> float:
 def _flow_rhs(model: LieAlgebroid, sigma: Section, z: np.ndarray) -> np.ndarray:
     x, m = z[:model.base_dim], z[model.base_dim:].reshape(model.rank, model.rank)
     rho = model.anchor_at(x)
-    s = sigma.at(x)
-    d = np.einsum("gi,bi->bg", rho, sigma.jacobian(x))
+    s = sigma.at(x, model.rank)
+    d = np.einsum("gi,bi->bg", rho, sigma.jacobian(x, model.rank))
     d += np.einsum("gab,a->bg", model.bracket_at(x), s)
     return np.concatenate((np.einsum("ai,a->i", rho, s), (d @ m).ravel()))
 
@@ -529,7 +541,7 @@ def flow_pullback_form(model: LieAlgebroid, sigma: Section, s: float, x0,
     Lie derivative.
     """
     xs, m = flow_of_section(model, sigma, s, x0, steps=steps)
-    w = omega.at(xs)
+    w = omega.at(xs, model.rank)
     for _ in range(omega.degree):
         w = np.tensordot(w, m, axes=([0], [0]))
     return w

@@ -142,11 +142,13 @@ def _ratio_result(chk, coarse, fine, default_min, default_max) -> CheckResult:
 
 def _param(ctx, key, default, convert=float, valid=lambda v: True, need="a number"):
     """``params[key]`` (or ``default``) through ``convert``; ConfigError unless
-    the result is finite and ``valid``."""
+    it is a JSON number or a list of them, and the result is finite and
+    ``valid``."""
     raw = ctx.params.get(key, default)
     try:
         value = convert(raw)
-        ok = bool(np.all(np.isfinite(value))) and valid(value)
+        ok = ((all(map(_is_number, raw)) if isinstance(raw, list) else _is_number(raw))
+              and bool(np.all(np.isfinite(value))) and valid(value))
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
@@ -155,8 +157,8 @@ def _param(ctx, key, default, convert=float, valid=lambda v: True, need="a numbe
 
 
 def _integer(raw) -> int:
-    """``raw`` as an int; ValueError for booleans and non-integral values."""
-    if isinstance(raw, bool) or int(raw) != float(raw):
+    """``raw`` as an int; ValueError for non-integral values."""
+    if int(raw) != float(raw):
         raise ValueError(raw)
     return int(raw)
 

@@ -7,8 +7,9 @@ one reader of every such derivative: it reads the callback when it is
 given, else forms one :func:`central_difference` of the callable's
 checked reader.  This is the only module that forms differences of
 callables (the grid stencils of :mod:`algfield.fields` difference nodal
-arrays).  :func:`gradient` serves the callables of one point that have
-no checked reader: sections and forms, and flows.
+arrays).  :func:`gradient` serves the one callable of one point that has
+no checked reader: the flow map of a section, differenced in its initial
+point by :func:`~algfield.algebroid.flow_morphism_defect`.
 The steps are fixed per kind of quantity; no model object carries its own:
 
 * ``STEP`` for structure functions, sections and connection coefficients;

@@ -257,16 +257,13 @@ class MechanicsTrajectory:
 def _hessian_reader(lagrangian: Lagrangian, name: str, shape: tuple) -> Callable:
     """Reader ``(x, u, y)`` at one point of the velocity Hessian ``name``:
     ``hess_yy`` (``d2L/dy dy``, shape ``(k, k)``) or ``hess_yu``
-    (``d2L/dy du``, shape ``(k, m)``), through ``sample_points``, or, when
-    it is unset, a central difference of the momentum reader."""
+    (``d2L/dy du``, shape ``(k, m)``), read by ``derivative_points``: the
+    callable when it is set, else a central difference of the momentum
+    reader in ``y`` or ``u``, whose ``(k, 1)`` axes are reshaped away."""
+    slot, ndim = (2, 2) if name == "hess_yy" else (1, 1)
     fn = getattr(lagrangian, name)
-    if fn is not None:
-        return lambda x, u, y: sample_points(fn, name, shape, x, u, y)
-    if name == "hess_yy":
-        return lambda x, u, y: central_difference(lagrangian.partial_y_points, (x, u, y), 2,
-                                                  HESSIAN_STEP, ndim=2)[:, 0, :, 0]
-    return lambda x, u, y: central_difference(lagrangian.partial_y_points, (x, u, y), 1,
-                                              HESSIAN_STEP)[:, 0]
+    return lambda x, u, y: derivative_points(fn, name, shape, lagrangian.partial_y_points,
+                                             (x, u, y), slot, HESSIAN_STEP, ndim).reshape(shape)
 
 
 def _inverse_and_verdict(hyy: np.ndarray, cond_limit: float) -> tuple:

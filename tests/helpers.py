@@ -318,8 +318,8 @@ def flow_reference(model, sigma, s, x0, steps=100):
     twice per line, once for the base point and once for the fibre matrix."""
     def rhs(x, m):
         rho = model.anchor_at(x)
-        sx = sigma.at(x)
-        d = np.einsum("gi,bi->bg", rho, sigma.jacobian(x))
+        sx = sigma.at(x, model.rank)
+        d = np.einsum("gi,bi->bg", rho, sigma.jacobian(x, model.rank))
         d += np.einsum("gab,a->bg", model.bracket_at(x), sx)
         return np.einsum("ai,a->i", rho, sx), d @ m
 

@@ -92,10 +92,10 @@ class TestBracket:
         f = trig_polynomial(rng, 2)
         x = np.array([0.25, -0.6])
 
-        f_eta = Section(coeffs=lambda z: f(z) * eta.at(z))
+        f_eta = Section(coeffs=lambda z: f(z) * eta.at(z, model.rank))
         lhs = bracket(model, sigma, f_eta, x)
-        rho_sigma_f = float(anchor_apply(model, x, sigma.at(x)) @ f.gradient(x))
-        rhs = f(x) * bracket(model, sigma, eta, x) + rho_sigma_f * eta.at(x)
+        rho_sigma_f = float(anchor_apply(model, x, sigma.at(x, model.rank)) @ f.gradient(x))
+        rhs = f(x) * bracket(model, sigma, eta, x) + rho_sigma_f * eta.at(x, model.rank)
         npt.assert_allclose(lhs, rhs, atol=1e-8)
 
     def test_wrongly_shaped_section_derivative_raises(self):
@@ -113,6 +113,13 @@ class TestBracket:
             bracket(model, wrong, eta, x)
         right = bracket(model, sigma(lambda z: np.array([[0.0, 1.0], [0.0, 0.0]])), eta, x)
         npt.assert_allclose(right, bracket(model, sigma(None), eta, x), atol=1e-10)
+        # coefficients are checked against the rank too, in the bracket and the flow
+        short = Section(coeffs=lambda z: np.array([z[1]]))
+        message = r"^coeffs returned shape \(1,\) at x = \[0\.3 0\.5\], expected \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            bracket(model, short, eta, x)
+        with pytest.raises(ValueError, match=message):
+            flow_of_section(model, short, 0.1, x)
 
     def test_anchor_is_bracket_homomorphism(self):
         # rho([sigma, eta]) equals the commutator of the anchored fields,
@@ -125,7 +132,7 @@ class TestBracket:
         h = 1e-5
 
         def push(sec, z):
-            return anchor_apply(model, z, sec.at(z))
+            return anchor_apply(model, z, sec.at(z, model.rank))
 
         lhs = anchor_apply(model, x, bracket(model, sigma, eta, x))
         comm = np.zeros(2)
@@ -156,6 +163,12 @@ class TestExteriorDifferential:
             exterior_differential(model, wrong, x)
         right = PForm.function(lambda z: z[0] * z[1], derivative=lambda z: z[::-1].copy())
         npt.assert_allclose(exterior_differential(model, right, x), [0.5, 0.3], atol=1e-15)
+        # and the coefficients of a 1-form against the rank
+        wide = PForm(degree=1, coeffs=lambda z: np.array([z[0], z[1], 1.0]),
+                     derivative=lambda z: np.eye(2))
+        with pytest.raises(ValueError, match=r"^coeffs returned shape \(3,\) at x = "
+                                             r"\[0\.3 0\.5\], expected \(2,\)$"):
+            exterior_differential(model, wide, x)
 
     def test_so3_coframe_differential(self):
         # d e^1 = -e^2 ^ e^3: coefficient array entries (1,2) = -1, (2,1) = +1

@@ -235,11 +235,16 @@ class TestRun:
         ("standard_field", ["params.latice=4"]),
         ("atiyah_euler_poincare", ["params.gauge=random_su2"]),
         ("rigid_body", ["params.dt=0.3", "params.t_end=1.0"]),
+        ("standard_field", ["params.mass=true"]),
+        ("standard_field", ['params.lattice="12"']),
+        ("rigid_body", ["params.inertia=[true,2,3]"]),
+        ("rigid_body", ['params.dt="0.001"']),
     ], ids=["lattice_not_int", "lattice_below_stencil", "negative_dt", "base_dim_3",
             "fibre_dim_2", "first_variation_3d", "first_variation_small_lattice",
             "cs_identity_small_lattice", "el_vs_classical_linear_u",
             "lattice_not_integral", "base_dim_bool", "unknown_param_misspelt",
-            "unknown_param_of_other_scenario", "t_end_not_whole_steps"])
+            "unknown_param_of_other_scenario", "t_end_not_whole_steps", "mass_bool",
+            "lattice_string", "inertia_bool_entry", "dt_string"])
     def test_bad_params_schema_violation(self, tmp_path, capsys, config, overrides):
         # every limit, those of one check kind included, is checked at
         # set-up: by check-config, and by run before it makes the output

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from algfield.algebroid import PForm, Section
 from algfield.differentiation import (
     FINE_STEP,
     HESSIAN_STEP,
@@ -126,6 +127,34 @@ class TestFallbacks:
                 lambda z: sigma.vertical_points(z, ui, 3), xi, STEP))
             npt.assert_array_equal(dvu[i], gradient(
                 lambda v: sigma.vertical_points(xi, v, 3), ui, STEP))
+
+    @pytest.mark.parametrize("mark", [lambda f: f, stacked], ids=["per_point", "stacked"])
+    def test_section_and_form_jacobians(self, mark):
+        # elementwise formulas; the 2-form's coefficients are not antisymmetric
+        rng = np.random.default_rng(31)
+        a, b = rng.uniform(-1, 1, (2, 3, 3))
+        sigma = Section(coeffs=mark(lambda x: np.stack(
+            [np.sin(x[..., 0]) * x[..., 1], np.cos(x[..., 1]) + x[..., 0] ** 2,
+             x[..., 0] * x[..., 1]], axis=-1)))
+        omega = PForm(degree=2, coeffs=mark(
+            lambda x: np.sin(x[..., :1, None] * a + x[..., 1:, None] * b)))
+        x = rng.uniform(-1, 1, (self.POINTS, 2))
+        ds, w, dw = sigma.jacobian(x, 3), omega.at(x, 3), omega.coeff_jacobian(x, 3)
+        for i in range(self.POINTS):
+            npt.assert_array_equal(ds[i], gradient(lambda z: sigma.at(z, 3), x[i], STEP))
+            npt.assert_array_equal(w[i], omega.at(x[i], 3))
+            npt.assert_array_equal(dw[i], gradient(lambda z: omega.at(z, 3), x[i], STEP))
+
+    def test_stacked_section_is_called_once_per_jacobian(self):
+        calls = []
+
+        @stacked
+        def coeffs(x):
+            calls.append(x.shape)
+            return np.stack([np.sin(x[..., 0]) * x[..., 1], x[..., 0] ** 2], axis=-1)
+
+        Section(coeffs=coeffs).jacobian(np.array([0.3, 0.5]), 2)
+        assert calls == [(4, 2)]
 
     @pytest.mark.parametrize("mark", [lambda f: f, stacked], ids=["per_point", "stacked"])
     def test_connection_derivatives(self, mark):
