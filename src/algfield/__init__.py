@@ -41,6 +41,7 @@ from .fields import (
     grid_derivative,
     grid_gradient,
     load_section,
+    morphism_maxima,
     morphism_residual,
     residual_report,
     save_section,

@@ -13,15 +13,19 @@ All derivatives come from ``grid_derivative``: second-order central
 differences, with periodic wrap or one-sided second-order stencils at
 the boundary.  Each pointwise residual formula is written once, over
 node data with any leading axes.  The single-node functions call it on
-one node (after differentiating the whole grid and reading their node);
-``residual_report`` forms the derivatives once per grid and calls it on
-blocks of ``BLOCK_NODES`` nodes through ``block_pass``, so its
-temporaries scale with the block, not the grid.  Within a block a
+one node (after differentiating the whole grid and reading their node).
+``residual_report`` and ``morphism_maxima`` call it on runs of whole
+rows of the first grid axis, about ``BLOCK_NODES`` nodes each: a run
+differentiates its own rows (with one halo row on each side along the
+first axis), so apart from the output arrays of ``residual_report`` and
+the squared copy each of its norms takes, their temporaries scale with
+the run, not the grid; ``morphism_maxima`` holds no residual of the
+whole grid.  Within a run a
 :func:`~algfield.fibred.stacked` coefficient callable of the pair is
 called once, and any other once per node (see ``FibredAlgebroidPair``);
-either must return its documented shape.  Sweeps
-call ``residual_report``.  Closed-form or integrated fields come from
-the scenario builders.
+either must return its documented shape.  Sweeps call
+``residual_report``.  Closed-form or integrated fields come from the
+scenario builders.
 """
 
 from __future__ import annotations
@@ -145,9 +149,10 @@ def grid_gradient(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def _difference_into(out: np.ndarray, values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
-    n, h = grid.extents[axis], grid.spacing[axis]
+    # the rows are counted on ``values``, which may be a run of rows of the grid
+    n, h = values.shape[axis], grid.spacing[axis]
     # slices (never single indices) keep the end rows views, also of 1-d arrays
-    v, d = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    v, d = values.swapaxes(axis, 0), out.swapaxes(axis, 0)
     np.subtract(v[2:], v[:-2], out=d[1:-1])
     if grid.boundary == "periodic":
         np.subtract(v[1:2], v[n - 1:], out=d[:1])
@@ -171,11 +176,14 @@ def block_pass(grid: GridSpec, step: Callable, *arrays: np.ndarray) -> None:
     """
     total = int(np.prod(grid.extents))
     rows = [a.reshape((total,) + a.shape[grid.dim:]) for a in arrays]
-    origin, spacing = np.asarray(grid.origin), np.asarray(grid.spacing)
     for start in range(0, total, BLOCK_NODES):
         stop = min(start + BLOCK_NODES, total)
-        idx = np.stack(np.unravel_index(np.arange(start, stop), grid.extents), axis=-1)
-        step(origin + idx * spacing, *(r[start:stop] for r in rows))
+        step(_node_coords(grid, start, stop), *(r[start:stop] for r in rows))
+
+
+def _node_coords(grid: GridSpec, start: int, stop: int) -> np.ndarray:
+    """Coordinates of the nodes ``start:stop`` in C order, shape ``(stop - start, dim)``."""
+    return grid.coords(np.stack(np.unravel_index(np.arange(start, stop), grid.extents), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -275,7 +283,8 @@ class ResidualField:
 
 
 def _maxabs(arr: np.ndarray) -> float:
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    """``max |arr|`` without a copy of ``arr``: 0.0 when empty (never -0.0), NaN if any is."""
+    return float(max(arr.max(), -arr.min())) + 0.0 if arr.size else 0.0
 
 
 def admissibility_residual(pair: FibredAlgebroidPair, section: DiscretizedSection,
@@ -368,26 +377,88 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (rows @ b).reshape(a.shape[:-1] + b.shape[-1:])
 
 
+def _slab_pass(section: DiscretizedSection, step: Callable, *arrays: np.ndarray) -> None:
+    """Call ``step(rows, x, u, y, *derivatives)`` on consecutive runs of whole
+    rows of the first grid axis, about ``BLOCK_NODES`` nodes and at least
+    one row each.
+
+    ``rows`` is the slice of first-axis rows; ``x``, ``u`` and ``y`` are the
+    coordinates and jet data of the run's nodes, flattened to one leading
+    axis in C order as ``block_pass`` gives them; for each of ``arrays``
+    (nodal arrays of the grid) come its derivatives at those nodes,
+    ``[..., i]`` along axis ``i``, bit for bit the rows of ``grid_gradient``.
+    """
+    grid, n = section.grid, section.grid.extents[0]
+    row = math.prod(grid.extents[1:])
+    per_run = max(1, BLOCK_NODES // row)
+    flat = lambda a: a.reshape((math.prod(a.shape[:grid.dim]),) + a.shape[grid.dim:])
+    for start in range(0, n, per_run):
+        rows = slice(start, min(start + per_run, n))
+        step(rows, _node_coords(grid, start * row, rows.stop * row), flat(section.u[rows]),
+             flat(section.y[rows]), *(flat(_slab_gradient(a, grid, rows)) for a in arrays))
+
+
+def _slab_gradient(values: np.ndarray, grid: GridSpec, rows: slice) -> np.ndarray:
+    """``grid_gradient(values, grid)[rows]``, from those rows and the rows that
+    their first-axis stencils read: one more on each side, wrapped on a
+    periodic grid, and three at an end of a one-sided grid."""
+    n = len(values)
+    lo, hi = rows.start - 1, rows.stop + 1
+    if grid.boundary == "one_sided":
+        lo, hi = min(max(lo, 0), n - 3), max(min(hi, n), 3)
+    # a view unless the rows wrap around a periodic grid
+    window = np.take(values, range(lo, hi), 0, mode="wrap") if lo < 0 or hi > n else values[lo:hi]
+    out = np.empty(window.shape + (grid.dim,))
+    _difference_into(out[..., 0], window, grid, 0)
+    own = out[rows.start - lo:rows.stop - lo]
+    for i in range(1, grid.dim):
+        _difference_into(own[..., i], values[rows], grid, i)
+    return own
+
+
 def residual_report(pair: FibredAlgebroidPair, section: DiscretizedSection) -> ResidualField:
     """Both residuals at every node, with their norms.
 
-    The grid derivatives are formed once; each block of nodes then reads
-    every coefficient once (per node for one not stacked) and forms the
-    flatness residual from batched matrix products (see
-    :func:`_morphism`), a point-shaped coefficient in one product for the
-    whole block.
+    The residuals are formed on runs of whole rows (``_slab_pass``): each run
+    differentiates its own rows, reads every coefficient once (per node for
+    one not stacked) and forms the flatness residual from batched matrix
+    products (see :func:`_morphism`), a point-shaped coefficient in one
+    product for the whole run.
     """
-    # the residual arrays have the shapes of the derivatives, and each node
-    # reads only its own derivatives, so its residuals overwrite them
-    adm = grid_gradient(section.u, section.grid)
-    mor = grid_gradient(section.y, section.grid)
+    adm, mor = (np.empty(a.shape + (section.grid.dim,)) for a in (section.u, section.y))
 
-    def step(x, u, y, du, dy):
-        du[...] = _admissibility(pair, x, u, y, du)
-        dy[...] = _morphism(pair, x, u, y, dy)
+    def step(rows, x, u, y, du, dy):
+        adm[rows] = _admissibility(pair, x, u, y, du).reshape(adm[rows].shape)
+        mor[rows] = _morphism(pair, x, u, y, dy).reshape(mor[rows].shape)
 
-    block_pass(section.grid, step, section.u, section.y, adm, mor)
+    _slab_pass(section, step, section.u, section.y)
     return ResidualField(admissibility=adm, morphism=mor, cell_volume=section.grid.cell_volume)
+
+
+def morphism_maxima(pair: FibredAlgebroidPair, section: DiscretizedSection) -> tuple:
+    """``(all_nodes, shared)``: the max of ``|M|`` over all nodes and over the
+    nodes whose indices are all even, equal to the maxima of
+    ``residual_report(pair, section).morphism``.
+
+    The residual is formed run by run as in ``residual_report`` and reduced
+    at once (:func:`slab_maxima`), so no residual of the whole grid is held.
+    """
+    top = np.zeros(2)
+
+    def step(rows, x, u, y, dy):
+        mor = _morphism(pair, x, u, y, dy).reshape(section.y[rows].shape + (section.grid.dim,))
+        np.maximum(top, slab_maxima(mor, rows.start), out=top)
+
+    _slab_pass(section, step, section.y)
+    return tuple(top.tolist())
+
+
+def slab_maxima(mor: np.ndarray, start: int) -> tuple:
+    """``(all_nodes, shared)`` maxima of ``|M|`` of flatness residual rows ``mor``
+    (shape ``(rows,) + extents[1:] + (k, r, r)``) that begin at row ``start`` of
+    the grid; ``shared`` is over the nodes whose indices are all even."""
+    shared = mor[(slice(start % 2, None, 2),) + (slice(None, None, 2),) * (mor.ndim - 4)]
+    return _maxabs(mor), _maxabs(shared)
 
 
 # ---------------------------------------------------------------------------

@@ -655,8 +655,9 @@ def su2_exponential_gauge_field(coords: Sequence, grid: GridSpec) -> Discretized
     """Pure-gauge connection of ``g = exp(v^al T_al)`` on a grid, in closed form.
 
     ``coords`` are the three exponential coordinates ``v^al``, each a
-    ``TrigPolynomial`` or ``0``; they are evaluated with their analytic
-    gradients over all nodes at once.  With ``theta = |v|`` the su(2)
+    ``TrigPolynomial`` or ``0``; each is evaluated with its analytic
+    gradient over all nodes at once, from one argument evaluation
+    (``TrigPolynomial.value_and_gradient``).  With ``theta = |v|`` the su(2)
     case of ``dexp`` gives the components of ``g^{-1} d_a g`` in
     ``su2_basis()``:
 
@@ -677,7 +678,7 @@ def su2_exponential_gauge_field(coords: Sequence, grid: GridSpec) -> Discretized
     points = grid.points()
     for al, c in enumerate(coords):
         if isinstance(c, TrigPolynomial):
-            v[..., al], y[..., al, :] = c(points), c.gradient(points)
+            v[..., al], y[..., al, :] = c.value_and_gradient(points)
         elif not (np.isscalar(c) and c == 0):
             raise TypeError("an exponential coordinate is a TrigPolynomial or 0")
     del points

@@ -27,10 +27,22 @@ class TrigPolynomial:
     phases: np.ndarray      # (n_modes,)
 
     def __call__(self, x):
-        return (np.cos(self._argument(x))[..., None, :] @ self.amplitudes)[..., 0]
+        return self._value(self._argument(x))
 
     def gradient(self, x) -> np.ndarray:
-        weights = self.amplitudes * np.sin(self._argument(x))
+        return self._gradient(self._argument(x))
+
+    def value_and_gradient(self, x) -> tuple:
+        """``(self(x), self.gradient(x))``, bit for bit, from one argument evaluation."""
+        arg = self._argument(x)
+        return self._value(arg), self._gradient(arg)
+
+    def _value(self, arg: np.ndarray) -> np.ndarray:
+        return (np.cos(arg)[..., None, :] @ self.amplitudes)[..., 0]
+
+    def _gradient(self, arg: np.ndarray) -> np.ndarray:
+        # the weights overwrite the argument, so no array of its size is added
+        weights = np.multiply(np.sin(arg, out=arg), self.amplitudes, out=arg)
         return -(weights[..., None, :] @ self.waves)[..., 0, :]
 
     def _argument(self, x) -> np.ndarray:

@@ -456,3 +456,25 @@ def flat_connection_reference(gauge, grid, algebra_basis):
                     f"the algebra span (defect {defect:.2e})")
             y[idx][:, a] = coeffs
     return DiscretizedSection(grid=grid, u=np.zeros(grid.extents + (0,)), y=y)
+
+
+# ---------------------------------------------------------------------------
+# whole-grid derivatives and blocks of nodes, the reference for the runs of rows
+# ---------------------------------------------------------------------------
+
+def residual_report_reference(pair, section):
+    """``residual_report`` from the derivatives of the whole grid, each block
+    of ``BLOCK_NODES`` nodes (``block_pass``) overwriting its own
+    derivatives with its residuals."""
+    from algfield.fields import (ResidualField, _admissibility, _morphism, block_pass,
+                                 grid_gradient)
+
+    adm = grid_gradient(section.u, section.grid)
+    mor = grid_gradient(section.y, section.grid)
+
+    def step(x, u, y, du, dy):
+        du[...] = _admissibility(pair, x, u, y, du)
+        dy[...] = _morphism(pair, x, u, y, dy)
+
+    block_pass(section.grid, step, section.u, section.y, adm, mor)
+    return ResidualField(admissibility=adm, morphism=mor, cell_volume=section.grid.cell_volume)

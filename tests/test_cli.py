@@ -24,7 +24,7 @@ from algfield.cli import (
     load_config,
     main,
 )
-from algfield.fields import GridSpec, ResidualField
+from algfield.fields import GridSpec, slab_maxima
 
 FAST_CONFIG = {
     "schema": 1,
@@ -356,8 +356,9 @@ class TestMorphismConvergence:
     @staticmethod
     def _run(order, n=8):
         """The check on a synthetic flatness residual ``h**order * s(x)`` of a
-        2d periodic lattice with spacing ``h``."""
-        def report(ctx, nn):
+        2d periodic lattice with spacing ``h``, reduced by the helper that
+        reduces each run of rows of ``fields.morphism_maxima``."""
+        def maxima(ctx, nn):
             grid = GridSpec.periodic_box((nn, nn))
             x = np.stack(np.meshgrid(*(np.arange(nn) * grid.spacing[0],) * 2, indexing="ij"),
                          axis=-1)
@@ -365,11 +366,11 @@ class TestMorphismConvergence:
             mor = np.zeros((nn, nn, 1, 2, 2))
             mor[..., 0, 0, 1] = grid.spacing[0] ** order * s
             mor[..., 0, 1, 0] = -mor[..., 0, 0, 1]
-            return ResidualField(admissibility=np.zeros((nn, nn, 0, 2)), morphism=mor)
+            return slab_maxima(mor, 0)
 
         ctx = CheckContext({"checks": []}, np.random.default_rng(0))
         ctx.n = n
-        return cli._morphism_convergence(report)(
+        return cli._morphism_convergence(maxima)(
             {"name": "order", "kind": "morphism_convergence"}, ctx)
 
     def test_first_order_field_fails(self):

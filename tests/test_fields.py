@@ -16,17 +16,20 @@ from algfield.fields import (
     DiscretizedSection,
     GridSpec,
     StencilError,
+    _maxabs,
     _morphism,
     admissibility_residual,
     grid_derivative,
     load_section,
+    morphism_maxima,
     morphism_residual,
     residual_report,
     save_section,
 )
 from algfield.scenarios import (
-    ChernSimonsData, StandardCaseData, builder_chern_simons, builder_standard,
-    chern_simons_lagrangian_difference, scalar_field_lagrangian)
+    EPSILON3, AtiyahData, ChernSimonsData, StandardCaseData, builder_atiyah,
+    builder_chern_simons, builder_standard, chern_simons_lagrangian_difference,
+    scalar_field_lagrangian, su2_exponential_gauge_field)
 from algfield.smoothfields import trig_polynomial, trig_vector
 from algfield.variational import (
     Lagrangian,
@@ -39,7 +42,8 @@ from algfield.variational import (
 )
 
 from helpers import (
-    connection_pair, heavy_top_style_pair, morphism_reference, node_stencil, trivial_pair)
+    connection_pair, heavy_top_style_pair, morphism_reference, node_stencil,
+    residual_report_reference, trivial_pair)
 
 
 class TestGridSpec:
@@ -491,6 +495,66 @@ class TestResidualReport:
         assert report.max_norm > 0.1
         assert report.admissibility.shape == (5, 5, 2, 2)
         assert report.morphism.shape == (5, 5, 2, 2, 2)
+
+    @pytest.mark.parametrize("extents, boundary, pair_name", [
+        (extents, boundary, pair_name) for extents, boundary in [
+            ((7,), "periodic"), ((BLOCK_NODES + 37,), "periodic"),
+            ((BLOCK_NODES + 37,), "one_sided"), ((6, 5), "periodic"), ((5, 6), "one_sided"),
+            ((9, 8, 8), "periodic"), ((5, 6, 7), "one_sided"), ((3, 5, 4), "periodic"),
+            ((3, 5, 4), "one_sided"), ((4, BLOCK_NODES + 5), "one_sided"),
+            ((3, 24, 24), "periodic")]
+        # the Chern-Simons pair has a 3d base
+        for pair_name in ("atiyah", "linear_u") + ("chern_simons",) * (len(extents) == 3)])
+    def test_runs_of_rows_match_block_reference(self, extents, boundary, pair_name):
+        # the runs of whole rows against the whole-grid derivatives and
+        # blocks of nodes: one row per run when a row holds more than
+        # BLOCK_NODES nodes, a first extent of 3, and 1d grids of one run
+        # and of more than one
+        dim = len(extents)
+        rng = np.random.default_rng(61)
+        grid = GridSpec(extents, tuple(0.2 + 0.05 * a for a in range(dim)), boundary)
+        if pair_name == "chern_simons":
+            pair = builder_chern_simons(ChernSimonsData.su2(), grid)[0]
+        elif pair_name == "atiyah":
+            pair = builder_atiyah(AtiyahData(constants=EPSILON3), base_dim=dim)
+        else:
+            coeffs = rng.uniform(-1, 1, dim)
+            pair = builder_standard(StandardCaseData(
+                gamma=stacked(lambda x, u: coeffs[:, None] * u[..., None, :])), dim, 1)
+        sec = DiscretizedSection(
+            grid=grid, u=rng.standard_normal(extents + (pair.fibre_dim,)),
+            y=rng.standard_normal(extents + (pair.kernel_rank, dim)))
+        got, want = residual_report(pair, sec), residual_report_reference(pair, sec)
+        npt.assert_array_equal(got.admissibility, want.admissibility)
+        npt.assert_array_equal(got.morphism, want.morphism)
+        shared = want.morphism[(slice(None, None, 2),) * dim]
+        assert morphism_maxima(pair, sec) == (want.morphism_max, float(np.max(np.abs(shared))))
+
+    def test_morphism_maxima_hold_no_residual_of_the_grid(self):
+        comps = trig_vector(np.random.default_rng(83), 3, 3, amplitude=0.5)
+        grid = GridSpec.periodic_box((24, 24, 24))
+        sec = su2_exponential_gauge_field(comps, grid)
+        pair = builder_chern_simons(ChernSimonsData.su2(), grid)[0]
+        tracemalloc.start()
+        try:
+            morphism_maxima(pair, sec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * sec.y.nbytes
+
+    @pytest.mark.parametrize("arr, want", [
+        (np.array([0.0, -0.0, -0.0]), 0.0), (np.array([-0.0, -0.0]), 0.0),
+        (np.array([1.0, np.nan, -3.0]), np.nan), (np.array([-np.inf, 2.0]), np.inf),
+        (np.zeros((0, 3)), 0.0), (np.array([[0.5, -2.5], [2.0, -1.0]]), 2.5)])
+    def test_maxabs_keeps_the_bits_of_max_abs(self, arr, want):
+        got = _maxabs(arr)
+        assert type(got) is float
+        if arr.size:
+            npt.assert_array_equal(got, float(np.max(np.abs(arr))))
+        # 0.0, never -0.0
+        assert np.isnan(want) or np.signbit(got) == np.signbit(want)
+        npt.assert_array_equal(got, want)
 
 
 class TestSerialization:

@@ -1226,8 +1226,9 @@ class TestClosedFormGauge:
         npt.assert_allclose(closed.y, oracle.y, rtol=0, atol=1e-8 * np.max(np.abs(oracle.y)))
 
     def test_stacked_points_and_values(self):
-        # stacked and per-point evaluation agree bit for bit, and a point's
-        # value is the plain dot product of amplitudes and cosines
+        # stacked and per-point evaluation agree bit for bit, also when the
+        # value and the gradient come from one argument evaluation, and a
+        # point's value is the plain dot product of amplitudes and cosines
         rng = np.random.default_rng(73)
         for extents in [(7,), (4, 5), (3, 4, 5)]:
             dim = len(extents)
@@ -1237,11 +1238,15 @@ class TestClosedFormGauge:
             points = grid.points()
             values, grads = f(points), f.gradient(points)
             assert values.shape == extents and grads.shape == extents + (dim,)
+            for got, want in zip(f.value_and_gradient(points), (values, grads)):
+                npt.assert_array_equal(got, want)
             for idx in grid.nodes():
                 x = points[idx]
                 npt.assert_array_equal(x, grid.coords(idx))
                 npt.assert_array_equal(values[idx], f(x))
                 npt.assert_array_equal(grads[idx], f.gradient(x))
+                for got, want in zip(f.value_and_gradient(x), (values[idx], grads[idx])):
+                    npt.assert_array_equal(got, want)
                 assert f(x) == float(np.dot(f.amplitudes, np.cos(f.waves @ x + f.phases)))
 
     def test_single_generator_is_gradient(self):
